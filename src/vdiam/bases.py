@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .polyring import (
-    Monomial,
     Polynomial,
     grevlex_key,
     star,
@@ -164,18 +162,6 @@ def verify_cm_products(pres: VarietyPresentation, gens: CmGenerators) -> CmProdu
     return CmProductReport(not problems, tuple(problems), tuple(coefs), products)
 
 
-def _x_prefix_monomials(M: int, nvars: int, max_degree: int) -> list[Monomial]:
-    """Exponent vectors over x_1..x_{M-1} with total degree <= max_degree."""
-    out: list[Monomial] = []
-    for deg in range(max_degree + 1):
-        for combo in combinations_with_replacement(range(M - 1), deg):
-            beta = [0] * nvars
-            for j in combo:
-                beta[j] += 1
-            out.append(tuple(beta))
-    return out
-
-
 def cm_basis(pres: VarietyPresentation, k: int, gens: Optional[CmGenerators] = None) -> GradedBasis:
     """Graded basis from sheet generators: low-order monomials x_M^l y^alpha with
     l + |alpha| < t, multiplied by monomials in x_1..x_{M-1}, together with
@@ -193,26 +179,18 @@ def cm_basis(pres: VarietyPresentation, k: int, gens: Optional[CmGenerators] = N
     # low-order block: x^beta * x_M^l * y^alpha with l + |alpha| <= t - 1
     for alpha in dec.A:
         for l in range(max(0, t - sum(alpha))):
-            if l + sum(alpha) > t - 1:
-                continue
             base = tuple(e + (l if j == xM else 0) for j, e in enumerate(alpha))
             room = k - sum(base)
             if room < 0:
                 continue
-            for beta in _x_prefix_monomials(pres.M, pres.N, room):
+            for beta in x_monomials(pres.M - 1, pres.N, room):
                 mono = tuple(b + e for b, e in zip(beta, base))
                 push(sum(mono), 0, grevlex_key(mono), Polynomial.monomial(mono, pres.M, pres.N, "exact"))
     # sheet block: x^gamma * v_i with gamma over all x variables
-    if k >= t:
-        for deg in range(k - t + 1):
-            for combo in combinations_with_replacement(range(pres.M), deg):
-                gamma = [0] * pres.N
-                for j in combo:
-                    gamma[j] += 1
-                gmono = tuple(gamma)
-                gpoly = Polynomial.monomial(gmono, pres.M, pres.N, "exact")
-                for i, v in enumerate(gens.vs):
-                    push(deg + t, 1, (grevlex_key(gmono), i), gpoly * v)
+    for gmono in x_monomials(pres.M, pres.N, k - t):
+        gpoly = Polynomial.monomial(gmono, pres.M, pres.N, "exact")
+        for i, v in enumerate(gens.vs):
+            push(sum(gmono) + t, 1, (grevlex_key(gmono), i), gpoly * v)
 
     elements: list[Polynomial] = []
     degrees: list[int] = []
@@ -256,27 +234,71 @@ def default_quadrature_n(k: int) -> int:
     return n
 
 
-def _univariate_coeffs(
-    g: Polynomial, yv: int, known: np.ndarray, degree: int
-) -> np.ndarray:
-    """Coefficients (ascending) of g restricted to the partial point `known`,
-    viewed as a univariate polynomial in variable yv.  Entries of `known` that
-    are nan are not yet solved; touching one is a triangularity failure."""
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    for mono, c in g.items():
-        e = mono[yv]
-        val = complex(c) if g.mode == "float" else c.to_complex()
-        for j, ej in enumerate(mono):
-            if j == yv or not ej:
-                continue
-            zj = known[j]
-            if np.isnan(zj.real):
-                raise QuadratureError(
-                    f"generator {g} is not triangular: needs unsolved variable index {j}"
-                )
-            val *= zj**ej
-        coeffs[e] += val
-    return coeffs
+def _lift_order(pres: VarietyPresentation) -> list[tuple[Polynomial, int, int]]:
+    """(generator, the variable it is solved for, its degree in that variable),
+    in the order `lift` solves them: by the index of that variable."""
+    out = []
+    for g in pres.generators:
+        lm = g.leading_monomial()
+        yv = min(j for j, e in enumerate(lm) if e)
+        out.append((g, yv, lm[yv]))
+    return sorted(out, key=lambda item: item[1])
+
+
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each row's polynomial (ascending coefficients, nonzero top
+    coefficient), bit for bit and in the order numpy's `roots` gives them:
+    the companion-matrix eigenvalues of the part above the zero low-order
+    coefficients, then one exact zero for each of those."""
+    m = coeffs.shape[1] - 1
+    roots = np.zeros((coeffs.shape[0], m), dtype=complex)
+    low_zeros = np.argmax(coeffs != 0, axis=1)
+    for t in np.unique(low_zeros):
+        if t == m:
+            continue
+        rows = low_zeros == t
+        p = coeffs[rows, t:][:, ::-1]
+        comp = np.zeros((p.shape[0], m - t, m - t), dtype=complex)
+        comp[:, 1:, :-1] = np.eye(m - t - 1)
+        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        roots[rows, : m - t] = np.linalg.eigvals(comp)
+    return roots
+
+
+def lift(pres: VarietyPresentation, xs: np.ndarray) -> np.ndarray:
+    """The points of the variety over the x-points `xs` (P, M), x-major and
+    sheet-minor.  Each generator is solved for its leading variable at every
+    partial point at once, so it may involve only x and the variables solved
+    before it."""
+    pts = np.concatenate(
+        [np.asarray(xs, dtype=complex), np.full((len(xs), pres.ny), np.nan + 0j)], axis=1
+    )
+    solved = set(range(pres.M))
+    for g, yv, m in _lift_order(pres):
+        coeffs = np.zeros((len(pts), m + 1), dtype=complex)
+        for mono, c in g.items():
+            val = complex(c) if g.mode == "float" else c.to_complex()
+            for j, ej in enumerate(mono):
+                if j == yv or not ej:
+                    continue
+                if j not in solved:
+                    raise QuadratureError(
+                        f"generator {g} is not triangular: needs unsolved variable index {j}"
+                    )
+                # np.power, not **: the array ** 2 fast path rounds differently
+                val = val * np.power(pts[:, j], ej)
+            coeffs[:, mono[yv]] += val
+        pts = np.repeat(pts, m, axis=0)
+        pts[:, yv] = _companion_roots(coeffs).ravel()
+        solved.add(yv)
+    return pts
+
+
+def lift_grid(pres: VarietyPresentation, line: np.ndarray) -> np.ndarray:
+    """`lift` over the M-fold product grid of the nodes `line`, the first x
+    varying slowest."""
+    grids = np.meshgrid(*([line] * pres.M), indexing="ij")
+    return lift(pres, np.stack([g.ravel() for g in grids], axis=1))
 
 
 def torus_quadrature(pres: VarietyPresentation, n: int) -> QuadratureSpec:
@@ -286,41 +308,13 @@ def torus_quadrature(pres: VarietyPresentation, n: int) -> QuadratureSpec:
         raise QuadratureError(f"invalid presentation: {'; '.join(rep.problems)}")
     if n < 1:
         raise QuadratureError("need n >= 1")
-    circle = np.exp(2j * np.pi * np.arange(n) / n)
-    grids = np.meshgrid(*([circle] * pres.M), indexing="ij")
-    xs = np.stack([g.ravel() for g in grids], axis=1) if pres.M else np.zeros((1, 0))
-    order = sorted(
-        range(len(pres.generators)),
-        key=lambda i: min(
-            j for j, e in enumerate(pres.generators[i].leading_monomial()) if e
-        ),
-    )
-    pts: list[np.ndarray] = []
-    for x in xs:
-        partials = [np.concatenate([x, np.full(pres.ny, np.nan + 0j)])]
-        for gi in order:
-            g = pres.generators[gi]
-            yv = min(j for j, e in enumerate(g.leading_monomial()) if e)
-            m = g.leading_monomial()[yv]
-            nxt: list[np.ndarray] = []
-            for p in partials:
-                coeffs = _univariate_coeffs(g, yv, p, m)
-                roots = np.roots(coeffs[::-1])
-                for r in roots:
-                    q = p.copy()
-                    q[yv] = r
-                    nxt.append(q)
-            partials = nxt
-        pts.extend(partials)
-    points = np.array(pts)
+    points = lift_grid(pres, np.exp(2j * np.pi * np.arange(n) / n))
     for g in pres.generators:
-        res = np.abs(g.evaluate(points))
-        worst = float(res.max()) if res.size else 0.0
+        worst = float(np.abs(g.evaluate(points)).max())
         if worst > 1e-9:
             raise QuadratureError(f"sheet solve residual {worst:.3e} exceeds 1e-9")
     P = points.shape[0]
-    weights = np.full(P, 1.0 / P)
-    return QuadratureSpec(n=n, points=points, weights=weights)
+    return QuadratureSpec(n=n, points=points, weights=np.full(P, 1.0 / P))
 
 
 def inner_product(f: Polynomial, g: Polynomial, quad: QuadratureSpec) -> complex:

@@ -19,7 +19,6 @@ from .bases import (
     CmConstructionError,
     QuadratureError,
     bb_basis,
-    bb_structured,
     cm_basis,
     cm_generators,
     default_quadrature_n,
@@ -47,6 +46,7 @@ from .variety import (
 )
 from .vdm import (
     FeketeError,
+    build_basis,
     compare_bases,
     fekete_maximize,
     file_sampler,
@@ -157,22 +157,18 @@ def _cmd_validate(args, out) -> int:
     return 0 if verdict else 3
 
 
-def _build_basis_cmd(pres, extras, kind: str, k: int, n: Optional[int]):
-    if kind == "monomial":
-        return monomial_graded_basis(pres, k)
-    if kind == "cm":
-        return cm_basis(pres, k, _cm_gens(pres, extras))
-    quad = torus_quadrature(pres, n or default_quadrature_n(k))
-    if kind == "bb":
-        return bb_basis(pres, k, quad)
-    if kind == "bb_structured":
-        return bb_structured(pres, k, quad)
-    raise ValueError(f"unknown basis kind {kind!r}")
+def _basis_from_args(pres, extras, args, quad=None):
+    """`build_basis` for `--kind` and `--k`, with the file's sheet generators
+    for cm and, unless `quad` is given, the `--n` quadrature for bb kinds."""
+    if quad is None and args.n and args.kind in ("bb", "bb_structured"):
+        quad = torus_quadrature(pres, args.n)
+    gens = _cm_gens(pres, extras) if args.kind == "cm" else None
+    return build_basis(pres, args.kind, args.k, gens=gens, quad=quad)
 
 
 def _cmd_basis(args, out) -> int:
     pres, extras = load_variety(args.variety)
-    basis = _build_basis_cmd(pres, extras, args.kind, args.k, args.n)
+    basis = _basis_from_args(pres, extras, args)
     rows = [
         {"index": i, "degree": d, "element": _display_poly(e)}
         for i, (e, d) in enumerate(zip(basis.elements, basis.degrees), start=1)
@@ -233,8 +229,8 @@ def _cmd_compliance(args, out) -> int:
 def _cmd_gram(args, out) -> int:
     pres, extras = load_variety(args.variety)
     n = args.n or 1024
-    basis = _build_basis_cmd(pres, extras, args.kind, args.k, n)
     quad = torus_quadrature(pres, n)
+    basis = _basis_from_args(pres, extras, args, quad)
     g = gram(basis.elements, quad)
     eye = np.eye(g.shape[0])
     off = g - np.diag(np.diag(g))
@@ -253,7 +249,7 @@ def _cmd_gram(args, out) -> int:
 
 def _cmd_fekete(args, out) -> int:
     pres, extras = load_variety(args.variety)
-    basis = _build_basis_cmd(pres, extras, args.kind, args.k, args.n)
+    basis = _basis_from_args(pres, extras, args)
     sampler = _sampler_from_spec(pres, args.sampler)
     res = fekete_maximize(basis, sampler, seed=args.seed, starts=args.starts)
     rec = count(pres, args.k)

@@ -14,9 +14,8 @@ rationals extended by sqrt2) or "float" (complex doubles).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,15 +35,6 @@ class PolyParseError(ValueError):
 def grevlex_key(mono: Monomial):
     """Sort key: ascending by total degree, then reversed exponent tuple."""
     return (sum(mono), tuple(reversed(mono)))
-
-
-@dataclass(frozen=True)
-class OrderingTag:
-    name: str
-    key: Callable[[Monomial], object]
-
-
-GREVLEX = OrderingTag("grevlex", grevlex_key)
 
 
 def cmp_grevlex(a: Monomial, b: Monomial) -> int:
@@ -71,10 +61,6 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(i, j) for i, j in zip(a, b))
-
-
-def monomial_degree(a: Monomial) -> int:
-    return sum(a)
 
 
 class Term(NamedTuple):
@@ -159,9 +145,9 @@ class Polynomial:
     def monomials(self) -> list[Monomial]:
         return sorted(self._c, key=grevlex_key)
 
-    def terms(self, ordering: OrderingTag = GREVLEX) -> list[Term]:
+    def terms(self) -> list[Term]:
         """Terms in descending order."""
-        return [Term(self._c[m], m) for m in sorted(self._c, key=ordering.key, reverse=True)]
+        return [Term(self._c[m], m) for m in sorted(self._c, key=grevlex_key, reverse=True)]
 
     def items(self):
         return self._c.items()
@@ -171,14 +157,14 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self._c)
 
-    def leading_term(self, ordering: OrderingTag = GREVLEX) -> Term:
+    def leading_term(self) -> Term:
         if not self._c:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self._c, key=ordering.key)
+        m = max(self._c, key=grevlex_key)
         return Term(self._c[m], m)
 
-    def leading_monomial(self, ordering: OrderingTag = GREVLEX) -> Monomial:
-        return self.leading_term(ordering).monomial
+    def leading_monomial(self) -> Monomial:
+        return self.leading_term().monomial
 
     def num_terms(self) -> int:
         return len(self._c)
@@ -482,7 +468,7 @@ def top_homogeneous(p: Polynomial) -> Polynomial:
     return Polynomial({m: c for m, c in p.items() if sum(m) == d}, p.nx, p.nvars, p.mode)
 
 
-def normal_form(p: Polynomial, gens: Sequence[Polynomial], ordering: OrderingTag = GREVLEX) -> Polynomial:
+def normal_form(p: Polynomial, gens: Sequence[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of p by gens.
 
     When several generators' leading terms divide the current leading
@@ -490,15 +476,15 @@ def normal_form(p: Polynomial, gens: Sequence[Polynomial], ordering: OrderingTag
     remainder is unique when gens passes s_poly_check.
     """
     gens = [g for g in gens if not g.is_zero()]
-    lts = [g.leading_term(ordering) for g in gens]
+    lts = [g.leading_term() for g in gens]
     rem: dict = {}
     h = p
     while not h.is_zero():
-        c, m = h.leading_term(ordering)
+        c, m = h.leading_term()
         best = None
         for g, lt in zip(gens, lts):
             if monomial_divides(lt.monomial, m):
-                if best is None or ordering.key(lt.monomial) > ordering.key(best[1].monomial):
+                if best is None or grevlex_key(lt.monomial) > grevlex_key(best[1].monomial):
                     best = (g, lt)
         if best is None:
             rem[m] = c
@@ -513,14 +499,14 @@ def normal_form(p: Polynomial, gens: Sequence[Polynomial], ordering: OrderingTag
     return Polynomial(rem, p.nx, p.nvars, p.mode)
 
 
-def star(p: Polynomial, q: Polynomial, gens: Sequence[Polynomial], ordering: OrderingTag = GREVLEX) -> Polynomial:
+def star(p: Polynomial, q: Polynomial, gens: Sequence[Polynomial]) -> Polynomial:
     """Product in the quotient ring: the normal form of p*q."""
-    return normal_form(p * q, gens, ordering)
+    return normal_form(p * q, gens)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, ordering: OrderingTag = GREVLEX) -> Polynomial:
-    cf, mf = f.leading_term(ordering)
-    cg, mg = g.leading_term(ordering)
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    cf, mf = f.leading_term()
+    cg, mg = g.leading_term()
     lcm = monomial_lcm(mf, mg)
     tf = Polynomial.monomial(monomial_div(lcm, mf), f.nx, f.nvars, f.mode,
                              coefficient=(1 / cf) if f.mode == "float" else cf.inverse())
@@ -529,17 +515,17 @@ def s_polynomial(f: Polynomial, g: Polynomial, ordering: OrderingTag = GREVLEX) 
     return tf * f - tg * g
 
 
-def s_poly_check(gens: Sequence[Polynomial], ordering: OrderingTag = GREVLEX) -> bool:
+def s_poly_check(gens: Sequence[Polynomial]) -> bool:
     """True iff every S-polynomial of a generator pair reduces to zero."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty generator list")
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            mi = gens[i].leading_monomial(ordering)
-            mj = gens[j].leading_monomial(ordering)
+            mi = gens[i].leading_monomial()
+            mj = gens[j].leading_monomial()
             if monomial_lcm(mi, mj) == monomial_mul(mi, mj):
                 continue  # coprime leading monomials: S-poly reduces to zero
-            if not normal_form(s_polynomial(gens[i], gens[j], ordering), gens, ordering).is_zero():
+            if not normal_form(s_polynomial(gens[i], gens[j]), gens).is_zero():
                 return False
     return True

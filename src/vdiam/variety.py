@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .polyring import (
-    GREVLEX,
     Monomial,
     Polynomial,
     grevlex_key,

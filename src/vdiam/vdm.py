@@ -22,11 +22,14 @@ from .bases import (
     CmGenerators,
     GradedBasis,
     QuadratureSpec,
+    _lift_order,
     bb_basis,
     bb_structured,
     cm_basis,
     cm_generators,
     default_quadrature_n,
+    lift,
+    lift_grid,
     monomial_graded_basis,
     torus_quadrature,
 )
@@ -52,33 +55,6 @@ class CompactSetSampler:
         return self.points.shape[0]
 
 
-def _lift_grid(pres: VarietyPresentation, xs: np.ndarray) -> np.ndarray:
-    """Lift x-grid rows through the sheets by reusing the quadrature solver."""
-    from .bases import _univariate_coeffs
-
-    order = sorted(
-        range(len(pres.generators)),
-        key=lambda i: min(j for j, e in enumerate(pres.generators[i].leading_monomial()) if e),
-    )
-    pts: list[np.ndarray] = []
-    for x in xs:
-        partials = [np.concatenate([x.astype(complex), np.full(pres.ny, np.nan + 0j)])]
-        for gi in order:
-            g = pres.generators[gi]
-            yv = min(j for j, e in enumerate(g.leading_monomial()) if e)
-            m = g.leading_monomial()[yv]
-            nxt = []
-            for p in partials:
-                coeffs = _univariate_coeffs(g, yv, p, m)
-                for r in np.roots(coeffs[::-1]):
-                    q = p.copy()
-                    q[yv] = r
-                    nxt.append(q)
-            partials = nxt
-        pts.extend(partials)
-    return np.array(pts) if pts else np.zeros((0, pres.N), dtype=complex)
-
-
 def _check_on_variety(pres: VarietyPresentation, points: np.ndarray, tol: float = 1e-8):
     for g in pres.generators:
         res = np.abs(g.evaluate(points))
@@ -88,20 +64,14 @@ def _check_on_variety(pres: VarietyPresentation, points: np.ndarray, tol: float 
 
 def torus_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
     """Unit-circle grids in each x variable, lifted through the sheets."""
-    circle = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    grids = np.meshgrid(*([circle] * pres.M), indexing="ij")
-    xs = np.stack([g.ravel() for g in grids], axis=1)
-    pts = _lift_grid(pres, xs)
+    pts = lift_grid(pres, np.exp(2j * np.pi * np.arange(nodes) / nodes))
     _check_on_variety(pres, pts, 1e-8)
     return CompactSetSampler(name=f"torus:{nodes}", points=pts)
 
 
 def segment_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
     """Equispaced grids on [-1, 1] in each x variable, lifted through the sheets."""
-    seg = np.linspace(-1.0, 1.0, nodes).astype(complex)
-    grids = np.meshgrid(*([seg] * pres.M), indexing="ij")
-    xs = np.stack([g.ravel() for g in grids], axis=1)
-    pts = _lift_grid(pres, xs)
+    pts = lift_grid(pres, np.linspace(-1.0, 1.0, nodes).astype(complex))
     _check_on_variety(pres, pts, 1e-8)
     return CompactSetSampler(name=f"segment:{nodes}", points=pts)
 
@@ -135,16 +105,15 @@ def random_variety_points(
 ) -> CompactSetSampler:
     """Generic points: random x in an annulus, one random sheet per point."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pts = []
-    while len(pts) < count_:
+    sheets = math.prod(m for _, _, m in _lift_order(pres))
+    xs = np.empty((count_, pres.M), dtype=complex)
+    picks = np.empty(count_, dtype=int)
+    for i in range(count_):
         r = rng.uniform(radius[0], radius[1], size=pres.M)
         th = rng.uniform(0.0, 2.0 * np.pi, size=pres.M)
-        x = (r * np.exp(1j * th)).reshape(1, -1)
-        lifted = _lift_grid(pres, x)
-        if lifted.shape[0] == 0:
-            continue
-        pts.append(lifted[rng.integers(lifted.shape[0])])
-    out = np.array(pts)
+        xs[i] = r * np.exp(1j * th)
+        picks[i] = rng.integers(sheets)
+    out = lift(pres, xs)[np.arange(count_) * sheets + picks]
     _check_on_variety(pres, out, 1e-8)
     return CompactSetSampler(name=f"random:{seed}", points=out)
 
