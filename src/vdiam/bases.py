@@ -311,7 +311,7 @@ def torus_quadrature(pres: VarietyPresentation, n: int) -> QuadratureSpec:
     points = lift_grid(pres, np.exp(2j * np.pi * np.arange(n) / n))
     for g in pres.generators:
         worst = float(np.abs(g.evaluate(points)).max())
-        if worst > 1e-9:
+        if not worst <= 1e-9:  # NaN fails this too
             raise QuadratureError(f"sheet solve residual {worst:.3e} exceeds 1e-9")
     P = points.shape[0]
     return QuadratureSpec(n=n, points=points, weights=np.full(P, 1.0 / P))

@@ -40,6 +40,7 @@ from .variety import (
     asymptotic_ratios,
     count,
     count_table,
+    decompose_A,
     distinct_infinity_check,
     load_variety,
     validate_noether,
@@ -96,6 +97,9 @@ def _display_poly(p: Polynomial) -> str:
 
 
 def _sampler_from_spec(pres, spec: str):
+    # the samplers lift without validating; an invalid presentation is
+    # invalid input (exit 1) here as it is for every basis
+    decompose_A(pres)
     kind, _, arg = spec.partition(":")
     if kind == "torus":
         return torus_sampler(pres, int(arg) if arg else 128)

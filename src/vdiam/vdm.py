@@ -34,7 +34,7 @@ from .bases import (
     torus_quadrature,
 )
 from .polyring import Polynomial
-from .scalars import Exact
+from .scalars import ONE, Exact
 from .variety import VarietyPresentation, count, validate_noether
 
 
@@ -58,7 +58,8 @@ class CompactSetSampler:
 def _check_on_variety(pres: VarietyPresentation, points: np.ndarray, tol: float = 1e-8):
     for g in pres.generators:
         res = np.abs(g.evaluate(points))
-        if res.size and float(res.max()) > tol:
+        # max propagates NaN, and NaN fails every comparison
+        if res.size and not float(res.max()) <= tol:
             raise ValueError(f"candidate points leave the variety: residual {float(res.max()):.3e}")
 
 
@@ -414,67 +415,88 @@ def compare_bases(
 # row-scale bounds between bases
 
 
-def _coef_matrix_exact(basis: GradedBasis, monos: list) -> list[list[Exact]]:
-    idx = {m: j for j, m in enumerate(monos)}
-    out = []
-    for e in basis.elements:
-        row = [Exact(0)] * len(monos)
+def _monomial_columns(*bases: GradedBasis) -> dict:
+    """Column of each monomial the bases use, ordered by degree, then by the
+    reversed exponent vector."""
+    monos = {m for b in bases for e in b.elements for m in e.monomials()}
+    return {m: j for j, m in enumerate(sorted(monos, key=lambda m: (sum(m), tuple(reversed(m)))))}
+
+
+def _coef_matrix(basis: GradedBasis, cols: dict) -> np.ndarray:
+    out = np.zeros((len(basis), len(cols)), dtype=complex)
+    for i, e in enumerate(basis.elements):
         for m, c in e.items():
-            row[idx[m]] = c
-        out.append(row)
+            out[i, cols[m]] = complex(c)
     return out
 
 
-def _exact_change_of_basis(bc: list[list[Exact]], cc: list[list[Exact]]) -> list[list[Exact]]:
-    """T with T @ C = B, via row reduction of C carrying combination vectors."""
-    n, width = len(cc), len(cc[0])
-    rows = [list(r) for r in cc]
-    combos = [[Exact(1) if j == i else Exact(0) for j in range(n)] for i in range(n)]
+def _coef_rows(basis: GradedBasis, cols: dict) -> list[dict]:
+    """Exact coefficient rows, each a sparse {column: nonzero Exact}."""
+    return [{cols[m]: c for m, c in e.items()} for e in basis.elements]
+
+
+def _sub_scaled(row: dict, f: Exact, other: dict) -> None:
+    """row -= f * other on sparse rows {column: nonzero Exact}; an entry that
+    cancels to an exact zero is dropped."""
+    for j, v in other.items():
+        x = row[j] - f * v if j in row else -(f * v)
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _exact_change_of_basis(bc: list[dict], cc: list[dict], width: int) -> list[dict]:
+    """T with T @ C = B, via row reduction of C carrying combination vectors.
+    Rows are sparse, so the work follows the nonzero pattern: for graded
+    bases the fill-in stays inside each degree block."""
+    n = len(cc)
+    rows = [dict(r) for r in cc]
+    combos = [{i: ONE} for i in range(n)]
     piv_cols: list[int] = []
     r = 0
     for col in range(width):
-        pr = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
+        pr = next((i for i in range(r, n) if col in rows[i]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         combos[r], combos[pr] = combos[pr], combos[r]
         inv = rows[r][col].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        combos[r] = [v * inv for v in combos[r]]
+        rows[r] = {j: v * inv for j, v in rows[r].items()}
+        combos[r] = {j: v * inv for j, v in combos[r].items()}
         for i in range(n):
-            if i != r and not rows[i][col].is_zero():
+            if i != r and col in rows[i]:
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                combos[i] = [a - f * b for a, b in zip(combos[i], combos[r])]
+                _sub_scaled(rows[i], f, rows[r])
+                _sub_scaled(combos[i], f, combos[r])
         piv_cols.append(col)
         r += 1
         if r == n:
             break
     if r < n:
         raise ValueError("second basis has linearly dependent elements")
-    t_rows: list[list[Exact]] = []
+    t_rows: list[dict] = []
     for b in bc:
-        resid = list(b)
-        coefs = [Exact(0)] * n
+        resid, t = dict(b), {}
         for i, col in enumerate(piv_cols):
-            f = resid[col]
-            if f.is_zero():
+            f = resid.get(col)
+            if f is None:
                 continue
-            coefs[i] = f
-            resid = [a - f * v for a, v in zip(resid, rows[i])]
-        if any(not v.is_zero() for v in resid):
+            _sub_scaled(resid, f, rows[i])
+            _sub_scaled(t, -f, combos[i])
+        if resid:
             raise ValueError("bases do not span the same monomial space")
-        t_rows.append([sum((coefs[i] * combos[i][j] for i in range(n)), Exact(0)) for j in range(n)])
+        t_rows.append(t)
     return t_rows
 
 
-def _first_nonzero_pivots_exact(t: list[list[Exact]]) -> list[Exact]:
+def _first_nonzero_pivots_exact(t: list[dict]) -> list[Exact]:
     n = len(t)
-    work = [list(r) for r in t]
+    work = [dict(r) for r in t]
     used: set[int] = set()
     pivots: list[Exact] = []
     for col in range(n):
-        pr = next((i for i in range(n) if i not in used and not work[i][col].is_zero()), None)
+        pr = next((i for i in range(n) if i not in used and col in work[i]), None)
         if pr is None:
             raise ValueError("change of basis is singular")
         used.add(pr)
@@ -482,9 +504,8 @@ def _first_nonzero_pivots_exact(t: list[list[Exact]]) -> list[Exact]:
         pivots.append(piv)
         inv = piv.inverse()
         for i in range(n):
-            if i not in used and not work[i][col].is_zero():
-                f = work[i][col] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[pr])]
+            if i not in used and col in work[i]:
+                _sub_scaled(work[i], work[i][col] * inv, work[pr])
     return pivots
 
 
@@ -541,30 +562,15 @@ def row_scale_bound(
     if len(basis_b) != len(basis_c):
         raise ValueError("bases must have the same length")
     n = len(basis_b)
-    monos = sorted(
-        {m for e in basis_b.elements for m in e.monomials()}
-        | {m for e in basis_c.elements for m in e.monomials()},
-        key=lambda m: (sum(m), tuple(reversed(m))),
-    )
+    cols = _monomial_columns(basis_b, basis_c)
     exact = all(e.mode == "exact" for e in basis_b.elements + basis_c.elements)
     if exact:
-        bc = _coef_matrix_exact(basis_b, monos)
-        cc = _coef_matrix_exact(basis_c, monos)
-        t_rows = _exact_change_of_basis(bc, cc)
+        t_rows = _exact_change_of_basis(_coef_rows(basis_b, cols), _coef_rows(basis_c, cols), len(cols))
         pivots = _first_nonzero_pivots_exact(t_rows)
         piv_abs = [abs(p.to_complex()) for p in pivots]
         mode = "exact"
     else:
-        idx = {m: j for j, m in enumerate(monos)}
-
-        def fmat(basis):
-            out = np.zeros((n, len(monos)), dtype=complex)
-            for i, e in enumerate(basis.elements):
-                for m, c in e.items():
-                    out[i, idx[m]] = complex(c) if e.mode == "float" else c.to_complex()
-            return out
-
-        bm, cm_ = fmat(basis_b), fmat(basis_c)
+        bm, cm_ = _coef_matrix(basis_b, cols), _coef_matrix(basis_c, cols)
         t, *_ = np.linalg.lstsq(cm_.T, bm.T, rcond=None)
         t = t.T
         resid = float(np.max(np.abs(t @ cm_ - bm)))
@@ -622,20 +628,8 @@ def bb_normalization(
     structured family is from orthonormal."""
     full = bb_basis(pres, k, quad)
     st = bb_structured(pres, k, quad)
-    monos = sorted(
-        {m for e in full.elements + st.elements for m in e.monomials()},
-        key=lambda m: (sum(m), tuple(reversed(m))),
-    )
-    idx = {m: j for j, m in enumerate(monos)}
-
-    def fmat(basis):
-        out = np.zeros((len(basis), len(monos)), dtype=complex)
-        for i, e in enumerate(basis.elements):
-            for m, c in e.items():
-                out[i, idx[m]] = complex(c)
-        return out
-
-    bm, sm = fmat(full), fmat(st)
+    cols = _monomial_columns(full, st)
+    bm, sm = _coef_matrix(full, cols), _coef_matrix(st, cols)
     t, *_ = np.linalg.lstsq(sm.T, bm.T, rcond=None)
     t = t.T
     n = t.shape[0]

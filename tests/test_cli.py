@@ -104,6 +104,26 @@ def test_fekete_too_few_candidates_exits_2(capsys):
     assert run(["fekete", "--k", "3", "--sampler", "torus:2"]) == 2
 
 
+def test_fekete_file_sampler_rejects_nan_row(tmp_path, capsys):
+    f = tmp_path / "pts.json"
+    f.write_text("[[NaN, 1.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.4142135623730951]]")
+    assert run(["fekete", "--k", "1", "--sampler", f"file:{f}"]) == 1
+    assert "leave the variety" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--k-max", "1", "--sampler", "torus:4", "--n", "16"],
+        ["fekete", "--k", "1", "--sampler", "torus:4"],
+        ["basis", "--kind", "monomial"],
+    ],
+)
+def test_invalid_presentation_exits_1_for_every_command(argv, capsys):
+    assert run(argv + ["--variety", "cross-terms"]) == 1
+    assert "error: invalid presentation: " in capsys.readouterr().err
+
+
 def test_fekete_csv_deterministic(capsys):
     args = ["fekete", "--k", "2", "--sampler", "torus:16", "--seed", "7",
             "--format", "csv"]

@@ -2,9 +2,11 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from vdiam import (
     FeketeError,
@@ -28,7 +30,16 @@ from vdiam import (
     torus_sampler,
     vdm_matrix,
 )
-from vdiam.vdm import build_basis
+from vdiam.bases import GradedBasis
+from vdiam.polyring import Polynomial, parse_polynomial
+from vdiam.scalars import SQRT2, Exact
+from vdiam.vdm import (
+    _coef_rows,
+    _exact_change_of_basis,
+    _first_nonzero_pivots_exact,
+    _monomial_columns,
+    build_basis,
+)
 
 HYP, _ = load_variety("hyperbola")
 GENS = cm_generators(HYP)
@@ -68,6 +79,9 @@ def test_points_sampler_validates():
     bad = np.array([[0.0, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
         points_sampler(HYP, bad)
+    # NaN compares false with every tolerance, so it must not pass as on-variety
+    with pytest.raises(ValueError, match="leave the variety"):
+        points_sampler(HYP, np.array([[np.nan, 1.0]]))
 
 
 def test_file_sampler_round_trip(tmp_path):
@@ -226,3 +240,197 @@ def test_bb_normalization_block_structure():
     assert rep.first_nonunit is not None
     _, value = rep.first_nonunit
     assert abs(value - 3 / (2 * math.sqrt(2))) < 1e-3
+
+
+# The dense elimination the sparse one replaced, kept as the reference: every
+# row is a full list of Exact values over the same monomial columns.
+
+
+def _dense_change_of_basis(bc, cc):
+    n, width = len(cc), len(cc[0])
+    rows = [list(r) for r in cc]
+    combos = [[Exact(1) if j == i else Exact(0) for j in range(n)] for i in range(n)]
+    piv_cols = []
+    r = 0
+    for col in range(width):
+        pr = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        combos[r], combos[pr] = combos[pr], combos[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [v * inv for v in rows[r]]
+        combos[r] = [v * inv for v in combos[r]]
+        for i in range(n):
+            if i != r and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                combos[i] = [a - f * b for a, b in zip(combos[i], combos[r])]
+        piv_cols.append(col)
+        r += 1
+        if r == n:
+            break
+    if r < n:
+        raise ValueError("second basis has linearly dependent elements")
+    t_rows = []
+    for b in bc:
+        resid = list(b)
+        coefs = [Exact(0)] * n
+        for i, col in enumerate(piv_cols):
+            f = resid[col]
+            if f.is_zero():
+                continue
+            coefs[i] = f
+            resid = [a - f * v for a, v in zip(resid, rows[i])]
+        if any(not v.is_zero() for v in resid):
+            raise ValueError("bases do not span the same monomial space")
+        t_rows.append([sum((coefs[i] * combos[i][j] for i in range(n)), Exact(0)) for j in range(n)])
+    return t_rows
+
+
+def _dense_first_nonzero_pivots(t):
+    n = len(t)
+    work = [list(r) for r in t]
+    used = set()
+    pivots = []
+    for col in range(n):
+        pr = next((i for i in range(n) if i not in used and not work[i][col].is_zero()), None)
+        if pr is None:
+            raise ValueError("change of basis is singular")
+        used.add(pr)
+        piv = work[pr][col]
+        pivots.append(piv)
+        inv = piv.inverse()
+        for i in range(n):
+            if i not in used and not work[i][col].is_zero():
+                f = work[i][col] * inv
+                work[i] = [a - f * b for a, b in zip(work[i], work[pr])]
+    return pivots
+
+
+def dense_pivots(basis_b, basis_c):
+    cols = _monomial_columns(basis_b, basis_c)
+
+    def dense(basis):
+        out = []
+        for row in _coef_rows(basis, cols):
+            full = [Exact(0)] * len(cols)
+            for j, c in row.items():
+                full[j] = c
+            out.append(full)
+        return out
+
+    return _dense_first_nonzero_pivots(_dense_change_of_basis(dense(basis_b), dense(basis_c)))
+
+
+def sparse_pivots(basis_b, basis_c):
+    cols = _monomial_columns(basis_b, basis_c)
+    t = _exact_change_of_basis(_coef_rows(basis_b, cols), _coef_rows(basis_c, cols), len(cols))
+    return _first_nonzero_pivots_exact(t)
+
+
+CONE, _ = load_variety("cone2d")
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("hyperbola", k) for k in range(1, 9)] + [("cone2d", k) for k in range(1, 4)],
+)
+def test_sparse_pivots_match_dense_reference(name, k):
+    pres = {"hyperbola": HYP, "cone2d": CONE}[name]
+    cb = cm_basis(pres, k, cm_generators(pres))
+    mb = monomial_graded_basis(pres, k)
+    assert sparse_pivots(cb, mb) == dense_pivots(cb, mb)
+
+
+@st.composite
+def graded_changes(draw):
+    """(monomial basis, T) with T block-lower-triangular by degree: small
+    rational entries, nonzero on the diagonal, dense inside each block."""
+    pres = draw(st.sampled_from([HYP, CONE]))
+    mb = monomial_graded_basis(pres, draw(st.integers(1, 3 if pres is HYP else 2)))
+    n = len(mb)
+    sixths = draw(st.lists(st.integers(-12, 12), min_size=n * n, max_size=n * n))
+    diag = draw(st.lists(st.integers(-12, 12).filter(bool), min_size=n, max_size=n))
+    t = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                t[i][j] = Fraction(diag[i], 6)
+            elif mb.degrees[j] <= mb.degrees[i]:
+                t[i][j] = Fraction(sixths[i * n + j], 6)
+    return mb, t
+
+
+def _fraction_det(t):
+    a = [list(r) for r in t]
+    n, det = len(a), Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+@given(graded_changes())
+@settings(max_examples=25, deadline=None)
+def test_sparse_pivots_on_random_graded_change(case):
+    mb, t = case
+    det = _fraction_det(t)
+    assume(det != 0)
+    nvars = mb.elements[0].nvars
+    nx = mb.elements[0].nx
+    elements = tuple(
+        Polynomial(
+            {e.monomials()[0]: Exact(c) for e, c in zip(mb.elements, row) if c},
+            nx,
+            nvars,
+        )
+        for row in t
+    )
+    bb = GradedBasis("random", mb.k, elements, mb.degrees, "T * monomial")
+    pivots = sparse_pivots(bb, mb)
+    assert pivots == dense_pivots(bb, mb)
+    assert abs(math.prod(p.as_fraction() for p in pivots)) == abs(det)
+    rep = row_scale_bound(bb, mb)
+    assert rep.mode == "exact"
+    assert abs(rep.log_abs_det - math.log(abs(det))) < 1e-12 * max(1.0, abs(math.log(abs(det))))
+
+
+def test_scale_bound_closed_form_at_k50():
+    k = 50
+    cb = cm_basis(HYP, k, GENS)
+    mb = monomial_graded_basis(HYP, k)
+    # one 2x2 block [[-1/sqrt2, 1/sqrt2], [1/sqrt2, 1/sqrt2]] per degree
+    assert sparse_pivots(cb, mb) == [Exact(1)] + [-SQRT2 / 2, SQRT2] * k
+    rep = row_scale_bound(cb, mb)
+    # |-sqrt2/2| rounds to sqrt(2)/2, one ulp above 1/sqrt(2)
+    assert rep.pivot_abs == (1.0,) + (math.sqrt(2) / 2, math.sqrt(2)) * k
+    assert rep.m == math.sqrt(2) / 2
+    assert rep.Mx == math.sqrt(2)
+
+
+def _hyp_basis(*texts):
+    elements = tuple(parse_polynomial(s, 1, 2) for s in texts)
+    degrees = tuple(e.degree() for e in elements)
+    return GradedBasis("test", max(degrees), elements, degrees, "test")
+
+
+@pytest.mark.parametrize(
+    "b, c, message",
+    [
+        (("1", "x1", "y1"), ("1", "x1", "2*x1"), "linearly dependent"),
+        (("1", "x1", "y1"), ("1", "x1", "x1^2"), "do not span the same monomial space"),
+        (("1", "x1", "x1 + 1"), ("1", "x1", "y1"), "change of basis is singular"),
+    ],
+)
+def test_scale_bound_exact_errors(b, c, message):
+    with pytest.raises(ValueError, match=message):
+        row_scale_bound(_hyp_basis(*b), _hyp_basis(*c))
