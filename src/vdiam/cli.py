@@ -164,6 +164,9 @@ def _cmd_validate(args, out) -> int:
 def _basis_from_args(pres, extras, args, quad=None):
     """`build_basis` for `--kind` and `--k`, with the file's sheet generators
     for cm and, unless `quad` is given, the `--n` quadrature for bb kinds."""
+    # cm_generators and the quadrature fail on an invalid presentation with
+    # numeric errors (exit 2); it is invalid input (exit 1) for every kind
+    decompose_A(pres)
     if quad is None and args.n and args.kind in ("bb", "bb_structured"):
         quad = torus_quadrature(pres, args.n)
     gens = _cm_gens(pres, extras) if args.kind == "cm" else None
@@ -233,6 +236,7 @@ def _cmd_compliance(args, out) -> int:
 def _cmd_gram(args, out) -> int:
     pres, extras = load_variety(args.variety)
     n = args.n or 1024
+    decompose_A(pres)  # before the quadrature lifts, as in _basis_from_args
     quad = torus_quadrature(pres, n)
     basis = _basis_from_args(pres, extras, args, quad)
     g = gram(basis.elements, quad)

@@ -117,6 +117,11 @@ def test_fekete_file_sampler_rejects_nan_row(tmp_path, capsys):
         ["compare", "--k-max", "1", "--sampler", "torus:4", "--n", "16"],
         ["fekete", "--k", "1", "--sampler", "torus:4"],
         ["basis", "--kind", "monomial"],
+    ]
+    + [
+        [command, "--kind", kind, "--k", "1", *extra]
+        for command, extra in (("basis", []), ("gram", ["--n", "16"]), ("fekete", ["--sampler", "torus:4"]))
+        for kind in ("monomial", "cm", "bb", "bb_structured")
     ],
 )
 def test_invalid_presentation_exits_1_for_every_command(argv, capsys):

@@ -33,11 +33,14 @@ from vdiam import (
 from vdiam.bases import GradedBasis
 from vdiam.polyring import Polynomial, parse_polynomial
 from vdiam.scalars import SQRT2, Exact
+import vdiam.vdm as vdm
 from vdiam.vdm import (
     _coef_rows,
     _exact_change_of_basis,
     _first_nonzero_pivots_exact,
+    _greedy_init,
     _monomial_columns,
+    _sweep_to_convergence,
     build_basis,
 )
 
@@ -160,6 +163,15 @@ def test_multistart_bookkeeping():
     # reported value is the winning start re-evaluated on sorted rows
     assert abs(res.log_abs - max(res.start_logs)) < 1e-12
     assert res.indices == tuple(sorted(res.indices))
+
+
+@pytest.mark.parametrize("power", [-50, 50])
+def test_greedy_init_ignores_power_of_two_scaling(power):
+    # residual norms scale with E, so the stopping floor must scale too
+    E = vdm_matrix(monomial_graded_basis(HYP, 3), torus_sampler(HYP, 32).points)
+    picks = _greedy_init(E)
+    assert len(picks) == E.shape[1]
+    assert _greedy_init(E * 2.0**power) == picks
 
 
 def test_fekete_needs_enough_candidates():
@@ -434,3 +446,104 @@ def _hyp_basis(*texts):
 def test_scale_bound_exact_errors(b, c, message):
     with pytest.raises(ValueError, match=message):
         row_scale_bound(_hyp_basis(*b), _hyp_basis(*c))
+
+
+# ---------------------------------------------------------------------------
+# the certified rank-one exchange against the fresh-solve loop
+
+
+def _fresh_solve_sweep(E, sel, max_sweeps):
+    """The exchange loop that `_sweep_to_convergence` must match bit for
+    bit: a fresh LU solve at every slot and a slogdet after every swap."""
+    N = len(sel)
+    sign, log_abs = np.linalg.slogdet(E[sel])
+    if sign == 0:
+        return sel, -math.inf, 0
+    log_abs = float(log_abs)
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        gain = 0.0
+        for s in range(N):
+            A = E[sel]
+            rhs = np.zeros(N, dtype=complex)
+            rhs[s] = 1.0
+            try:
+                bcol = np.linalg.solve(A, rhs)
+            except np.linalg.LinAlgError:
+                break
+            ratios = np.abs(E @ bcol)
+            c = int(np.argmax(ratios))
+            if ratios[c] > 1.0 + 1e-14 and c not in sel:
+                sel[s] = c
+                gain += math.log(ratios[c])
+                sign, log_abs = np.linalg.slogdet(E[sel])
+                log_abs = float(log_abs) if sign != 0 else -math.inf
+        if gain < 1e-12:
+            break
+    return sel, log_abs, sweeps
+
+
+def _with_sweep(monkeypatch, kernel, run):
+    """`run()` with `kernel` as the exchange loop; returns its result and
+    each loop's (sel, log_abs, sweeps)."""
+    calls = []
+
+    def recorded(E, sel, max_sweeps):
+        out = kernel(E, sel, max_sweeps)
+        calls.append((list(out[0]), out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(vdm, "_sweep_to_convergence", recorded)
+    return run(), calls
+
+
+def assert_matches_fresh_solves(monkeypatch, run):
+    got = _with_sweep(monkeypatch, _sweep_to_convergence, run)
+    want = _with_sweep(monkeypatch, _fresh_solve_sweep, run)
+    assert got[1] == want[1]
+    assert got[0] == want[0]
+
+
+# (sampler, k, seeds) per variety, chosen so that near-ties make ratios
+# read from the kept inverse without the certificate's margin change the
+# outcome of several cases
+_EXCHANGE_CASES = {
+    "hyperbola": [
+        (lambda: torus_sampler(HYP, 128), 4, range(4)),
+        (lambda: segment_sampler(HYP, 40), 10, range(4)),
+        (lambda: random_variety_points(HYP, 200, seed=5), 8, range(2)),
+    ],
+    "cone2d": [
+        (lambda: torus_sampler(CONE, 12), 3, range(2)),
+        (lambda: segment_sampler(CONE, 10), 3, range(4)),
+        (lambda: random_variety_points(CONE, 150, seed=5), 3, range(2)),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", ["monomial", "cm", "bb"])
+@pytest.mark.parametrize("sampler", [0, 1, 2], ids=["torus", "segment", "random"])
+@pytest.mark.parametrize("name", ["hyperbola", "cone2d"])
+def test_certified_exchange_matches_fresh_solves(monkeypatch, name, sampler, kind):
+    pres = {"hyperbola": HYP, "cone2d": CONE}[name]
+    make, k, seeds = _EXCHANGE_CASES[name][sampler]
+    basis = build_basis(pres, kind, k, quad=torus_quadrature(pres, 32) if kind == "bb" else None)
+    samp = make()
+    for seed in seeds:
+        assert_matches_fresh_solves(monkeypatch, lambda: fekete_maximize(basis, samp, seed=seed, starts=4))
+
+
+def test_certified_exchange_matches_fresh_solves_exhaustive(monkeypatch):
+    basis = monomial_graded_basis(HYP, 2)
+    samp = torus_sampler(HYP, 16)
+    assert_matches_fresh_solves(monkeypatch, lambda: fekete_maximize(basis, samp, exhaustive=True))
+
+
+@pytest.mark.parametrize("nodes, k_max", [(80, 39), (200, 40)])
+def test_certified_exchange_matches_fresh_solves_on_ill_conditioned_line(monkeypatch, nodes, k_max):
+    # monomials on [-1, 1]: the tuples reach condition numbers near 1e15,
+    # where the certificate must leave slots to the solve (80 nodes stop
+    # spanning the basis numerically at k = 40)
+    samp = segment_sampler(C1, nodes)
+    assert_matches_fresh_solves(monkeypatch, lambda: diameter_sequence(C1, "monomial", k_max, samp, seed=1, starts=2))
