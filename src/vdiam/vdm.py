@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -35,7 +35,7 @@ from .bases import (
 )
 from .polyring import Polynomial
 from .scalars import ONE, Exact
-from .variety import VarietyPresentation, count, validate_noether
+from .variety import CountRecord, VarietyPresentation, count, validate_noether
 
 
 class FeketeError(RuntimeError):
@@ -157,7 +157,7 @@ def _greedy_init(E: np.ndarray) -> list[int]:
     1e-14 of the largest entry of E (so a power-of-two scaling of E picks the
     same rows)."""
     P, N = E.shape
-    work = E.copy().astype(complex)
+    work = E.astype(complex)
     floor = 1e-28 * float(np.max(np.abs(work))) ** 2
     norms = np.einsum("ij,ij->i", work, np.conj(work)).real
     chosen: list[int] = []
@@ -185,6 +185,11 @@ class FeketeResult:
 # Slack on the rounding terms of the exchange certificate: the forward error
 # of an LU solve is taken as at most this many times N eps cond(A).
 _CERT_SLACK = 64.0
+_MAX_SWEEPS = 200
+
+
+def _row_norms2(E: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", E, E.conj()).real
 
 
 class _KeptInverse:
@@ -219,17 +224,39 @@ class _KeptInverse:
         """The residual bound is below 1/2 (False for NaN)."""
         return self.f_norm < 0.5
 
-    def ratios(self, s: int) -> tuple[np.ndarray, float]:
-        """|E @ X[:, s]| and eta, a bound on its distance from the ratios of a
-        fresh LU solve for A^-1[:, s]: the error of X[:, s], at most
-        |A^-1| phi[s] with |A^-1| <= |X| / (1 - |F|), plus the solve's
-        forward error, `slack` cond(A) |A^-1[:, s]|, both times the largest
-        row norm of E."""
+    def ratios(self, s: int) -> tuple[np.ndarray, float, float]:
+        """|E @ X[:, s]|, eta and |X[:, s]|. eta bounds the ratios' distance
+        from those of a fresh LU solve for A^-1[:, s]: the error of X[:, s],
+        at most |A^-1| phi[s] with |A^-1| <= |X| / (1 - |F|), plus the
+        solve's forward error, `slack` cond(A) |A^-1[:, s]|, both times the
+        largest row norm of E."""
         x = self.X[:, s]
+        xs = math.sqrt(np.vdot(x, x).real)
         h = self.x_norm / (1.0 - self.f_norm)
         err = h * self.phi[s]
-        eta = self.e_max * (err + self.slack * (self.a_norm * h + 1.0) * (math.sqrt(np.vdot(x, x).real) + err))
-        return np.abs(self.E @ x), eta
+        eta = self.e_max * (err + self.slack * (self.a_norm * h + 1.0) * (xs + err))
+        return np.abs(self.E @ x), eta, xs
+
+    def eta_through(self, s: int, xs: float, run: _Run) -> float:
+        """eta for `run`, whose matrix is E T^T + D, when it reads the ratios
+        of `ratios(s)` (xs = |X[:, s]|) through its inverse T^-T X, which is
+        never formed. That inverse's residual is F - D[idx] T^-T X, so each
+        column bound of F grows by sqrt(N) d tau times the column of X, with
+        tau >= |T^-1| and d >= the largest row norm of D; its norm is at most
+        tau |X|. The last term bounds the rounding of E @ X[:, s] and the
+        difference D T^-T X[:, s]. Infinite when the grown residual bound
+        reaches 1/2."""
+        q = math.sqrt(len(self.idx)) * run.d * run.tau
+        f = self.f_norm + q * self.x_norm
+        if not f < 0.5:
+            return math.inf
+        h = run.tau * self.x_norm / (1.0 - f)
+        err = h * (self.phi[s] + q * xs)
+        a_norm = math.sqrt(float(run.row2[self.idx].sum()))
+        return (
+            run.e_max * (err + self.slack * (a_norm * h + 1.0) * (run.tau * xs + err))
+            + (self.slack * self.e_max + run.d * run.tau) * xs
+        )
 
     def swap(self, s: int, new: int) -> None:
         """Replace row s of A by E[new]."""
@@ -250,100 +277,180 @@ class _KeptInverse:
         self._measure()
 
 
-def _certify(r: np.ndarray, eta: float, idx: np.ndarray) -> tuple[bool, Optional[int]]:
-    """Settle one slot from ratios `r` that lie within `eta` of a fresh
-    solve's. (True, None): no candidate outside the tuple `idx` can reach
-    1 + 1e-14. (True, c): c is the fresh argmax and clears 1 + 1e-11, so its
-    log alone passes the 1e-12 stop test. (False, None): not settled. `r` is
-    overwritten."""
-    occupants = r[idx]
-    r[idx] = -np.inf
-    c = int(r.argmax())
-    top = r[c]
-    if top < 1.0 + 1e-14 - eta:
-        return True, None
-    r[c] = -np.inf
-    floor = top - 2.0 * eta
-    if floor > r[r.argmax()] and floor > occupants[occupants.argmax()] and floor > 1.0 + 1e-11:
-        return True, c
-    return False, None
+@dataclass(eq=False)
+class _Run:
+    """One exchange in one basis: its matrix E (squared row norms `row2`,
+    largest row norm `e_max`), tuple and counters. A run that follows
+    another reads that run's ratios, with tau >= |T^-1| and d >= the largest
+    row norm of D for its E = E_lead T^T + D."""
+
+    E: np.ndarray
+    row2: np.ndarray
+    sel: list[int]
+    log_abs: float
+    tau: float = 1.0
+    d: float = 0.0
+    sweeps: int = 0
+    gain: float = 0.0  # the fresh logs of this sweep's swaps
+    certified_gain: bool = False  # a certified swap alone exceeds 1e-12
+    swapped: bool = False
+    e_max: float = field(init=False)
+
+    def __post_init__(self):
+        self.e_max = math.sqrt(float(self.row2.max()))
+
+    def result(self) -> tuple[list[int], float, int]:
+        log_abs = self.log_abs
+        if self.swapped:
+            sign, log_abs = np.linalg.slogdet(self.E[self.sel])
+            log_abs = float(log_abs) if sign != 0 else -math.inf
+        return self.sel, log_abs, self.sweeps
+
+
+def _start(E: np.ndarray, sel: list[int], row2: np.ndarray, tau: float = 1.0, d: float = 0.0) -> Optional[_Run]:
+    """A run from the tuple `sel`, or None when E[sel] is singular."""
+    sign, log_abs = np.linalg.slogdet(E[sel])
+    return _Run(E, row2, sel, float(log_abs), tau, d) if sign != 0 else None
+
+
+# a slot's decision: None keeps the occupant, c >= 0 swaps candidate c in,
+# and _BREAK ends the sweep (the fresh solve found A singular)
+_BREAK = -1
+
+
+class _SlotRatios:
+    """One slot's ratios, read once for every run: the argmax `c` outside
+    the tuple `idx` and its ratio `top`. `rivals()` gives the next-largest
+    ratio outside the tuple and the largest inside it, found on first use.
+    `r` is overwritten."""
+
+    def __init__(self, r: np.ndarray, idx: np.ndarray):
+        self.occupants = r[idx]
+        r[idx] = -np.inf
+        self.c = int(r.argmax())
+        self.top = r[self.c]
+        self._r = r
+        self._rivals: Optional[tuple[float, float]] = None
+
+    def rivals(self) -> tuple[float, float]:
+        if self._rivals is None:
+            r, occ = self._r, self.occupants
+            r[self.c] = -np.inf
+            self._rivals = (r[r.argmax()], occ[occ.argmax()])
+        return self._rivals
+
+
+def _decide(run: _Run, s: int, slot: Optional[_SlotRatios], eta: float) -> Optional[int]:
+    """Slot s of `run`. From ratios within `eta` of a fresh solve's, it is
+    settled when no candidate outside the tuple can reach 1 + 1e-14 (no
+    swap), or when the argmax clears every other ratio and 1 + 1e-11 by
+    2 eta (a swap whose log alone passes the 1e-12 stop test). Every other
+    slot takes the fresh solve."""
+    if slot is not None:
+        if slot.top < 1.0 + 1e-14 - eta:
+            return None
+        floor = slot.top - 2.0 * eta
+        if floor > 1.0 + 1e-11 and all(floor > v for v in slot.rivals()):
+            run.certified_gain = True
+            return slot.c
+    N = len(run.sel)
+    rhs = np.zeros(N, dtype=complex)
+    rhs[s] = 1.0
+    try:
+        bcol = np.linalg.solve(run.E[run.sel], rhs)
+    except np.linalg.LinAlgError:
+        return _BREAK
+    ratios = np.abs(run.E @ bcol)
+    c = int(np.argmax(ratios))
+    if not (ratios[c] > 1.0 + 1e-14 and c not in run.sel):
+        return None
+    run.gain += math.log(ratios[c])
+    return c
+
+
+def _apply(run: _Run, s: int, c: Optional[int]) -> None:
+    if c is not None and c >= 0:
+        run.sel[s] = c
+        run.swapped = True
+
+
+def _stops(run: _Run) -> bool:
+    return not run.certified_gain and run.gain < 1e-12
+
+
+def _exchange(runs: list[_Run], max_sweeps: int, slot: int = 0) -> None:
+    """Coordinate exchange from slot `slot` of the current sweep: slot s
+    takes the candidate c with the largest ratio |E[c] @ A^-1[:, s]| =
+    |det| after / |det| before (A = E[sel]) when it exceeds 1 + 1e-14 and c
+    is not in the tuple; sweeps over the slots stop once one gains less than
+    1e-12 in log|det|.
+
+    A fresh solve per slot decides this. Here the ratios come from the first
+    run's inverse, inverted once per sweep and kept by rank-one updates, and
+    they decide a slot of a run only when its certificate shows that run's
+    fresh solve would decide the same; every other slot takes the fresh
+    solve. The other runs hold the first run's tuple and read its ratios; a
+    run whose decision or stop test differs leaves and continues alone. So
+    each run's tuple, sweep count and log|det| equal the fresh-solve loop's
+    in its own basis, which tests/test_vdm.py keeps as the reference."""
+    lead = runs[0]
+    N = len(lead.sel)
+    while True:
+        if slot == 0:
+            if lead.sweeps >= max_sweeps:
+                return
+            for run in runs:
+                run.sweeps += 1
+                run.gain, run.certified_gain = 0.0, False
+        kept: Optional[_KeptInverse] = None
+        if slot < N:
+            try:
+                kept = _KeptInverse(lead.E, np.array(lead.sel), lead.row2)
+            except np.linalg.LinAlgError:
+                pass
+        for s in range(slot, N):
+            if kept is not None and not kept.usable:
+                kept = None
+            slot_r, eta, xs = None, math.inf, 0.0
+            if kept is not None:
+                r, eta, xs = kept.ratios(s)
+                slot_r = _SlotRatios(r, kept.idx)
+            c = _decide(lead, s, slot_r, eta)
+            for run in runs[1:]:
+                c_run = _decide(run, s, slot_r, kept.eta_through(s, xs, run) if kept is not None else math.inf)
+                _apply(run, s, c_run)
+                if c_run != c:
+                    runs.remove(run)
+                    _exchange([run], max_sweeps, N if c_run == _BREAK else s + 1)
+            if c == _BREAK:
+                break
+            if c is not None and kept is not None:
+                kept.swap(s, c)
+            _apply(lead, s, c)
+        slot = 0
+        stop = _stops(lead)
+        for run in runs[1:]:
+            if _stops(run) != stop:
+                runs.remove(run)
+                if stop:
+                    _exchange([run], max_sweeps)
+        if stop:
+            return
 
 
 def _sweep_to_convergence(E: np.ndarray, sel: list[int], max_sweeps: int) -> tuple[list[int], float, int]:
-    """Coordinate exchange from the tuple `sel`: slot s takes the candidate c
-    with the largest ratio |E[c] @ A^-1[:, s]| = |det| after / |det| before
-    (A = E[sel]) when it exceeds 1 + 1e-14 and c is not in the tuple; sweeps
-    over the slots stop once one gains less than 1e-12 in log|det|.
-
-    A fresh solve per slot decides this. Here the ratios come from an
-    inverse inverted once per sweep and kept by rank-one updates, and they
-    decide a slot only when `_certify` shows the fresh solve would decide
-    the same; every other slot takes the fresh solve. So each tuple, sweep
-    count and log|det| equals the fresh-solve loop's, which
-    tests/test_vdm.py keeps as the reference."""
-    N = len(sel)
-    sign, log_abs = np.linalg.slogdet(E[sel])
-    if sign == 0:
+    """`_exchange` of one run from the tuple `sel`: (tuple, log|det|, sweeps)."""
+    run = _start(E, sel, _row_norms2(E))
+    if run is None:
         return sel, -math.inf, 0
-    log_abs = float(log_abs)
-    row2 = np.einsum("ij,ij->i", E, E.conj()).real
-    swapped = False
-    sweeps = 0
-    while sweeps < max_sweeps:
-        sweeps += 1
-        # `gain` sums the fresh logs; a certified swap alone exceeds 1e-12
-        gain, certified_gain = 0.0, False
-        try:
-            kept: Optional[_KeptInverse] = _KeptInverse(E, np.array(sel), row2)
-        except np.linalg.LinAlgError:
-            kept = None
-        for s in range(N):
-            if kept is not None and not kept.usable:
-                kept = None
-            settled, c = _certify(*kept.ratios(s), kept.idx) if kept is not None else (False, None)
-            if settled:
-                if c is None:
-                    continue
-                certified_gain = True
-            else:
-                rhs = np.zeros(N, dtype=complex)
-                rhs[s] = 1.0
-                try:
-                    bcol = np.linalg.solve(E[sel], rhs)
-                except np.linalg.LinAlgError:
-                    break
-                ratios = np.abs(E @ bcol)
-                c = int(np.argmax(ratios))
-                if not (ratios[c] > 1.0 + 1e-14 and c not in sel):
-                    continue
-                gain += math.log(ratios[c])
-            if kept is not None:
-                kept.swap(s, c)
-            sel[s] = c
-            swapped = True
-        if not certified_gain and gain < 1e-12:
-            break
-    if swapped:
-        sign, log_abs = np.linalg.slogdet(E[sel])
-        log_abs = float(log_abs) if sign != 0 else -math.inf
-    return sel, log_abs, sweeps
+    _exchange([run], max_sweeps)
+    return run.result()
 
 
-def fekete_maximize(
-    basis: GradedBasis,
-    sampler: CompactSetSampler,
-    *,
-    seed: int = 0,
-    starts: int = 1,
-    exhaustive: bool = False,
-    max_sweeps: int = 200,
-) -> FeketeResult:
-    """Greedy coordinate-exchange maximization of |det| over point tuples.
-
-    Multistart uses independent random initial subsets; `exhaustive` instead
-    runs one start per candidate with that candidate forced into the first
-    slot of the initial tuple."""
-    E = vdm_matrix(basis, sampler.points)
+def _initial_tuples(E: np.ndarray, *, seed: int, starts: int, exhaustive: bool = False) -> list[list[int]]:
+    """The greedy tuple, then `starts - 1` seeded random nonsingular ones;
+    with `exhaustive`, one per candidate, forced into the greedy tuple's
+    first slot."""
     P, N = E.shape
     if P < N:
         raise FeketeError(f"need at least {N} candidates, got {P}")
@@ -372,27 +479,48 @@ def fekete_maximize(
                         init = cand
                         break
                 inits.append(init if init is not None else list(base_init))
+    return inits
+
+
+def _fekete_result(E: np.ndarray, runs: Sequence[tuple[list[int], float, int]]) -> FeketeResult:
+    """The best start's tuple, sorted, with log|det| evaluated on the sorted
+    rows, so the value does not depend on the order the slots were filled
+    in."""
     best: Optional[tuple[list[int], float, int]] = None
-    start_logs: list[float] = []
-    for init in inits:
-        sel, log_abs, sweeps = _sweep_to_convergence(E, list(init), max_sweeps)
-        start_logs.append(log_abs)
-        if best is None or log_abs > best[1]:
-            best = (sel, log_abs, sweeps)
+    for run in runs:
+        if best is None or run[1] > best[1]:
+            best = run
     assert best is not None
     sel, log_abs, sweeps = best
     indices = tuple(sorted(sel))
-    # re-evaluate on the sorted rows so the reported value is independent of
-    # the order the slots were filled in
     if math.isfinite(log_abs):
         log_abs = _slogabs(E[list(indices)])
     return FeketeResult(
         indices=indices,
         log_abs=log_abs,
         sweeps=sweeps,
-        starts=len(inits),
-        start_logs=tuple(start_logs),
+        starts=len(runs),
+        start_logs=tuple(run[1] for run in runs),
     )
+
+
+def fekete_maximize(
+    basis: GradedBasis,
+    sampler: CompactSetSampler,
+    *,
+    seed: int = 0,
+    starts: int = 1,
+    exhaustive: bool = False,
+    max_sweeps: int = _MAX_SWEEPS,
+) -> FeketeResult:
+    """Greedy coordinate-exchange maximization of |det| over point tuples.
+
+    Multistart uses independent random initial subsets; `exhaustive` instead
+    runs one start per candidate with that candidate forced into the first
+    slot of the initial tuple."""
+    E = vdm_matrix(basis, sampler.points)
+    inits = _initial_tuples(E, seed=seed, starts=starts, exhaustive=exhaustive)
+    return _fekete_result(E, [_sweep_to_convergence(E, list(init), max_sweeps) for init in inits])
 
 
 def brute_force_max(basis: GradedBasis, sampler: CompactSetSampler) -> VdmEvaluation:
@@ -458,6 +586,158 @@ def _prefix(basis: GradedBasis, k: int) -> GradedBasis:
     )
 
 
+def _estimate(kind: str, k: int, rec: CountRecord, res: FeketeResult) -> DiameterEstimate:
+    return DiameterEstimate(
+        kind=kind,
+        k=k,
+        N=rec.N,
+        l=rec.l,
+        log_vdm=res.log_abs,
+        est_lk=res.log_abs / rec.l,
+        est_kNk=res.log_abs / (k * rec.N),
+        indices=res.indices,
+    )
+
+
+def _coefficients(basis: GradedBasis, mono: GradedBasis) -> Optional[np.ndarray]:
+    """T with basis.elements[j] = sum_i T[j, i] mono.elements[i], in floats;
+    None when an element uses a monomial outside `mono` or of a higher
+    degree than its own, so that prefixes by degree match."""
+    cols = {e.monomials()[0]: i for i, e in enumerate(mono.elements)}
+    T = np.zeros((len(basis), len(mono)), dtype=complex)
+    for j, (e, deg) in enumerate(zip(basis.elements, basis.degrees)):
+        for m, c in e.items():
+            i = cols.get(m)
+            if i is None or mono.degrees[i] > deg:
+                return None
+            T[j, i] = complex(c)
+    return T
+
+
+def _link(E: np.ndarray, E_mono: np.ndarray, T: np.ndarray, mono_row2: np.ndarray) -> Optional[tuple[float, float]]:
+    """(tau, d) for a run on E that follows the monomial run on E_mono:
+    tau >= |T^-1| and d >= the largest row norm of D = E - E_mono T^T, each
+    with an allowance for its own rounding; None when T is numerically
+    singular."""
+    slack = _CERT_SLACK * T.shape[0] * np.finfo(float).eps
+    sv = np.linalg.svd(T, compute_uv=False)
+    low = sv[-1] - slack * sv[0]
+    if not low > 0.0:
+        return None
+    D = E_mono @ T.T
+    np.subtract(E, D, out=D)
+    t_norm = math.sqrt(np.vdot(T, T).real)
+    d = math.sqrt(float(_row_norms2(D).max())) * (1.0 + slack) + slack * math.sqrt(float(mono_row2.max())) * t_norm
+    return (1.0 + slack) / low, d
+
+
+def _run_starts(
+    Es: dict[str, np.ndarray], inits: dict[str, list[list[int]]], row2: dict[str, np.ndarray], links: dict
+) -> dict[str, list[tuple[list[int], float, int]]]:
+    """Every start of every basis at one k. A basis in `links` whose start
+    equals the monomial basis's runs one `_exchange` with it; every other
+    start runs alone."""
+    out: dict[str, list[tuple[list[int], float, int]]] = {kind: [] for kind in Es}
+    for i in range(len(next(iter(inits.values()), ()))):
+        group: dict[str, _Run] = {}
+        joining = [kind for kind in links if inits[kind][i] == inits["monomial"][i]]
+        if joining:
+            init = inits["monomial"][i]
+            for kind in ("monomial", *joining):
+                run = _start(Es[kind], list(init), row2[kind], *links.get(kind, ()))
+                if run is not None:
+                    group[kind] = run
+        if len(group) > 1 and "monomial" in group:
+            _exchange(list(group.values()), _MAX_SWEEPS)
+        else:
+            group = {}
+        for kind, E in Es.items():
+            out[kind].append(
+                group[kind].result() if kind in group else _sweep_to_convergence(E, list(inits[kind][i]), _MAX_SWEEPS)
+            )
+    return out
+
+
+def _grow(E: Optional[np.ndarray], basis: GradedBasis, k: int, points: np.ndarray) -> np.ndarray:
+    """The matrix of the elements of degree <= k, from E, that of a shorter
+    prefix of `basis` (None for the empty one), by appending the columns of
+    the elements it lacks; the bytes are those of `vdm_matrix` on the prefix
+    basis."""
+    lo = 0 if E is None else E.shape[1]
+    hi = sum(1 for deg in basis.degrees if deg <= k)
+    if hi == lo:
+        return E
+    new = vdm_matrix(replace(basis, elements=basis.elements[lo:hi], degrees=basis.degrees[lo:hi]), points)
+    return new if E is None else np.concatenate([E, new], axis=1)
+
+
+def _sequences(
+    pres: VarietyPresentation,
+    kinds: Sequence[str],
+    k_max: int,
+    sampler: CompactSetSampler,
+    *,
+    gens: Optional[CmGenerators],
+    quad: Optional[QuadratureSpec],
+    seed: int,
+    starts: int,
+) -> dict[str, list[DiameterEstimate]]:
+    """Each basis's diameter sequence over one candidate set, equal to its
+    `diameter_sequence`, which runs `fekete_maximize` on each prefix basis
+    on its own. The elements come in ascending degree, so each k's matrix
+    is the last one with the columns of the new elements appended: every
+    element is evaluated once, and only one matrix per basis is held. A
+    basis joins the monomial basis's exchanges (`_run_starts`) when its
+    elements are combinations T of the monomial ones. An error is raised as
+    running the sequences one kind after another would meet it: the first
+    kind's first."""
+    kinds = list(dict.fromkeys(kinds))
+    fulls: dict[str, GradedBasis] = {}
+    errors: dict[str, Exception] = {}
+    for kind in kinds:
+        try:
+            fulls[kind] = build_basis(pres, kind, k_max, gens=gens, quad=quad)
+        except Exception as e:  # raised once the kinds before it have run
+            errors[kind] = e
+            break
+    mono = fulls.get("monomial")
+    coefs = {
+        kind: _coefficients(b, mono) for kind, b in fulls.items() if mono is not None and kind != "monomial"
+    }
+    out: dict[str, list[DiameterEstimate]] = {kind: [] for kind in fulls}
+    Es: dict[str, np.ndarray] = {}
+    for k in range(1, k_max + 1):
+        live = [kind for kind in fulls if kind not in errors]
+        if not live:
+            break
+        rec = count(pres, k)
+        inits = {}
+        for kind in live:
+            try:
+                Es[kind] = _grow(Es.get(kind), fulls[kind], k, sampler.points)
+                inits[kind] = _initial_tuples(Es[kind], seed=seed, starts=starts)
+            except (ValueError, FeketeError) as e:
+                errors[kind] = e
+                Es.pop(kind, None)
+        row2 = {kind: _row_norms2(Es[kind]) for kind in inits}
+        links = {}
+        if "monomial" in inits:
+            for kind in inits:
+                T = coefs.get(kind)
+                if T is not None:
+                    n = Es[kind].shape[1]
+                    link = _link(Es[kind], Es["monomial"], T[:n, :n], row2["monomial"])
+                    if link is not None:
+                        links[kind] = link
+        runs = _run_starts(Es, inits, row2, links)
+        for kind, res_runs in runs.items():
+            out[kind].append(_estimate(kind, k, rec, _fekete_result(Es[kind], res_runs)))
+    for kind in kinds:
+        if kind in errors:
+            raise errors[kind]
+    return out
+
+
 def diameter_sequence(
     pres: VarietyPresentation,
     kind: str,
@@ -470,24 +750,10 @@ def diameter_sequence(
     starts: int = 1,
 ) -> list[DiameterEstimate]:
     full = build_basis(pres, kind, k_max, gens=gens, quad=quad)
-    out: list[DiameterEstimate] = []
-    for k in range(1, k_max + 1):
-        basis = _prefix(full, k)
-        rec = count(pres, k)
-        res = fekete_maximize(basis, sampler, seed=seed, starts=starts)
-        out.append(
-            DiameterEstimate(
-                kind=kind,
-                k=k,
-                N=rec.N,
-                l=rec.l,
-                log_vdm=res.log_abs,
-                est_lk=res.log_abs / rec.l,
-                est_kNk=res.log_abs / (k * rec.N),
-                indices=res.indices,
-            )
-        )
-    return out
+    return [
+        _estimate(kind, k, count(pres, k), fekete_maximize(_prefix(full, k), sampler, seed=seed, starts=starts))
+        for k in range(1, k_max + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -511,12 +777,7 @@ def compare_bases(
     starts: int = 1,
 ) -> CompareReport:
     """Diameter estimates for several bases over one shared candidate set."""
-    seqs = {
-        kind: diameter_sequence(
-            pres, kind, k_max, sampler, gens=gens, quad=quad, seed=seed, starts=starts
-        )
-        for kind in kinds
-    }
+    seqs = _sequences(pres, kinds, k_max, sampler, gens=gens, quad=quad, seed=seed, starts=starts)
     spreads = []
     for i in range(k_max):
         vals = [seqs[kind][i].est_lk for kind in kinds]

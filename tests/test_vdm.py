@@ -30,7 +30,7 @@ from vdiam import (
     torus_sampler,
     vdm_matrix,
 )
-from vdiam.bases import GradedBasis
+from vdiam.bases import GradedBasis, QuadratureError
 from vdiam.polyring import Polynomial, parse_polynomial
 from vdiam.scalars import SQRT2, Exact
 import vdiam.vdm as vdm
@@ -42,6 +42,7 @@ from vdiam.vdm import (
     _monomial_columns,
     _sweep_to_convergence,
     build_basis,
+    compare_bases,
 )
 
 HYP, _ = load_variety("hyperbola")
@@ -547,3 +548,141 @@ def test_certified_exchange_matches_fresh_solves_on_ill_conditioned_line(monkeyp
     # spanning the basis numerically at k = 40)
     samp = segment_sampler(C1, nodes)
     assert_matches_fresh_solves(monkeypatch, lambda: diameter_sequence(C1, "monomial", k_max, samp, seed=1, starts=2))
+
+
+# ---------------------------------------------------------------------------
+# one exchange per candidate set in compare_bases
+
+
+@pytest.mark.parametrize("name, k_max", [("hyperbola", 6), ("cone2d", 3)])
+def test_grown_matrices_equal_the_prefix_basis_matrix(name, k_max):
+    # compare_bases evaluates each element once and grows each k's matrix
+    # from the last; the bytes, and the C layout BLAS sees, must be those of
+    # evaluating the prefix basis, as fekete_maximize does
+    pres = {"hyperbola": HYP, "cone2d": CONE}[name]
+    points = torus_sampler(pres, 12).points
+    quad = torus_quadrature(pres, 32)
+    for kind in ("monomial", "cm", "bb"):
+        full = build_basis(pres, kind, k_max, quad=quad)
+        E = None
+        for k in range(1, k_max + 1):
+            E = vdm._grow(E, full, k, points)
+            keep = [i for i, d in enumerate(full.degrees) if d <= k]
+            assert E.flags.c_contiguous
+            assert E.tobytes() == vdm_matrix(vdm._prefix(full, k), points).tobytes()
+            assert E.tobytes() == np.ascontiguousarray(vdm_matrix(full, points)[:, keep]).tobytes()
+
+
+def _fresh_sequences(monkeypatch, pres, kinds, k_max, samp, **kw):
+    """Each kind's diameter sequence from the fresh-solve loop."""
+    monkeypatch.setattr(vdm, "_sweep_to_convergence", _fresh_solve_sweep)
+    try:
+        return {kind: diameter_sequence(pres, kind, k_max, samp, **kw) for kind in kinds}
+    finally:
+        monkeypatch.undo()
+
+
+def _spreads(seqs):
+    return tuple(
+        max(abs(a.est_lk - b.est_lk) for a in col for b in col) for col in zip(*seqs.values())
+    )
+
+
+_COMPARE_CASES = {
+    "hyperbola": [
+        (lambda: torus_sampler(HYP, 128), 6, range(3)),
+        (lambda: segment_sampler(HYP, 40), 8, range(3)),
+        (lambda: random_variety_points(HYP, 200, seed=5), 6, range(2)),
+    ],
+    "cone2d": [
+        (lambda: torus_sampler(CONE, 12), 3, range(2)),
+        (lambda: segment_sampler(CONE, 10), 3, range(4)),
+        (lambda: random_variety_points(CONE, 150, seed=5), 3, range(2)),
+    ],
+}
+
+
+@pytest.mark.parametrize("kinds", [("monomial", "cm", "bb"), ("cm", "bb")], ids=["grouped", "alone"])
+@pytest.mark.parametrize("starts", [1, 4])
+@pytest.mark.parametrize("sampler", [0, 1, 2], ids=["torus", "segment", "random"])
+@pytest.mark.parametrize("name", ["hyperbola", "cone2d"])
+def test_compare_bases_equals_each_fresh_diameter_sequence(monkeypatch, name, sampler, starts, kinds):
+    # without the monomial basis every basis runs alone
+    pres = {"hyperbola": HYP, "cone2d": CONE}[name]
+    make, k_max, seeds = _COMPARE_CASES[name][sampler]
+    samp = make()
+    quad = torus_quadrature(pres, 32)
+    for seed in seeds:
+        rep = compare_bases(pres, kinds, k_max, samp, quad=quad, seed=seed, starts=starts)
+        want = _fresh_sequences(monkeypatch, pres, kinds, k_max, samp, quad=quad, seed=seed, starts=starts)
+        assert rep.estimates == want
+        assert rep.spreads == _spreads(want)
+
+
+@pytest.mark.parametrize(
+    "kinds, error, message",
+    [
+        (("monomial", "bb"), FeketeError, "need at least 9 candidates, got 8"),
+        (("bb", "monomial"), QuadratureError, "numerically dependent"),
+    ],
+)
+def test_compare_bases_raises_the_first_kinds_error(kinds, error, message):
+    # bb cannot be built from 8 quadrature points at k = 30, and the 8
+    # candidates stop spanning the monomials at k = 4: the error raised is
+    # the one the kinds meet first when their sequences run one after another
+    samp = torus_sampler(HYP, 4)
+    with pytest.raises(error, match=message):
+        compare_bases(HYP, kinds, 30, samp, quad=torus_quadrature(HYP, 4))
+
+
+def test_compare_bases_splits_where_the_searches_diverge(monkeypatch):
+    # at this seed the monomial and cm searches end at different maxima at
+    # k = 3, so the cm run must leave the monomial one and finish alone
+    samp = torus_sampler(HYP, 256)
+    quad = torus_quadrature(HYP, 256)
+    kinds = ("monomial", "cm", "bb")
+    resumed = []
+    exchange = vdm._exchange
+
+    def recorded(runs, max_sweeps, slot=0):
+        if runs[0].sweeps:
+            resumed.append(slot)
+        return exchange(runs, max_sweeps, slot)
+
+    monkeypatch.setattr(vdm, "_exchange", recorded)
+    rep = compare_bases(HYP, kinds, 3, samp, quad=quad, seed=242886307, starts=4)
+    monkeypatch.undo()
+    assert resumed
+    est = rep.estimates
+    assert abs(est["monomial"][2].est_lk - 0.590470138097) < 1e-12
+    assert abs(est["cm"][2].est_lk - 0.590444826876) < 1e-12
+    want = _fresh_sequences(monkeypatch, HYP, kinds, 3, samp, quad=quad, seed=242886307, starts=4)
+    assert rep.estimates == want
+    assert rep.spreads == _spreads(want)
+
+
+@pytest.mark.parametrize("t_scale, d_scale", [(1.0, 1e-6), (1.0, 1e-4), (0.01, 1e-6), (0.01, 1e-4)])
+@pytest.mark.parametrize("sampler", [0, 1, 2], ids=["torus", "segment", "random"])
+def test_follower_certificate_covers_the_discrepancy(sampler, t_scale, d_scale):
+    # a follower E_b = E T^T + D with an explicit D: its ratios differ from
+    # the leader's by up to d |T^-1| |X[:, s]|, which its eta must cover (with
+    # eta_b = eta, or |T^-1| taken as 1, several of these cases end apart
+    # from the fresh-solve loop)
+    make, k, _ = _EXCHANGE_CASES["hyperbola"][sampler]
+    k = min(k, 8)
+    rng = np.random.default_rng(7)
+    E = vdm_matrix(monomial_graded_basis(HYP, k), make().points)
+    P, N = E.shape
+    lower = np.tril(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)), -1)
+    T = t_scale * (np.eye(N) + 0.3 * lower)
+    E_b = E @ T.T + d_scale * (rng.standard_normal((P, N)) + 1j * rng.standard_normal((P, N)))
+    link = vdm._link(E_b, E, T, vdm._row_norms2(E))
+    for seed in range(3):
+        for init in vdm._initial_tuples(E, seed=seed, starts=4):
+            runs = [
+                vdm._start(E, list(init), vdm._row_norms2(E)),
+                vdm._start(E_b, list(init), vdm._row_norms2(E_b), *link),
+            ]
+            vdm._exchange(list(runs), 200)
+            assert runs[0].result() == _fresh_solve_sweep(E, list(init), 200)
+            assert runs[1].result() == _fresh_solve_sweep(E_b, list(init), 200)
