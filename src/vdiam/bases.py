@@ -277,7 +277,7 @@ def lift(pres: VarietyPresentation, xs: np.ndarray) -> np.ndarray:
     for g, yv, m in _lift_order(pres):
         coeffs = np.zeros((len(pts), m + 1), dtype=complex)
         for mono, c in g.items():
-            val = complex(c) if g.mode == "float" else c.to_complex()
+            val = complex(c)
             for j, ej in enumerate(mono):
                 if j == yv or not ej:
                     continue
@@ -332,15 +332,14 @@ def gram(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndarray:
 # bb bases
 
 
-def _orthonormalize(
-    vals: np.ndarray, weights: np.ndarray, coefs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Modified Gram-Schmidt with one reorthogonalization pass, tracking the
-    coefficient matrix alongside the sample values.  Rows of `vals` are the
-    input vectors sampled at the quadrature points."""
+def _orthonormalize(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt with one reorthogonalization pass.  Rows of
+    `vals` are the input vectors sampled at the quadrature points; row j of
+    the result holds the coefficients of the j-th orthonormal vector over
+    the inputs."""
     m = vals.shape[0]
     q = vals.astype(complex).copy()
-    c = coefs.astype(complex).copy()
+    c = np.eye(m, dtype=complex)
     for j in range(m):
         for _ in range(2):
             for i in range(j):
@@ -358,25 +357,35 @@ def _orthonormalize(
         ph = c[j, lead] / abs(c[j, lead])
         q[j] /= ph
         c[j] /= ph
-    return q, c
+    return c
+
+
+def _orthonormal(
+    pres: VarietyPresentation, monos: Sequence[tuple], quad: QuadratureSpec
+) -> tuple[tuple[Polynomial, ...], np.ndarray]:
+    """Orthonormalize the monomials `monos`, in their order, in the
+    quadrature inner product: the float polynomials and their coefficient
+    matrix over `monos`."""
+    vals = np.stack(
+        [Polynomial.monomial(m, pres.M, pres.N, "float").evaluate(quad.points) for m in monos]
+    )
+    c = _orthonormalize(vals, quad.weights)
+    polys = tuple(
+        Polynomial({m: complex(cc) for m, cc in zip(monos, row) if cc != 0}, pres.M, pres.N, "float")
+        for row in c
+    )
+    return polys, c
 
 
 def bb_basis(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedBasis:
     """Gram-Schmidt orthonormalization of the monomial basis in the quadrature
     inner product, in grevlex order, with leading coefficients real positive."""
     monos = monomial_basis(pres, k)
-    vals = np.stack(
-        [Polynomial.monomial(m, pres.M, pres.N, "float").evaluate(quad.points) for m in monos]
-    )
-    _, c = _orthonormalize(vals, quad.weights, np.eye(len(monos)))
-    elements = []
-    for row in c:
-        coefmap = {m: complex(cc) for m, cc in zip(monos, row) if cc != 0}
-        elements.append(Polynomial(coefmap, pres.M, pres.N, "float"))
+    elements, _ = _orthonormal(pres, monos, quad)
     return GradedBasis(
         kind="bb",
         k=k,
-        elements=tuple(elements),
+        elements=elements,
         degrees=tuple(sum(m) for m in monos),
         label=f"orthonormalized basis through degree {k} (n={quad.n})",
     )
@@ -385,16 +394,7 @@ def bb_basis(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedB
 def bb_y_block(pres: VarietyPresentation, quad: QuadratureSpec) -> tuple[tuple[Polynomial, ...], np.ndarray]:
     """Orthonormalize the pure-y monomials y^alpha, alpha in A, returning the
     resulting polynomials and their coefficient matrix over that block."""
-    dec = decompose_A(pres)
-    vals = np.stack(
-        [Polynomial.monomial(al, pres.M, pres.N, "float").evaluate(quad.points) for al in dec.A]
-    )
-    _, c = _orthonormalize(vals, quad.weights, np.eye(len(dec.A)))
-    polys = []
-    for row in c:
-        coefmap = {al: complex(cc) for al, cc in zip(dec.A, row) if cc != 0}
-        polys.append(Polynomial(coefmap, pres.M, pres.N, "float"))
-    return tuple(polys), c
+    return _orthonormal(pres, decompose_A(pres).A, quad)
 
 
 def bb_structured(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedBasis:

@@ -410,6 +410,19 @@ def _cmd_reproduce(args, out) -> int:
 # parser and dispatch
 
 
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than `lo`."""
+
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {v}")
+        return v
+
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="vdiam",
@@ -417,17 +430,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, *, k=False, k_max=False, kind=False, sampler=False):
+    def common(p, *, k_min=None, k_max_min=None, kind=False, sampler=False):
         p.add_argument("--variety", default="hyperbola", help="variety file path or bundled name")
-        p.add_argument("--n", type=int, default=None, help="quadrature nodes per circle")
+        p.add_argument("--n", type=_at_least(1), default=None, help="quadrature nodes per circle")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--starts", type=int, default=1)
+        p.add_argument("--starts", type=_at_least(1), default=1)
         p.add_argument("--format", choices=["table", "csv", "json"], default="table")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-        if k:
-            p.add_argument("--k", type=int, default=3)
-        if k_max:
-            p.add_argument("--k-max", dest="k_max", type=int, default=8)
+        if k_min is not None:
+            p.add_argument("--k", type=_at_least(k_min), default=3)
+        if k_max_min is not None:
+            p.add_argument("--k-max", dest="k_max", type=_at_least(k_max_min), default=8)
         if kind:
             p.add_argument(
                 "--kind",
@@ -438,15 +451,15 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sampler", default="torus:128", help="torus[:n], segment[:n], or file:PATH")
 
     common(sub.add_parser("validate", help="check the presentation and its points at infinity"))
-    common(sub.add_parser("basis", help="list the elements of a graded basis"), k=True, kind=True)
-    common(sub.add_parser("counts", help="dimension counts and their ratios"), k_max=True)
+    common(sub.add_parser("basis", help="list the elements of a graded basis"), k_min=0, kind=True)
+    common(sub.add_parser("counts", help="dimension counts and their ratios"), k_max_min=0)
     p = sub.add_parser("compliance", help="compare two basis families")
     common(p)
     p.add_argument("--left", default="monomial", help="monomial | cm | bb | family:NAME")
     p.add_argument("--right", default="cm", help="monomial | cm | bb | family:NAME")
-    common(sub.add_parser("gram", help="Gram matrix of a basis in the torus quadrature"), k=True, kind=True)
-    common(sub.add_parser("fekete", help="maximize |det VDM| over candidate tuples"), k=True, kind=True, sampler=True)
-    common(sub.add_parser("compare", help="diameter estimates across bases"), k_max=True, sampler=True)
+    common(sub.add_parser("gram", help="Gram matrix of a basis in the torus quadrature"), k_min=0, kind=True)
+    common(sub.add_parser("fekete", help="maximize |det VDM| over candidate tuples"), k_min=1, kind=True, sampler=True)
+    common(sub.add_parser("compare", help="diameter estimates across bases"), k_max_min=1, sampler=True)
     common(sub.add_parser("reproduce-example", help="re-derive the hyperbola walkthrough"))
     return ap
 

@@ -255,7 +255,7 @@ class Polynomial:
             raise ValueError(f"points have {Z.shape[1]} coordinates, ring has {self.nvars}")
         vals = np.zeros(Z.shape[0], dtype=complex)
         for m, c in self._c.items():
-            t = np.full(Z.shape[0], complex(c) if self.mode == "float" else c.to_complex())
+            t = np.full(Z.shape[0], complex(c))
             for j, e in enumerate(m):
                 if e:
                     t = t * Z[:, j] ** e
@@ -493,7 +493,7 @@ def normal_form(p: Polynomial, gens: Sequence[Polynomial]) -> Polynomial:
             g, lt = best
             factor = Polynomial.monomial(
                 monomial_div(m, lt.monomial), p.nx, p.nvars, p.mode,
-                coefficient=c / lt.coefficient if p.mode == "float" else c * lt.coefficient.inverse(),
+                coefficient=c / lt.coefficient,
             )
             h = h - factor * g
     return Polynomial(rem, p.nx, p.nvars, p.mode)
@@ -508,10 +508,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     cf, mf = f.leading_term()
     cg, mg = g.leading_term()
     lcm = monomial_lcm(mf, mg)
-    tf = Polynomial.monomial(monomial_div(lcm, mf), f.nx, f.nvars, f.mode,
-                             coefficient=(1 / cf) if f.mode == "float" else cf.inverse())
-    tg = Polynomial.monomial(monomial_div(lcm, mg), g.nx, g.nvars, g.mode,
-                             coefficient=(1 / cg) if g.mode == "float" else cg.inverse())
+    tf = Polynomial.monomial(monomial_div(lcm, mf), f.nx, f.nvars, f.mode, coefficient=1 / cf)
+    tg = Polynomial.monomial(monomial_div(lcm, mg), g.nx, g.nvars, g.mode, coefficient=1 / cg)
     return tf * f - tg * g
 
 

@@ -176,10 +176,6 @@ class Exact:
             return 1 if a * a > 2 * b * b else -1
         return 1 if a * a < 2 * b * b else -1
 
-    def real_lt(self, other) -> bool:
-        o = self._coerce(other)
-        return (self - o).real_sign() < 0
-
     # -- conversions ----------------------------------------------------------
 
     def to_complex(self) -> complex:

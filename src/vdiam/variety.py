@@ -54,18 +54,6 @@ class VarietyPresentation:
             out *= sum(g.leading_monomial())
         return out
 
-    def leading_exponents(self) -> dict[int, int]:
-        """Map y-index (0-based within the y block) -> m_i, from leading terms."""
-        out = {}
-        for g in self.generators:
-            mono = g.leading_monomial()
-            ys = [(j - self.M, e) for j, e in enumerate(mono) if e and j >= self.M]
-            xs = [e for j, e in enumerate(mono) if e and j < self.M]
-            if xs or len(ys) != 1:
-                raise ValueError(f"leading term of {g} is not a pure y power")
-            out[ys[0][0]] = ys[0][1]
-        return out
-
 
 @dataclass(frozen=True)
 class NoetherReport:
@@ -352,7 +340,7 @@ def distinct_infinity_check(pres: VarietyPresentation) -> InfinityReport:
         if any(e and j not in (xM, yv) for j, e in enumerate(mono)):
             raise ValueError("restricted top form involves more than one y variable")
         e = mono[yv]
-        coeffs_float[e] = complex(c) if g.mode == "float" else c.to_complex()
+        coeffs_float[e] = complex(c)
     if g.mode == "exact":
         coeffs_exact = [Exact(0)] * (D + 1)
         for mono, c in restricted.items():

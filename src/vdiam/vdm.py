@@ -55,25 +55,25 @@ class CompactSetSampler:
         return self.points.shape[0]
 
 
-def _check_on_variety(pres: VarietyPresentation, points: np.ndarray, tol: float = 1e-8):
+def _check_on_variety(pres: VarietyPresentation, points: np.ndarray):
     for g in pres.generators:
         res = np.abs(g.evaluate(points))
         # max propagates NaN, and NaN fails every comparison
-        if res.size and not float(res.max()) <= tol:
+        if res.size and not float(res.max()) <= 1e-8:
             raise ValueError(f"candidate points leave the variety: residual {float(res.max()):.3e}")
 
 
 def torus_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
     """Unit-circle grids in each x variable, lifted through the sheets."""
     pts = lift_grid(pres, np.exp(2j * np.pi * np.arange(nodes) / nodes))
-    _check_on_variety(pres, pts, 1e-8)
+    _check_on_variety(pres, pts)
     return CompactSetSampler(name=f"torus:{nodes}", points=pts)
 
 
 def segment_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
     """Equispaced grids on [-1, 1] in each x variable, lifted through the sheets."""
     pts = lift_grid(pres, np.linspace(-1.0, 1.0, nodes).astype(complex))
-    _check_on_variety(pres, pts, 1e-8)
+    _check_on_variety(pres, pts)
     return CompactSetSampler(name=f"segment:{nodes}", points=pts)
 
 
@@ -81,7 +81,7 @@ def points_sampler(pres: VarietyPresentation, points: np.ndarray, name: str = "p
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != pres.N:
         raise ValueError(f"points must have shape (P, {pres.N})")
-    _check_on_variety(pres, pts, 1e-8)
+    _check_on_variety(pres, pts)
     return CompactSetSampler(name=name, points=pts)
 
 
@@ -115,7 +115,7 @@ def random_variety_points(
         xs[i] = r * np.exp(1j * th)
         picks[i] = rng.integers(sheets)
     out = lift(pres, xs)[np.arange(count_) * sheets + picks]
-    _check_on_variety(pres, out, 1e-8)
+    _check_on_variety(pres, out)
     return CompactSetSampler(name=f"random:{seed}", points=out)
 
 
@@ -803,14 +803,6 @@ def _monomial_columns(*bases: GradedBasis) -> dict:
     return {m: j for j, m in enumerate(sorted(monos, key=lambda m: (sum(m), tuple(reversed(m)))))}
 
 
-def _coef_matrix(basis: GradedBasis, cols: dict) -> np.ndarray:
-    out = np.zeros((len(basis), len(cols)), dtype=complex)
-    for i, e in enumerate(basis.elements):
-        for m, c in e.items():
-            out[i, cols[m]] = complex(c)
-    return out
-
-
 def _coef_rows(basis: GradedBasis, cols: dict) -> list[dict]:
     """Exact coefficient rows, each a sparse {column: nonzero Exact}."""
     return [{cols[m]: c for m, c in e.items()} for e in basis.elements]
@@ -890,28 +882,6 @@ def _first_nonzero_pivots_exact(t: list[dict]) -> list[Exact]:
     return pivots
 
 
-def _first_nonzero_pivots_float(t: np.ndarray, zero_tol: float = 1e-10) -> list[complex]:
-    n = t.shape[0]
-    work = t.astype(complex).copy()
-    scale = max(1.0, float(np.max(np.abs(work))))
-    used: set[int] = set()
-    pivots: list[complex] = []
-    for col in range(n):
-        pr = next(
-            (i for i in range(n) if i not in used and abs(work[i, col]) > zero_tol * scale),
-            None,
-        )
-        if pr is None:
-            raise ValueError("change of basis is numerically singular")
-        used.add(pr)
-        piv = complex(work[pr, col])
-        pivots.append(piv)
-        for i in range(n):
-            if i not in used and abs(work[i, col]) > 0:
-                work[i] -= (work[i, col] / piv) * work[pr]
-    return pivots
-
-
 @dataclass(frozen=True)
 class ScaleBoundReport:
     m: float
@@ -932,7 +902,7 @@ def row_scale_bound(
     *,
     identity_tol: float = 1e-10,
 ) -> ScaleBoundReport:
-    """Pivot bounds for the change of basis T with B = T C.
+    """Pivot bounds for the change of basis T with B = T C, for exact bases.
 
     The first-nonzero-pivot elimination of T is the only row operation that
     rescales; its pivot moduli give m and Mx with
@@ -943,23 +913,11 @@ def row_scale_bound(
     if len(basis_b) != len(basis_c):
         raise ValueError("bases must have the same length")
     n = len(basis_b)
+    if any(e.mode != "exact" for e in basis_b.elements + basis_c.elements):
+        raise ValueError("row-scale bounds need exact bases")
     cols = _monomial_columns(basis_b, basis_c)
-    exact = all(e.mode == "exact" for e in basis_b.elements + basis_c.elements)
-    if exact:
-        t_rows = _exact_change_of_basis(_coef_rows(basis_b, cols), _coef_rows(basis_c, cols), len(cols))
-        pivots = _first_nonzero_pivots_exact(t_rows)
-        piv_abs = [abs(p.to_complex()) for p in pivots]
-        mode = "exact"
-    else:
-        bm, cm_ = _coef_matrix(basis_b, cols), _coef_matrix(basis_c, cols)
-        t, *_ = np.linalg.lstsq(cm_.T, bm.T, rcond=None)
-        t = t.T
-        resid = float(np.max(np.abs(t @ cm_ - bm)))
-        if resid > 1e-8 * max(1.0, float(np.max(np.abs(bm)))):
-            raise ValueError(f"bases do not span the same space (residual {resid:.3e})")
-        pivots_f = _first_nonzero_pivots_float(t)
-        piv_abs = [abs(p) for p in pivots_f]
-        mode = "float"
+    t_rows = _exact_change_of_basis(_coef_rows(basis_b, cols), _coef_rows(basis_c, cols), len(cols))
+    piv_abs = [abs(p.to_complex()) for p in _first_nonzero_pivots_exact(t_rows)]
     m, mx = min(piv_abs), max(piv_abs)
     log_det = sum(math.log(p) for p in piv_abs)
     triples: list[tuple[float, float, float]] = []
@@ -984,7 +942,7 @@ def row_scale_bound(
         sandwich_ok=sandwich,
         identity_rel_errors=tuple(id_errs),
         identity_ok=identity_ok,
-        mode=mode,
+        mode="exact",
     )
 
 
@@ -1009,8 +967,8 @@ def bb_normalization(
     structured family is from orthonormal."""
     full = bb_basis(pres, k, quad)
     st = bb_structured(pres, k, quad)
-    cols = _monomial_columns(full, st)
-    bm, sm = _coef_matrix(full, cols), _coef_matrix(st, cols)
+    mono = monomial_graded_basis(pres, k)
+    bm, sm = _coefficients(full, mono), _coefficients(st, mono)
     t, *_ = np.linalg.lstsq(sm.T, bm.T, rcond=None)
     t = t.T
     n = t.shape[0]

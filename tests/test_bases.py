@@ -1,5 +1,6 @@
 """Graded bases (monomial / cm / bb) and the torus quadrature."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,25 +8,34 @@ import numpy as np
 import pytest
 
 from vdiam import (
+    BbNormalizationReport,
     CmConstructionError,
     Exact,
     QuadratureError,
     VarietyPresentation,
     bb_basis,
+    bb_normalization,
     bb_structured,
     bb_y_block,
     cm_basis,
     cm_generators,
     count,
+    decompose_A,
     default_quadrature_n,
+    grevlex_key,
     gram,
     inner_product,
     load_variety,
+    monomial_basis,
     monomial_graded_basis,
     parse_polynomial,
+    Polynomial,
     torus_quadrature,
     verify_cm_products,
 )
+from vdiam.bases import _orthonormal
+from vdiam.variety import x_monomials
+from vdiam.vdm import _monomial_columns
 
 HYP, HYP_EXTRAS = load_variety("hyperbola")
 CONE, CONE_EXTRAS = load_variety("cone2d")
@@ -244,3 +254,113 @@ def test_bb_structured_aliasing_coupling():
     assert abs(G[yh, x2yh] - 1.0 / 3.0) < 1e-3, labels
     # diagonal stays unit
     assert np.max(np.abs(np.diag(G) - 1.0)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the shared orthonormalizer against the two builders it replaced
+
+# The Gram-Schmidt and the per-builder loops as they stood before bb_basis
+# and bb_y_block shared one builder, kept as the reference.
+
+
+def _ref_orthonormalize(vals, weights, coefs):
+    m = vals.shape[0]
+    q = vals.astype(complex).copy()
+    c = coefs.astype(complex).copy()
+    for j in range(m):
+        for _ in range(2):
+            for i in range(j):
+                r = np.sum(weights * q[j] * np.conj(q[i]))
+                q[j] -= r * q[i]
+                c[j] -= r * c[i]
+        norm = math.sqrt(float(np.sum(weights * np.abs(q[j]) ** 2).real))
+        q[j] /= norm
+        c[j] /= norm
+        big = [idx for idx in range(c.shape[1]) if abs(c[j, idx]) > 1e-10]
+        lead = big[-1] if big else int(np.argmax(np.abs(c[j])))
+        ph = c[j, lead] / abs(c[j, lead])
+        q[j] /= ph
+        c[j] /= ph
+    return q, c
+
+
+def _ref_orthonormal(pres, monos, quad):
+    vals = np.stack(
+        [Polynomial.monomial(m, pres.M, pres.N, "float").evaluate(quad.points) for m in monos]
+    )
+    _, c = _ref_orthonormalize(vals, quad.weights, np.eye(len(monos)))
+    polys = []
+    for row in c:
+        coefmap = {m: complex(cc) for m, cc in zip(monos, row) if cc != 0}
+        polys.append(Polynomial(coefmap, pres.M, pres.N, "float"))
+    return tuple(polys), c
+
+
+def _ref_bb_structured(pres, k, quad):
+    dec = decompose_A(pres)
+    yhats, _ = _ref_orthonormal(pres, dec.A, quad)
+    items = []
+    for j, (alpha, yh) in enumerate(zip(dec.A, yhats)):
+        da = sum(alpha)
+        for beta in x_monomials(pres.M, pres.N, k - da):
+            poly = Polynomial.monomial(beta, pres.M, pres.N, "float") * yh
+            items.append(((sum(beta) + da, j, grevlex_key(beta)), poly))
+    items.sort(key=lambda it: it[0])
+    return tuple(it[1] for it in items)
+
+
+def _coefficient_bytes(polys):
+    return [[(m, c.real.hex(), c.imag.hex()) for m, c in p.items()] for p in polys]
+
+
+BB_CASES = [(HYP, 256, k) for k in (1, 4, 16)] + [(CONE, 64, k) for k in (1, 2, 4)]
+BB_IDS = [f"hyperbola-k{k}" for k in (1, 4, 16)] + [f"cone2d-k{k}" for k in (1, 2, 4)]
+
+
+@pytest.mark.parametrize("pres, n, k", BB_CASES, ids=BB_IDS)
+def test_bb_builders_match_the_reference_bit_for_bit(pres, n, k):
+    quad = torus_quadrature(pres, n)
+    monos = monomial_basis(pres, k)
+    ref_full, ref_c = _ref_orthonormal(pres, monos, quad)
+    assert _orthonormal(pres, monos, quad)[1].tobytes() == ref_c.tobytes()
+    assert _coefficient_bytes(bb_basis(pres, k, quad).elements) == _coefficient_bytes(ref_full)
+    ref_y, ref_yc = _ref_orthonormal(pres, decompose_A(pres).A, quad)
+    yhats, yc = bb_y_block(pres, quad)
+    assert yc.tobytes() == ref_yc.tobytes()
+    assert _coefficient_bytes(yhats) == _coefficient_bytes(ref_y)
+    got = bb_structured(pres, k, quad).elements
+    assert _coefficient_bytes(got) == _coefficient_bytes(_ref_bb_structured(pres, k, quad))
+
+
+def _ref_bb_normalization(pres, k, quad):
+    """bb_normalization as it stood with its own dense coefficient matrices."""
+    full = bb_basis(pres, k, quad)
+    st = bb_structured(pres, k, quad)
+    cols = _monomial_columns(full, st)
+
+    def coef_matrix(basis):
+        out = np.zeros((len(basis), len(cols)), dtype=complex)
+        for i, e in enumerate(basis.elements):
+            for m, c in e.items():
+                out[i, cols[m]] = complex(c)
+        return out
+
+    t, *_ = np.linalg.lstsq(coef_matrix(st).T, coef_matrix(full).T, rcond=None)
+    t = t.T
+    n = t.shape[0]
+    tri_ok = all(
+        not (st.degrees[j] > full.degrees[i] and abs(t[i, j]) > 1e-8)
+        for i in range(n)
+        for j in range(n)
+    )
+    diag = tuple(float(abs(t[i, i])) for i in range(n))
+    first_nonunit = next(((i, v) for i, v in enumerate(diag) if abs(v - 1.0) > 1e-6), None)
+    return BbNormalizationReport(diag, min(diag), max(diag), tri_ok, first_nonunit)
+
+
+@pytest.mark.parametrize("pres, n, k", BB_CASES, ids=BB_IDS)
+def test_bb_normalization_matches_the_reference(pres, n, k):
+    quad = torus_quadrature(pres, n)
+    got, want = bb_normalization(pres, k, quad), _ref_bb_normalization(pres, k, quad)
+    for f in dataclasses.fields(BbNormalizationReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name

@@ -129,6 +129,44 @@ def test_invalid_presentation_exits_1_for_every_command(argv, capsys):
     assert "error: invalid presentation: " in capsys.readouterr().err
 
 
+INTEGER_FLAG_CASES = [
+    (["fekete", "--k", "0"], 1),
+    (["fekete", "--k", "-1"], 1),
+    (["compare", "--k-max", "-2"], 1),
+    (["compare", "--k-max", "0"], 1),
+    (["fekete", "--starts", "0"], 1),
+    (["fekete", "--starts", "-5"], 1),
+    (["compare", "--starts", "0"], 1),
+    (["reproduce-example", "--n", "0"], 1),
+    (["gram", "--n", "0"], 1),
+    (["gram", "--kind", "bb", "--n", "-4"], 1),
+    (["compliance", "--right", "bb", "--n", "0"], 1),
+    (["basis", "--k", "-1"], 1),
+    (["gram", "--k", "-1"], 1),
+    (["counts", "--k-max", "-1"], 1),
+    # the smallest accepted values
+    (["basis", "--k", "0"], 0),
+    (["gram", "--k", "0", "--n", "1"], 0),
+    (["counts", "--k-max", "0"], 0),
+    (["fekete", "--k", "1", "--starts", "1", "--sampler", "torus:4"], 0),
+    (["compare", "--k-max", "1", "--sampler", "torus:4", "--n", "16"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", INTEGER_FLAG_CASES, ids=[" ".join(argv) for argv, _ in INTEGER_FLAG_CASES]
+)
+def test_integer_flags_are_checked_at_parse_time(argv, code, capsys):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code:
+        assert captured.out == ""
+        assert "must be at least" in captured.err
+    else:
+        assert captured.out
+
+
 def test_fekete_csv_deterministic(capsys):
     args = ["fekete", "--k", "2", "--sampler", "torus:16", "--seed", "7",
             "--format", "csv"]

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from vdiam import (
     FeketeError,
     VarietyPresentation,
+    bb_basis,
     bb_normalization,
     brute_force_max,
     cm_basis,
@@ -242,6 +243,12 @@ def test_scale_bound_cm_vs_monomial():
 def test_scale_bound_requires_matching_lengths():
     with pytest.raises(ValueError):
         row_scale_bound(monomial_graded_basis(HYP, 2), monomial_graded_basis(HYP, 3))
+
+
+def test_scale_bound_refuses_float_bases():
+    bb = bb_basis(HYP, 2, torus_quadrature(HYP, 256))
+    with pytest.raises(ValueError, match="row-scale bounds need exact bases"):
+        row_scale_bound(bb, monomial_graded_basis(HYP, 2))
 
 
 def test_bb_normalization_block_structure():
