@@ -55,6 +55,7 @@ from .vdm import (
     row_scale_bound,
     segment_sampler,
     torus_sampler,
+    vdm_matrix,
 )
 
 
@@ -384,10 +385,15 @@ def reproduce_example(n: int = 4096, seed: int = 0) -> tuple[bool, list[str]]:
         abs(rsb.m - 1 / math.sqrt(2)) < 1e-12 and abs(rsb.Mx - math.sqrt(2)) < 1e-12,
         f"m = {_fmt(rsb.m)}, Mx = {_fmt(rsb.Mx)}",
     )
+    # LU-based log|det| is good to about N*eps*cond, so the worst tuple's
+    # larger VDM condition number says whether a miss is conditioning
+    worst = max(range(len(tuples)), key=rsb.identity_rel_errors.__getitem__)
+    cond = max(np.linalg.cond(vdm_matrix(b, tuples[worst])) for b in (cmb, mb))
     check(
         "determinant_ratio",
         rsb.identity_ok and rsb.sandwich_ok,
-        f"log|VDM_cm| - log|VDM_mono| = {_fmt(rsb.log_abs_det)} = pivot-modulus product on 5 tuples (rel err <= {_fmt(max(rsb.identity_rel_errors))})",
+        f"log|VDM_cm| - log|VDM_mono| = {_fmt(rsb.log_abs_det)} = pivot-modulus product on 5 tuples (rel err <= {_fmt(max(rsb.identity_rel_errors))};"
+        f" worst tuple: VDM condition {cond:.3g}, N*eps*cond = {len(mb) * sys.float_info.epsilon * cond:.2g})",
     )
 
     _, kn_over_l = asymptotic_ratios(pres, 50)

@@ -10,49 +10,79 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 _SQRT2 = math.sqrt(2.0)
-
-Rationalish = Union[int, Fraction]
 
 
 class ExactSqrtError(ArithmeticError):
     """Square root not representable inside Q(sqrt2)."""
 
 
-def _rmul(a1, b1, a2, b2):
-    # (a1 + b1*sqrt2)(a2 + b2*sqrt2)
-    return a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2
+def _exact(t: tuple) -> "Exact":
+    """Exact from a canonical (a, b, c, d, q), skipping the public checks."""
+    e = _new(Exact)
+    _set_t(e, t)
+    return e
+
+
+def _reduced(a: int, b: int, c: int, d: int, q: int) -> "Exact":
+    """Exact (a, b, c, d) / q for q > 0, divided through by the common gcd."""
+    g = math.gcd(a, b, c, d, q)
+    if g != 1:
+        return _exact((a // g, b // g, c // g, d // g, q // g))
+    return _exact((a, b, c, d, q))
 
 
 class Exact:
-    """Immutable exact scalar (a + b*sqrt2) + (c + d*sqrt2)*i."""
+    """Immutable exact scalar (a + b*sqrt2) + (c + d*sqrt2)*i.
 
-    __slots__ = ("a", "b", "c", "d")
+    Stored as one tuple (a, b, c, d, q) of ints: four numerators over one
+    denominator q > 0 with gcd(a, b, c, d, q) = 1. That form is canonical,
+    so equal scalars have equal tuples. The parts a, b, c, d read back as
+    Fractions.
+    """
+
+    __slots__ = ("_t",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        for v in (a, b, c, d):
+        parts = (a, b, c, d)
+        for v in parts:
             if not isinstance(v, (int, Fraction)):
                 raise TypeError(f"exact scalar parts must be rational, got {type(v).__name__}")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+        # over the lcm of reduced denominators the gcd is already 1
+        q = math.lcm(*(v.denominator for v in parts))
+        object.__setattr__(self, "_t", tuple(v.numerator * (q // v.denominator) for v in parts) + (q,))
 
     def __setattr__(self, name, value):
         raise AttributeError("Exact is immutable")
 
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._t[0], self._t[4])
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._t[1], self._t[4])
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._t[2], self._t[4])
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self._t[3], self._t[4])
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        a, b, c, d, _ = self._t
+        return not (a or b or c or d)
 
     def is_real(self) -> bool:
-        return not (self.c or self.d)
+        return not (self._t[2] or self._t[3])
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return not (self._t[1] or self._t[2] or self._t[3])
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -63,20 +93,27 @@ class Exact:
     def _coerce(other):
         if isinstance(other, Exact):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Exact(other)
+        if isinstance(other, int):
+            return _exact((int(other), 0, 0, 0, 1))
+        if isinstance(other, Fraction):
+            return _exact((other.numerator, 0, 0, 0, other.denominator))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Exact(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        a1, b1, c1, d1, q1 = self._t
+        a2, b2, c2, d2, q2 = o._t
+        if q1 == q2:
+            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1)
+        return _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Exact(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, q = self._t
+        return _exact((-a, -b, -c, -d, q))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -94,26 +131,37 @@ class Exact:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        re1, re2 = _rmul(self.a, self.b, o.a, o.b)
-        s1, s2 = _rmul(self.c, self.d, o.c, o.d)
-        im1, im2 = _rmul(self.a, self.b, o.c, o.d)
-        t1, t2 = _rmul(self.c, self.d, o.a, o.b)
-        return Exact(re1 - s1, re2 - s2, im1 + t1, im2 + t2)
+        a1, b1, c1, d1, q1 = self._t
+        a2, b2, c2, d2, q2 = o._t
+        # (A1 + B1 i)(A2 + B2 i) with A = a + b*sqrt2, B = c + d*sqrt2
+        return _reduced(
+            a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
+            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+            a1 * c2 + 2 * b1 * d2 + c1 * a2 + 2 * d1 * b2,
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+            q1 * q2,
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Exact":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero exact scalar")
-        # |z|^2 = A^2 + B^2 is real quadratic n1 + n2*sqrt2
-        n1a, n2a = _rmul(self.a, self.b, self.a, self.b)
-        n1b, n2b = _rmul(self.c, self.d, self.c, self.d)
-        n1, n2 = n1a + n1b, n2a + n2b
-        den = n1 * n1 - 2 * n2 * n2  # rational, nonzero since sqrt2 irrational
-        inv1, inv2 = n1 / den, -n2 / den  # 1/|z|^2 as a real quadratic
-        ra, rb = _rmul(self.a, self.b, inv1, inv2)
-        ia, ib = _rmul(-self.c, -self.d, inv1, inv2)
-        return Exact(ra, rb, ia, ib)
+        a, b, c, d, q = self._t
+        # q^2 |z|^2 = n1 + n2*sqrt2, and 1/|z|^2 = q^2 (n1 - n2*sqrt2) / den.
+        # den = (n1 + n2*sqrt2)(n1 - n2*sqrt2) is q^4 |z|^2 times its image
+        # under sqrt2 -> -sqrt2, a sum of two real squares, so den > 0.
+        n1 = a * a + 2 * b * b + c * c + 2 * d * d
+        n2 = 2 * (a * b + c * d)
+        den = n1 * n1 - 2 * n2 * n2
+        # 1/z = conj(z) / |z|^2 = (A - B i)(n1 - n2*sqrt2) q / den
+        return _reduced(
+            (a * n1 - 2 * b * n2) * q,
+            (b * n1 - a * n2) * q,
+            (2 * d * n2 - c * n1) * q,
+            (c * n2 - d * n1) * q,
+            den,
+        )
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -142,12 +190,12 @@ class Exact:
         return out
 
     def conjugate(self) -> "Exact":
-        return Exact(self.a, self.b, -self.c, -self.d)
+        a, b, c, d, q = self._t
+        return _exact((a, b, -c, -d, q))
 
     def modulus_squared(self) -> "Exact":
-        n1a, n2a = _rmul(self.a, self.b, self.a, self.b)
-        n1b, n2b = _rmul(self.c, self.d, self.c, self.d)
-        return Exact(n1a + n1b, n2a + n2b)
+        a, b, c, d, q = self._t
+        return _reduced(a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d), 0, 0, q * q)
 
     # -- comparisons (real values only for order) ----------------------------
 
@@ -155,7 +203,7 @@ class Exact:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
+        return self._t == o._t
 
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d))
@@ -164,7 +212,7 @@ class Exact:
         """Sign of a real value a + b*sqrt2 (raises when not real)."""
         if not self.is_real():
             raise ValueError("sign undefined for non-real scalar")
-        a, b = self.a, self.b
+        a, b = self._t[0], self._t[1]  # the sign of (a + b*sqrt2) / q, q > 0
         if a == 0 and b == 0:
             return 0
         if a >= 0 and b >= 0:
@@ -179,9 +227,9 @@ class Exact:
     # -- conversions ----------------------------------------------------------
 
     def to_complex(self) -> complex:
-        re = float(self.a) + float(self.b) * _SQRT2
-        im = float(self.c) + float(self.d) * _SQRT2
-        return complex(re, im)
+        # int / int is correctly rounded, so a / q is float(Fraction(a, q))
+        a, b, c, d, q = self._t
+        return complex(a / q + b / q * _SQRT2, c / q + d / q * _SQRT2)
 
     def __complex__(self) -> complex:
         return self.to_complex()
@@ -200,6 +248,9 @@ class Exact:
     def __str__(self):
         return scalar_str(self)
 
+
+_new = object.__new__
+_set_t = Exact._t.__set__
 
 ZERO = Exact(0)
 ONE = Exact(1)

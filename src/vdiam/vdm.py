@@ -65,6 +65,8 @@ def _check_on_variety(pres: VarietyPresentation, points: np.ndarray):
 
 def torus_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
     """Unit-circle grids in each x variable, lifted through the sheets."""
+    if nodes < 1:
+        raise ValueError(f"need at least 1 node per x variable, got {nodes}")
     pts = lift_grid(pres, np.exp(2j * np.pi * np.arange(nodes) / nodes))
     _check_on_variety(pres, pts)
     return CompactSetSampler(name=f"torus:{nodes}", points=pts)
@@ -72,6 +74,8 @@ def torus_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
 
 def segment_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
     """Equispaced grids on [-1, 1] in each x variable, lifted through the sheets."""
+    if nodes < 1:
+        raise ValueError(f"need at least 1 node per x variable, got {nodes}")
     pts = lift_grid(pres, np.linspace(-1.0, 1.0, nodes).astype(complex))
     _check_on_variety(pres, pts)
     return CompactSetSampler(name=f"segment:{nodes}", points=pts)

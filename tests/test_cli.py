@@ -104,6 +104,12 @@ def test_fekete_too_few_candidates_exits_2(capsys):
     assert run(["fekete", "--k", "3", "--sampler", "torus:2"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["torus:0", "torus:-3", "segment:0"])
+def test_fekete_grid_sampler_needs_a_node_exits_1(spec, capsys):
+    assert run(["fekete", "--k", "3", "--sampler", spec]) == 1
+    assert "need at least 1 node" in capsys.readouterr().err
+
+
 def test_fekete_file_sampler_rejects_nan_row(tmp_path, capsys):
     f = tmp_path / "pts.json"
     f.write_text("[[NaN, 1.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.4142135623730951]]")
@@ -203,3 +209,14 @@ def test_reproduce_example_passes(capsys):
     assert "RESULT: PASS" in text
     for name in ("sheet_generators", "star_products", "moment_y", "scale_bounds"):
         assert f"CHECK {name}: PASS" in text
+
+
+def test_determinant_ratio_line_names_its_conditioning(capsys):
+    # seed 106 draws a tuple whose VDM condition number puts the LU-based
+    # identity outside the library's 1e-10 tolerance but inside N*eps*cond
+    assert run(["reproduce-example", "--seed", "106"]) == 3
+    line = next(ln for ln in out_of(capsys).splitlines() if ln.startswith("CHECK determinant_ratio:"))
+    assert line.startswith("CHECK determinant_ratio: FAIL (")
+    assert line.endswith("worst tuple: VDM condition 2.16e+07, N*eps*cond = 6.2e-08))")
+    rel_err = float(line.split("rel err <= ")[1].split(";")[0])
+    assert 1e-10 < rel_err <= 6.2e-08
