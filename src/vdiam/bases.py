@@ -323,31 +323,50 @@ def inner_product(f: Polynomial, g: Polynomial, quad: QuadratureSpec) -> complex
     return complex(np.sum(quad.weights * fv * np.conj(gv)))
 
 
+def _values(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndarray:
+    """The elements sampled at the quadrature points, one row each, written
+    into one matrix as they are evaluated."""
+    vals = np.empty((len(elements), len(quad)), dtype=complex)
+    for row, e in zip(vals, elements):
+        row[:] = e.evaluate(quad.points)
+    return vals
+
+
 def gram(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndarray:
-    vals = np.stack([e.evaluate(quad.points) for e in elements], axis=0)
-    return (vals * quad.weights) @ np.conj(vals.T)
+    vals = _values(elements, quad)
+    wv = vals * quad.weights
+    # conj(vals).T is laid out as np.conj(vals.T) was, so BLAS gives the same bits
+    np.conjugate(vals, out=vals)
+    return wv @ vals.T
 
 
 # ---------------------------------------------------------------------------
 # bb bases
 
 
-def _orthonormalize(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one reorthogonalization pass.  Rows of
-    `vals` are the input vectors sampled at the quadrature points; row j of
-    the result holds the coefficients of the j-th orthonormal vector over
-    the inputs."""
-    m = vals.shape[0]
-    q = vals.astype(complex).copy()
+def _orthonormalize(q: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt with one reorthogonalization pass.  Rows of `q`
+    (complex, C-contiguous) are the input vectors sampled at the quadrature
+    points; row j of the result holds the coefficients of the j-th
+    orthonormal vector over the inputs.  Works in place: on return `q`
+    holds the orthonormal vectors."""
+    m = q.shape[0]
     c = np.eye(m, dtype=complex)
+    wq = np.empty(q.shape[1], dtype=complex)
+    tmp = np.empty_like(wq)
     for j in range(m):
         for _ in range(2):
             for i in range(j):
-                r = np.sum(weights * q[j] * np.conj(q[i]))
-                q[j] -= r * q[i]
+                # r = sum((weights * q[j]) * conj(q[i])), in that order
+                np.multiply(weights, q[j], out=wq)
+                np.conjugate(q[i], out=tmp)
+                np.multiply(wq, tmp, out=wq)
+                r = wq.sum()
+                np.multiply(r, q[i], out=tmp)
+                q[j] -= tmp
                 c[j] -= r * c[i]
         norm = math.sqrt(float(np.sum(weights * np.abs(q[j]) ** 2).real))
-        if norm < 1e-13:
+        if not norm >= 1e-13:  # NaN fails this too
             raise QuadratureError(f"vector {j} is numerically dependent (norm {norm:.3e})")
         q[j] /= norm
         c[j] /= norm
@@ -366,9 +385,7 @@ def _orthonormal(
     """Orthonormalize the monomials `monos`, in their order, in the
     quadrature inner product: the float polynomials and their coefficient
     matrix over `monos`."""
-    vals = np.stack(
-        [Polynomial.monomial(m, pres.M, pres.N, "float").evaluate(quad.points) for m in monos]
-    )
+    vals = _values([Polynomial.monomial(m, pres.M, pres.N, "float") for m in monos], quad)
     c = _orthonormalize(vals, quad.weights)
     polys = tuple(
         Polynomial({m: complex(cc) for m, cc in zip(monos, row) if cc != 0}, pres.M, pres.N, "float")

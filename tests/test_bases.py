@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from vdiam import (
     monomial_graded_basis,
     parse_polynomial,
     Polynomial,
+    QuadratureSpec,
     torus_quadrature,
     verify_cm_products,
 )
@@ -364,3 +366,75 @@ def test_bb_normalization_matches_the_reference(pres, n, k):
     got, want = bb_normalization(pres, k, quad), _ref_bb_normalization(pres, k, quad)
     for f in dataclasses.fields(BbNormalizationReport):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+# ---------------------------------------------------------------------------
+# the in-place orthonormalizer where the weights round, its inputs, and its
+# footprint
+
+# 1/P is a power of two in BB_CASES (P = 512, 8192), so there weights * q is
+# exact and a reordered weight multiply would go unnoticed.  Here P = 200 and
+# P = 288.
+ROUNDING_CASES = [(HYP, 100, k) for k in (4, 16)] + [(CONE, 12, k) for k in (2, 4)]
+ROUNDING_IDS = [f"hyperbola-n100-k{k}" for k in (4, 16)] + [f"cone2d-n12-k{k}" for k in (2, 4)]
+
+
+@pytest.mark.parametrize("pres, n, k", ROUNDING_CASES, ids=ROUNDING_IDS)
+def test_bb_builders_match_the_reference_where_the_weights_round(pres, n, k):
+    quad = torus_quadrature(pres, n)
+    assert len(quad) & (len(quad) - 1)  # not a power of two
+    points, weights = quad.points.tobytes(), quad.weights.tobytes()
+
+    def unchanged():
+        return quad.points.tobytes() == points and quad.weights.tobytes() == weights
+
+    monos = monomial_basis(pres, k)
+    ref_full, ref_c = _ref_orthonormal(pres, monos, quad)
+    ref_y, ref_yc = _ref_orthonormal(pres, decompose_A(pres).A, quad)
+    ref_st = _ref_bb_structured(pres, k, quad)
+    assert unchanged()
+    assert _orthonormal(pres, monos, quad)[1].tobytes() == ref_c.tobytes()
+    assert unchanged()
+    assert _coefficient_bytes(bb_basis(pres, k, quad).elements) == _coefficient_bytes(ref_full)
+    assert unchanged()
+    yhats, yc = bb_y_block(pres, quad)
+    assert unchanged()
+    assert yc.tobytes() == ref_yc.tobytes()
+    assert _coefficient_bytes(yhats) == _coefficient_bytes(ref_y)
+    assert _coefficient_bytes(bb_structured(pres, k, quad).elements) == _coefficient_bytes(ref_st)
+    assert unchanged()
+    bb_normalization(pres, k, quad)
+    assert unchanged()
+
+
+def test_bb_rejects_a_nan_quadrature_point():
+    quad = torus_quadrature(HYP, 16)
+    points = quad.points.copy()
+    points[3, 0] = complex(math.nan, 0.0)
+    bad = QuadratureSpec(n=quad.n, points=points, weights=quad.weights)
+    with pytest.raises(QuadratureError, match="numerically dependent"):
+        bb_basis(HYP, 2, bad)
+
+
+def _traced_peak(fn):
+    """Peak bytes that `fn()` allocates, numpy's arrays included."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_bb_basis_holds_one_value_matrix():
+    quad = torus_quadrature(CONE, 64)
+    matrix = len(monomial_basis(CONE, 4)) * len(quad) * 16
+    assert _traced_peak(lambda: bb_basis(CONE, 4, quad)) <= 1.25 * matrix
+
+
+def test_gram_holds_two_value_matrices():
+    quad = torus_quadrature(CONE, 64)
+    elements = bb_basis(CONE, 4, quad).elements
+    matrix = len(elements) * len(quad) * 16
+    assert _traced_peak(lambda: gram(elements, quad)) <= 2.1 * matrix
