@@ -352,13 +352,16 @@ def _orthonormalize(q: np.ndarray, weights: np.ndarray) -> np.ndarray:
     holds the orthonormal vectors."""
     m = q.shape[0]
     c = np.eye(m, dtype=complex)
+    # numpy casts a float operand of a complex product to complex first, so
+    # casting once gives the same bits as casting in every projection
+    cweights = weights.astype(complex)
     wq = np.empty(q.shape[1], dtype=complex)
     tmp = np.empty_like(wq)
     for j in range(m):
         for _ in range(2):
             for i in range(j):
                 # r = sum((weights * q[j]) * conj(q[i])), in that order
-                np.multiply(weights, q[j], out=wq)
+                np.multiply(cweights, q[j], out=wq)
                 np.conjugate(q[i], out=tmp)
                 np.multiply(wq, tmp, out=wq)
                 r = wq.sum()

@@ -260,7 +260,9 @@ def _cmd_fekete(args, out) -> int:
     pres, extras = load_variety(args.variety)
     basis = _basis_from_args(pres, extras, args)
     sampler = _sampler_from_spec(pres, args.sampler)
-    res = fekete_maximize(basis, sampler, seed=args.seed, starts=args.starts)
+    # the search basis of `compare`, so both print the same estimates
+    search = monomial_graded_basis(pres, args.k)
+    res = fekete_maximize(basis, sampler, search=search, seed=args.seed, starts=args.starts)
     rec = count(pres, args.k)
     pairs: list[tuple[str, object]] = [
         ("kind", basis.kind),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -228,39 +228,18 @@ class _KeptInverse:
         """The residual bound is below 1/2 (False for NaN)."""
         return self.f_norm < 0.5
 
-    def ratios(self, s: int) -> tuple[np.ndarray, float, float]:
-        """|E @ X[:, s]|, eta and |X[:, s]|. eta bounds the ratios' distance
-        from those of a fresh LU solve for A^-1[:, s]: the error of X[:, s],
-        at most |A^-1| phi[s] with |A^-1| <= |X| / (1 - |F|), plus the
-        solve's forward error, `slack` cond(A) |A^-1[:, s]|, both times the
-        largest row norm of E."""
+    def ratios(self, s: int) -> tuple[np.ndarray, float]:
+        """|E @ X[:, s]| and eta. eta bounds the ratios' distance from those
+        of a fresh LU solve for A^-1[:, s]: the error of X[:, s], at most
+        |A^-1| phi[s] with |A^-1| <= |X| / (1 - |F|), plus the solve's
+        forward error, `slack` cond(A) |A^-1[:, s]|, both times the largest
+        row norm of E."""
         x = self.X[:, s]
         xs = math.sqrt(np.vdot(x, x).real)
         h = self.x_norm / (1.0 - self.f_norm)
         err = h * self.phi[s]
         eta = self.e_max * (err + self.slack * (self.a_norm * h + 1.0) * (xs + err))
-        return np.abs(self.E @ x), eta, xs
-
-    def eta_through(self, s: int, xs: float, run: _Run) -> float:
-        """eta for `run`, whose matrix is E T^T + D, when it reads the ratios
-        of `ratios(s)` (xs = |X[:, s]|) through its inverse T^-T X, which is
-        never formed. That inverse's residual is F - D[idx] T^-T X, so each
-        column bound of F grows by sqrt(N) d tau times the column of X, with
-        tau >= |T^-1| and d >= the largest row norm of D; its norm is at most
-        tau |X|. The last term bounds the rounding of E @ X[:, s] and the
-        difference D T^-T X[:, s]. Infinite when the grown residual bound
-        reaches 1/2."""
-        q = math.sqrt(len(self.idx)) * run.d * run.tau
-        f = self.f_norm + q * self.x_norm
-        if not f < 0.5:
-            return math.inf
-        h = run.tau * self.x_norm / (1.0 - f)
-        err = h * (self.phi[s] + q * xs)
-        a_norm = math.sqrt(float(run.row2[self.idx].sum()))
-        return (
-            run.e_max * (err + self.slack * (a_norm * h + 1.0) * (run.tau * xs + err))
-            + (self.slack * self.e_max + run.d * run.tau) * xs
-        )
+        return np.abs(self.E @ x), eta
 
     def swap(self, s: int, new: int) -> None:
         """Replace row s of A by E[new]."""
@@ -283,25 +262,15 @@ class _KeptInverse:
 
 @dataclass(eq=False)
 class _Run:
-    """One exchange in one basis: its matrix E (squared row norms `row2`,
-    largest row norm `e_max`), tuple and counters. A run that follows
-    another reads that run's ratios, with tau >= |T^-1| and d >= the largest
-    row norm of D for its E = E_lead T^T + D."""
+    """One exchange: its matrix E, tuple and counters."""
 
     E: np.ndarray
-    row2: np.ndarray
     sel: list[int]
     log_abs: float
-    tau: float = 1.0
-    d: float = 0.0
     sweeps: int = 0
     gain: float = 0.0  # the fresh logs of this sweep's swaps
     certified_gain: bool = False  # a certified swap alone exceeds 1e-12
     swapped: bool = False
-    e_max: float = field(init=False)
-
-    def __post_init__(self):
-        self.e_max = math.sqrt(float(self.row2.max()))
 
     def result(self) -> tuple[list[int], float, int]:
         log_abs = self.log_abs
@@ -311,22 +280,16 @@ class _Run:
         return self.sel, log_abs, self.sweeps
 
 
-def _start(E: np.ndarray, sel: list[int], row2: np.ndarray, tau: float = 1.0, d: float = 0.0) -> Optional[_Run]:
-    """A run from the tuple `sel`, or None when E[sel] is singular."""
-    sign, log_abs = np.linalg.slogdet(E[sel])
-    return _Run(E, row2, sel, float(log_abs), tau, d) if sign != 0 else None
-
-
 # a slot's decision: None keeps the occupant, c >= 0 swaps candidate c in,
 # and _BREAK ends the sweep (the fresh solve found A singular)
 _BREAK = -1
 
 
 class _SlotRatios:
-    """One slot's ratios, read once for every run: the argmax `c` outside
-    the tuple `idx` and its ratio `top`. `rivals()` gives the next-largest
-    ratio outside the tuple and the largest inside it, found on first use.
-    `r` is overwritten."""
+    """One slot's ratios from the kept inverse: the argmax `c` outside the
+    tuple `idx` and its ratio `top`. `rivals()` gives the next-largest ratio
+    outside the tuple and the largest inside it, found on first use, since
+    most slots are settled by `top` alone. `r` is overwritten."""
 
     def __init__(self, r: np.ndarray, idx: np.ndarray):
         self.occupants = r[idx]
@@ -372,82 +335,54 @@ def _decide(run: _Run, s: int, slot: Optional[_SlotRatios], eta: float) -> Optio
     return c
 
 
-def _apply(run: _Run, s: int, c: Optional[int]) -> None:
-    if c is not None and c >= 0:
-        run.sel[s] = c
-        run.swapped = True
+def _exchange(run: _Run, max_sweeps: int) -> None:
+    """Coordinate exchange: slot s takes the candidate c with the largest
+    ratio |E[c] @ A^-1[:, s]| = |det| after / |det| before (A = E[sel])
+    when it exceeds 1 + 1e-14 and c is not in the tuple; sweeps over the
+    slots stop once one gains less than 1e-12 in log|det|.
 
-
-def _stops(run: _Run) -> bool:
-    return not run.certified_gain and run.gain < 1e-12
-
-
-def _exchange(runs: list[_Run], max_sweeps: int, slot: int = 0) -> None:
-    """Coordinate exchange from slot `slot` of the current sweep: slot s
-    takes the candidate c with the largest ratio |E[c] @ A^-1[:, s]| =
-    |det| after / |det| before (A = E[sel]) when it exceeds 1 + 1e-14 and c
-    is not in the tuple; sweeps over the slots stop once one gains less than
-    1e-12 in log|det|.
-
-    A fresh solve per slot decides this. Here the ratios come from the first
-    run's inverse, inverted once per sweep and kept by rank-one updates, and
-    they decide a slot of a run only when its certificate shows that run's
-    fresh solve would decide the same; every other slot takes the fresh
-    solve. The other runs hold the first run's tuple and read its ratios; a
-    run whose decision or stop test differs leaves and continues alone. So
-    each run's tuple, sweep count and log|det| equal the fresh-solve loop's
-    in its own basis, which tests/test_vdm.py keeps as the reference."""
-    lead = runs[0]
-    N = len(lead.sel)
-    while True:
-        if slot == 0:
-            if lead.sweeps >= max_sweeps:
-                return
-            for run in runs:
-                run.sweeps += 1
-                run.gain, run.certified_gain = 0.0, False
-        kept: Optional[_KeptInverse] = None
-        if slot < N:
-            try:
-                kept = _KeptInverse(lead.E, np.array(lead.sel), lead.row2)
-            except np.linalg.LinAlgError:
-                pass
-        for s in range(slot, N):
+    A fresh solve per slot decides this. Here the ratios come from an
+    inverse, inverted once per sweep and kept by rank-one updates, and they
+    decide a slot only when its certificate shows the fresh solve would
+    decide the same; every other slot takes the fresh solve. So the tuple,
+    sweep count and log|det| equal the fresh-solve loop's, which
+    tests/test_vdm.py keeps as the reference."""
+    N = len(run.sel)
+    row2 = _row_norms2(run.E)
+    while run.sweeps < max_sweeps:
+        run.sweeps += 1
+        run.gain, run.certified_gain = 0.0, False
+        try:
+            kept: Optional[_KeptInverse] = _KeptInverse(run.E, np.array(run.sel), row2)
+        except np.linalg.LinAlgError:
+            kept = None
+        for s in range(N):
             if kept is not None and not kept.usable:
                 kept = None
-            slot_r, eta, xs = None, math.inf, 0.0
+            slot, eta = None, math.inf
             if kept is not None:
-                r, eta, xs = kept.ratios(s)
-                slot_r = _SlotRatios(r, kept.idx)
-            c = _decide(lead, s, slot_r, eta)
-            for run in runs[1:]:
-                c_run = _decide(run, s, slot_r, kept.eta_through(s, xs, run) if kept is not None else math.inf)
-                _apply(run, s, c_run)
-                if c_run != c:
-                    runs.remove(run)
-                    _exchange([run], max_sweeps, N if c_run == _BREAK else s + 1)
+                r, eta = kept.ratios(s)
+                slot = _SlotRatios(r, kept.idx)
+            c = _decide(run, s, slot, eta)
             if c == _BREAK:
                 break
-            if c is not None and kept is not None:
-                kept.swap(s, c)
-            _apply(lead, s, c)
-        slot = 0
-        stop = _stops(lead)
-        for run in runs[1:]:
-            if _stops(run) != stop:
-                runs.remove(run)
-                if stop:
-                    _exchange([run], max_sweeps)
-        if stop:
+            if c is not None:
+                if kept is not None:
+                    kept.swap(s, c)
+                run.sel[s] = c
+                run.swapped = True
+        if not run.certified_gain and run.gain < 1e-12:
             return
 
 
 def _sweep_to_convergence(E: np.ndarray, sel: list[int], max_sweeps: int) -> tuple[list[int], float, int]:
-    """`_exchange` of one run from the tuple `sel`: (tuple, log|det|, sweeps)."""
-    run = _start(E, sel, _row_norms2(E))
-    if run is None:
+    """`_exchange` from the tuple `sel`: (tuple, log|det|, sweeps); no
+    sweep when E[sel] is singular."""
+    sign, log_abs = np.linalg.slogdet(E[sel])
+    if sign == 0:
         return sel, -math.inf, 0
-    _exchange([run], max_sweeps)
+    run = _Run(E, sel, float(log_abs))
+    _exchange(run, max_sweeps)
     return run.result()
 
 
@@ -508,10 +443,29 @@ def _fekete_result(E: np.ndarray, runs: Sequence[tuple[list[int], float, int]]) 
     )
 
 
+def _searched(E_search: np.ndarray, inits: Sequence[list[int]], max_sweeps: int) -> list[tuple[list[int], float, int]]:
+    """The exchange in E_search from each start; a repeated start reuses
+    its first run."""
+    runs: dict[tuple[int, ...], tuple[list[int], float, int]] = {}
+    for init in inits:
+        if tuple(init) not in runs:
+            runs[tuple(init)] = _sweep_to_convergence(E_search, list(init), max_sweeps)
+    return [runs[tuple(init)] for init in inits]
+
+
+def _scored(E: np.ndarray, runs: Sequence[tuple[list[int], float, int]]) -> FeketeResult:
+    """The best of `runs` by log|det| of E on each final tuple as the
+    exchange left it; a run from a singular start scores -inf."""
+    return _fekete_result(
+        E, [(sel, _slogabs(E[sel]) if math.isfinite(log_abs) else -math.inf, sweeps) for sel, log_abs, sweeps in runs]
+    )
+
+
 def fekete_maximize(
     basis: GradedBasis,
     sampler: CompactSetSampler,
     *,
+    search: Optional[GradedBasis] = None,
     seed: int = 0,
     starts: int = 1,
     exhaustive: bool = False,
@@ -521,10 +475,19 @@ def fekete_maximize(
 
     Multistart uses independent random initial subsets; `exhaustive` instead
     runs one start per candidate with that candidate forced into the first
-    slot of the initial tuple."""
+    slot of the initial tuple. The exchange runs in `search` (default
+    `basis`), a basis of the same space and length, from `basis`'s starts,
+    and each final tuple is scored in `basis`: when E_basis = E_search T^T,
+    every exchange ratio, and so every decision, is the same in both in
+    exact arithmetic."""
     E = vdm_matrix(basis, sampler.points)
     inits = _initial_tuples(E, seed=seed, starts=starts, exhaustive=exhaustive)
-    return _fekete_result(E, [_sweep_to_convergence(E, list(init), max_sweeps) for init in inits])
+    E_search = E
+    if search is not None:
+        if len(search) != len(basis):
+            raise ValueError(f"search basis has {len(search)} elements, the basis {len(basis)}")
+        E_search = vdm_matrix(search, sampler.points)
+    return _scored(E, _searched(E_search, inits, max_sweeps))
 
 
 def brute_force_max(basis: GradedBasis, sampler: CompactSetSampler) -> VdmEvaluation:
@@ -618,50 +581,6 @@ def _coefficients(basis: GradedBasis, mono: GradedBasis) -> Optional[np.ndarray]
     return T
 
 
-def _link(E: np.ndarray, E_mono: np.ndarray, T: np.ndarray, mono_row2: np.ndarray) -> Optional[tuple[float, float]]:
-    """(tau, d) for a run on E that follows the monomial run on E_mono:
-    tau >= |T^-1| and d >= the largest row norm of D = E - E_mono T^T, each
-    with an allowance for its own rounding; None when T is numerically
-    singular."""
-    slack = _CERT_SLACK * T.shape[0] * np.finfo(float).eps
-    sv = np.linalg.svd(T, compute_uv=False)
-    low = sv[-1] - slack * sv[0]
-    if not low > 0.0:
-        return None
-    D = E_mono @ T.T
-    np.subtract(E, D, out=D)
-    t_norm = math.sqrt(np.vdot(T, T).real)
-    d = math.sqrt(float(_row_norms2(D).max())) * (1.0 + slack) + slack * math.sqrt(float(mono_row2.max())) * t_norm
-    return (1.0 + slack) / low, d
-
-
-def _run_starts(
-    Es: dict[str, np.ndarray], inits: dict[str, list[list[int]]], row2: dict[str, np.ndarray], links: dict
-) -> dict[str, list[tuple[list[int], float, int]]]:
-    """Every start of every basis at one k. A basis in `links` whose start
-    equals the monomial basis's runs one `_exchange` with it; every other
-    start runs alone."""
-    out: dict[str, list[tuple[list[int], float, int]]] = {kind: [] for kind in Es}
-    for i in range(len(next(iter(inits.values()), ()))):
-        group: dict[str, _Run] = {}
-        joining = [kind for kind in links if inits[kind][i] == inits["monomial"][i]]
-        if joining:
-            init = inits["monomial"][i]
-            for kind in ("monomial", *joining):
-                run = _start(Es[kind], list(init), row2[kind], *links.get(kind, ()))
-                if run is not None:
-                    group[kind] = run
-        if len(group) > 1 and "monomial" in group:
-            _exchange(list(group.values()), _MAX_SWEEPS)
-        else:
-            group = {}
-        for kind, E in Es.items():
-            out[kind].append(
-                group[kind].result() if kind in group else _sweep_to_convergence(E, list(inits[kind][i]), _MAX_SWEEPS)
-            )
-    return out
-
-
 def _grow(E: Optional[np.ndarray], basis: GradedBasis, k: int, points: np.ndarray) -> np.ndarray:
     """The matrix of the elements of degree <= k, from E, that of a shorter
     prefix of `basis` (None for the empty one), by appending the columns of
@@ -686,15 +605,18 @@ def _sequences(
     seed: int,
     starts: int,
 ) -> dict[str, list[DiameterEstimate]]:
-    """Each basis's diameter sequence over one candidate set, equal to its
-    `diameter_sequence`, which runs `fekete_maximize` on each prefix basis
-    on its own. The elements come in ascending degree, so each k's matrix
-    is the last one with the columns of the new elements appended: every
-    element is evaluated once, and only one matrix per basis is held. A
-    basis joins the monomial basis's exchanges (`_run_starts`) when its
-    elements are combinations T of the monomial ones. An error is raised as
-    running the sequences one kind after another would meet it: the first
-    kind's first."""
+    """Each basis's diameter sequence over one candidate set, with one
+    search for all: at each k, the monomial basis (built here when it is
+    not among `kinds`) and every basis draw their starts as
+    `fekete_maximize` would, every distinct start runs once through the
+    exchange on the monomial matrix, and each basis reports the best of its
+    own log|det| over all the final tuples (`_scored`). So on bases whose
+    change of basis has |det| 1 the estimates agree to rounding. The
+    elements come in ascending degree, so each k's matrix is the last one
+    with the columns of the new elements appended: every element is
+    evaluated once, and only one matrix per basis is held. An error is
+    raised as running the sequences one kind after another would meet it:
+    the first kind's first."""
     kinds = list(dict.fromkeys(kinds))
     fulls: dict[str, GradedBasis] = {}
     errors: dict[str, Exception] = {}
@@ -704,10 +626,9 @@ def _sequences(
         except Exception as e:  # raised once the kinds before it have run
             errors[kind] = e
             break
-    mono = fulls.get("monomial")
-    coefs = {
-        kind: _coefficients(b, mono) for kind, b in fulls.items() if mono is not None and kind != "monomial"
-    }
+    bases = dict(fulls)
+    if fulls and "monomial" not in fulls:
+        bases = {"monomial": monomial_graded_basis(pres, k_max), **fulls}
     out: dict[str, list[DiameterEstimate]] = {kind: [] for kind in fulls}
     Es: dict[str, np.ndarray] = {}
     for k in range(1, k_max + 1):
@@ -715,27 +636,19 @@ def _sequences(
         if not live:
             break
         rec = count(pres, k)
-        inits = {}
-        for kind in live:
+        inits: list[list[int]] = []  # every basis's starts, scored by every basis
+        # the search basis's starts come first, whether or not it is a kind
+        for kind in dict.fromkeys(["monomial", *live]):
+            Es[kind] = _grow(Es.get(kind), bases[kind], k, sampler.points)
             try:
-                Es[kind] = _grow(Es.get(kind), fulls[kind], k, sampler.points)
-                inits[kind] = _initial_tuples(Es[kind], seed=seed, starts=starts)
-            except (ValueError, FeketeError) as e:
-                errors[kind] = e
-                Es.pop(kind, None)
-        row2 = {kind: _row_norms2(Es[kind]) for kind in inits}
-        links = {}
-        if "monomial" in inits:
-            for kind in inits:
-                T = coefs.get(kind)
-                if T is not None:
-                    n = Es[kind].shape[1]
-                    link = _link(Es[kind], Es["monomial"], T[:n, :n], row2["monomial"])
-                    if link is not None:
-                        links[kind] = link
-        runs = _run_starts(Es, inits, row2, links)
-        for kind, res_runs in runs.items():
-            out[kind].append(_estimate(kind, k, rec, _fekete_result(Es[kind], res_runs)))
+                inits += _initial_tuples(Es[kind], seed=seed, starts=starts)
+            except FeketeError as e:
+                if kind in fulls:
+                    errors.setdefault(kind, e)
+        runs = _searched(Es["monomial"], list(dict.fromkeys(map(tuple, inits))), _MAX_SWEEPS)
+        for kind in live:
+            if kind not in errors:
+                out[kind].append(_estimate(kind, k, rec, _scored(Es[kind], runs)))
     for kind in kinds:
         if kind in errors:
             raise errors[kind]
@@ -780,7 +693,10 @@ def compare_bases(
     seed: int = 0,
     starts: int = 1,
 ) -> CompareReport:
-    """Diameter estimates for several bases over one shared candidate set."""
+    """Diameter estimates for several bases over one shared candidate set.
+    Every search runs in the monomial basis, whether or not it is among
+    `kinds`, so bases whose matrices differ by a graded change of basis
+    share their exchanges; see `_sequences`."""
     seqs = _sequences(pres, kinds, k_max, sampler, gens=gens, quad=quad, seed=seed, starts=starts)
     spreads = []
     for i in range(k_max):

@@ -182,6 +182,22 @@ def test_fekete_csv_deterministic(capsys):
     assert out_of(capsys) == first
 
 
+@pytest.mark.parametrize("k, seed", [(3, 90), (3, 242886307), (16, 90)])
+def test_fekete_prints_compares_est_cm(k, seed, capsys):
+    # the benchmark's fekete/compare pair check; at k = 3 these seeds are
+    # where searches of each basis's own ended apart
+    common = ["--sampler", "torus:256", "--starts", "4", "--seed", str(seed), "--format", "csv"]
+    assert run(["compare", "--k-max", str(k), *common]) == 0
+    lines = out_of(capsys).strip().splitlines()
+    row = dict(zip(lines[0].split(","), lines[-1].split(",")))
+    assert row["k"] == str(k)
+    assert run(["fekete", "--kind", "cm", "--k", str(k), *common]) == 0
+    fields = dict(line.split(",", 1) for line in out_of(capsys).strip().splitlines()[1:])
+    assert fields["est_lk"] == row["est_cm"]
+    # the hyperbola's cm change of basis has determinant of modulus 1
+    assert abs(float(row["est_cm"]) - float(row["est_monomial"])) <= 1e-12
+
+
 def test_compare_small(capsys):
     assert run([
         "compare", "--k-max", "2", "--sampler", "torus:16", "--n", "128",
