@@ -611,6 +611,62 @@ def test_a_graded_change_of_basis_keeps_the_exchange_fixed_point(case, seed):
     assert abs((log_b - log_mono) - log_t) <= N * np.finfo(float).eps * cond
 
 
+@pytest.mark.parametrize("t_scale, d_scale", [(1.0, 1e-6), (1.0, 1e-4), (0.01, 1e-6), (0.01, 1e-4)])
+@pytest.mark.parametrize("sampler", [0, 1, 2], ids=["torus", "segment", "random"])
+def test_follower_certificate_covers_the_discrepancy(sampler, t_scale, d_scale):
+    # a follower E_b = E T^T + D with an explicit D takes the final tuples of
+    # the search in E and scores them in E_b, as compare_bases' bases take
+    # the monomial basis's. In E's coordinates its tuple matrix is
+    # A + D~[S], D~ = D T^-T, so with q = |A^-1 D~[S]|_2 its log|det| on S
+    # is E's plus log|det T| plus one in [N log(1 - q), N log(1 + q)], and
+    # when q < 1 its ratios at slot s exceed E's by at most
+    # eta_b = (|E[c]| q + |D~[c]|) |A^-1 e_s| / (1 - q): every final tuple
+    # is an exchange fixed point of the follower up to eta_b (with |T^-1|
+    # taken as 1, D~ = D, the torus and random cases at T scale 0.01 break
+    # it). Segment nodes at T scale 0.01 and |D| 1e-4 give q near 20 on
+    # every tuple: there the discrepancy swamps the tuple and only the upper
+    # bound on the score holds
+    make, k, _ = _EXCHANGE_CASES["hyperbola"][sampler]
+    k = min(k, 8)
+    rng = np.random.default_rng(7)
+    E = vdm_matrix(monomial_graded_basis(HYP, k), make().points)
+    P, N = E.shape
+    lower = np.tril(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)), -1)
+    T = t_scale * (np.eye(N) + 0.3 * lower)
+    D = d_scale * (rng.standard_normal((P, N)) + 1j * rng.standard_normal((P, N)))
+    E_b = E @ T.T + D
+    D_t = np.linalg.solve(T, D.T).T
+    log_t = np.linalg.slogdet(T)[1]
+    e_norm, d_norm = np.linalg.norm(E, axis=1), np.linalg.norm(D_t, axis=1)
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        inits = vdm._initial_tuples(E, seed=seed, starts=4)
+        runs = vdm._searched(E, inits, 200)
+        assert runs == [_fresh_solve_sweep(E, list(init), 200) for init in inits]
+        scored = [(sel, float(np.linalg.slogdet(E_b[sel])[1]), sweeps) for sel, _, sweeps in runs]
+        assert vdm._scored(E_b, runs) == vdm._fekete_result(E_b, scored)
+        for (sel, log_abs, _), (_, log_b, _) in zip(runs, scored):
+            A = E[sel]
+            q = np.linalg.norm(np.linalg.solve(A, D_t[sel]), 2)
+            slack = N * eps * max(np.linalg.cond(A), np.linalg.cond(E_b[sel]))
+            assert log_b - log_abs - log_t <= N * math.log1p(q) + slack
+            if q >= 1.0:
+                assert (sampler, t_scale, d_scale) == (1, 0.01, 1e-4)
+                continue
+            assert log_b - log_abs - log_t >= N * math.log1p(-q) - slack
+            outside = np.ones(P, dtype=bool)
+            outside[sel] = False
+            for s in range(N):
+                rhs = np.zeros(N, dtype=complex)
+                rhs[s] = 1.0
+                x = np.linalg.solve(A, rhs)
+                r = np.abs(E @ x)
+                r_b = np.abs(E_b @ np.linalg.solve(E_b[sel], rhs))
+                assert r[outside].max() <= 1.0 + 1e-11
+                eta_b = (e_norm * q + d_norm) * np.linalg.norm(x) / (1.0 - q)
+                assert np.all(r_b <= r + eta_b + slack)
+
+
 # ---------------------------------------------------------------------------
 # one exchange per candidate set in compare_bases
 
