@@ -393,6 +393,13 @@ def data_path(name: str) -> Path:
     return Path(str(resources.files("vdiam") / "data" / name))
 
 
+def _polynomial_strings(doc: dict, field: str) -> list[str]:
+    vals = doc[field]
+    if not isinstance(vals, (list, tuple)) or not all(isinstance(v, str) for v in vals):
+        raise ValueError(f"variety field {field!r} must be a list of polynomial strings")
+    return list(vals)
+
+
 def load_variety(source) -> tuple[VarietyPresentation, dict]:
     """Load a presentation from a dict, a path, or a bundled file name.
 
@@ -410,9 +417,11 @@ def load_variety(source) -> tuple[VarietyPresentation, dict]:
             else:
                 raise FileNotFoundError(f"variety file not found: {source}")
         doc = json.loads(p.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("a variety file must hold a JSON object")
     try:
         M, N = int(doc["M"]), int(doc["N"])
-        gen_strs = list(doc["generators"])
+        gen_strs = _polynomial_strings(doc, "generators")
     except KeyError as e:
         raise ValueError(f"variety file is missing field {e.args[0]!r}") from None
     gens = tuple(parse_polynomial(s, M, N, "exact") for s in gen_strs)
@@ -420,7 +429,7 @@ def load_variety(source) -> tuple[VarietyPresentation, dict]:
     pres = VarietyPresentation(M=M, N=N, generators=gens, d_hint=d_hint)
     extras = {
         "name": doc.get("name"),
-        "v_polys": [parse_polynomial(s, M, N, "exact") for s in doc["v_polys"]]
+        "v_polys": [parse_polynomial(s, M, N, "exact") for s in _polynomial_strings(doc, "v_polys")]
         if doc.get("v_polys")
         else None,
         "families": doc.get("families"),

@@ -93,14 +93,20 @@ def file_sampler(pres: VarietyPresentation, path) -> CompactSetSampler:
     """Points from a JSON file: a list of rows, each a list of numbers or
     [re, im] pairs."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, list):
+        raise ValueError(f"point file {path} must hold a list of rows")
     rows = []
     for row in doc:
+        if not isinstance(row, list):
+            raise ValueError(f"point file {path}: a row must be a list, got {row!r}")
         vals = []
         for entry in row:
-            if isinstance(entry, (list, tuple)):
+            if isinstance(entry, list) and len(entry) == 2 and all(isinstance(v, (int, float)) for v in entry):
                 vals.append(complex(entry[0], entry[1]))
-            else:
+            elif isinstance(entry, (int, float)):
                 vals.append(complex(entry))
+            else:
+                raise ValueError(f"point file {path}: an entry must be a number or an [re, im] pair, got {entry!r}")
         rows.append(vals)
     return points_sampler(pres, np.array(rows, dtype=complex), name=f"file:{path}")
 
@@ -192,10 +198,6 @@ _CERT_SLACK = 64.0
 _MAX_SWEEPS = 200
 
 
-def _row_norms2(E: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", E, E.conj()).real
-
-
 class _KeptInverse:
     """An inverse X of the tuple matrix A = E[idx], kept by rank-one
     (Sherman-Morrison) updates, with bounds `phi` on the column norms of the
@@ -260,130 +262,79 @@ class _KeptInverse:
         self._measure()
 
 
-@dataclass(eq=False)
-class _Run:
-    """One exchange: its matrix E, tuple and counters."""
-
-    E: np.ndarray
-    sel: list[int]
-    log_abs: float
-    sweeps: int = 0
-    gain: float = 0.0  # the fresh logs of this sweep's swaps
-    certified_gain: bool = False  # a certified swap alone exceeds 1e-12
-    swapped: bool = False
-
-    def result(self) -> tuple[list[int], float, int]:
-        log_abs = self.log_abs
-        if self.swapped:
-            sign, log_abs = np.linalg.slogdet(self.E[self.sel])
-            log_abs = float(log_abs) if sign != 0 else -math.inf
-        return self.sel, log_abs, self.sweeps
-
-
-# a slot's decision: None keeps the occupant, c >= 0 swaps candidate c in,
-# and _BREAK ends the sweep (the fresh solve found A singular)
-_BREAK = -1
-
-
-class _SlotRatios:
-    """One slot's ratios from the kept inverse: the argmax `c` outside the
-    tuple `idx` and its ratio `top`. `rivals()` gives the next-largest ratio
-    outside the tuple and the largest inside it, found on first use, since
-    most slots are settled by `top` alone. `r` is overwritten."""
-
-    def __init__(self, r: np.ndarray, idx: np.ndarray):
-        self.occupants = r[idx]
-        r[idx] = -np.inf
-        self.c = int(r.argmax())
-        self.top = r[self.c]
-        self._r = r
-        self._rivals: Optional[tuple[float, float]] = None
-
-    def rivals(self) -> tuple[float, float]:
-        if self._rivals is None:
-            r, occ = self._r, self.occupants
-            r[self.c] = -np.inf
-            self._rivals = (r[r.argmax()], occ[occ.argmax()])
-        return self._rivals
-
-
-def _decide(run: _Run, s: int, slot: Optional[_SlotRatios], eta: float) -> Optional[int]:
-    """Slot s of `run`. From ratios within `eta` of a fresh solve's, it is
-    settled when no candidate outside the tuple can reach 1 + 1e-14 (no
-    swap), or when the argmax clears every other ratio and 1 + 1e-11 by
-    2 eta (a swap whose log alone passes the 1e-12 stop test). Every other
-    slot takes the fresh solve."""
-    if slot is not None:
-        if slot.top < 1.0 + 1e-14 - eta:
-            return None
-        floor = slot.top - 2.0 * eta
-        if floor > 1.0 + 1e-11 and all(floor > v for v in slot.rivals()):
-            run.certified_gain = True
-            return slot.c
-    N = len(run.sel)
-    rhs = np.zeros(N, dtype=complex)
-    rhs[s] = 1.0
-    try:
-        bcol = np.linalg.solve(run.E[run.sel], rhs)
-    except np.linalg.LinAlgError:
-        return _BREAK
-    ratios = np.abs(run.E @ bcol)
-    c = int(np.argmax(ratios))
-    if not (ratios[c] > 1.0 + 1e-14 and c not in run.sel):
-        return None
-    run.gain += math.log(ratios[c])
-    return c
-
-
-def _exchange(run: _Run, max_sweeps: int) -> None:
-    """Coordinate exchange: slot s takes the candidate c with the largest
-    ratio |E[c] @ A^-1[:, s]| = |det| after / |det| before (A = E[sel])
-    when it exceeds 1 + 1e-14 and c is not in the tuple; sweeps over the
-    slots stop once one gains less than 1e-12 in log|det|.
+def _sweep_to_convergence(E: np.ndarray, sel: list[int], max_sweeps: int) -> tuple[list[int], float, int]:
+    """Coordinate exchange from the tuple `sel`: (tuple, log|det|, sweeps);
+    no sweep when E[sel] is singular. Slot s takes the candidate c with the
+    largest ratio |E[c] @ A^-1[:, s]| = |det| after / |det| before
+    (A = E[sel]) when it exceeds 1 + 1e-14 and c is not in the tuple; sweeps
+    over the slots stop once one gains less than 1e-12 in log|det|.
 
     A fresh solve per slot decides this. Here the ratios come from an
     inverse, inverted once per sweep and kept by rank-one updates, and they
     decide a slot only when its certificate shows the fresh solve would
-    decide the same; every other slot takes the fresh solve. So the tuple,
-    sweep count and log|det| equal the fresh-solve loop's, which
-    tests/test_vdm.py keeps as the reference."""
-    N = len(run.sel)
-    row2 = _row_norms2(run.E)
-    while run.sweeps < max_sweeps:
-        run.sweeps += 1
-        run.gain, run.certified_gain = 0.0, False
+    decide the same: from ratios within `eta` of a fresh solve's, a slot is
+    settled when no candidate outside the tuple can reach 1 + 1e-14 (no
+    swap), or when the argmax clears every other ratio and 1 + 1e-11 by
+    2 eta (a swap whose log alone passes the 1e-12 stop test). Every other
+    slot takes the fresh solve. So the tuple, sweep count and log|det|
+    equal the fresh-solve loop's, which tests/test_vdm.py keeps as the
+    reference."""
+    sign, log_abs = np.linalg.slogdet(E[sel])
+    if sign == 0:
+        return sel, -math.inf, 0
+    log_abs = float(log_abs)
+    N = len(sel)
+    row2 = np.einsum("ij,ij->i", E, E.conj()).real
+    sweeps, swapped = 0, False
+    while sweeps < max_sweeps:
+        sweeps += 1
+        gain = 0.0  # the fresh logs of this sweep's swaps
+        certified_gain = False  # a certified swap alone exceeds 1e-12
         try:
-            kept: Optional[_KeptInverse] = _KeptInverse(run.E, np.array(run.sel), row2)
+            kept: Optional[_KeptInverse] = _KeptInverse(E, np.array(sel), row2)
         except np.linalg.LinAlgError:
             kept = None
         for s in range(N):
             if kept is not None and not kept.usable:
                 kept = None
-            slot, eta = None, math.inf
+            certified = False
             if kept is not None:
                 r, eta = kept.ratios(s)
-                slot = _SlotRatios(r, kept.idx)
-            c = _decide(run, s, slot, eta)
-            if c == _BREAK:
-                break
-            if c is not None:
-                if kept is not None:
-                    kept.swap(s, c)
-                run.sel[s] = c
-                run.swapped = True
-        if not run.certified_gain and run.gain < 1e-12:
-            return
-
-
-def _sweep_to_convergence(E: np.ndarray, sel: list[int], max_sweeps: int) -> tuple[list[int], float, int]:
-    """`_exchange` from the tuple `sel`: (tuple, log|det|, sweeps); no
-    sweep when E[sel] is singular."""
-    sign, log_abs = np.linalg.slogdet(E[sel])
-    if sign == 0:
-        return sel, -math.inf, 0
-    run = _Run(E, sel, float(log_abs))
-    _exchange(run, max_sweeps)
-    return run.result()
+                occupants = r[kept.idx]
+                r[kept.idx] = -np.inf
+                c = int(r.argmax())
+                top = r[c]
+                if top < 1.0 + 1e-14 - eta:
+                    continue
+                floor = top - 2.0 * eta
+                # the runner-up and the occupants' maximum only here, since
+                # most slots are settled by `top` alone
+                if floor > 1.0 + 1e-11:
+                    r[c] = -np.inf
+                    certified = floor > r.max() and floor > occupants.max()
+            if certified:
+                certified_gain = True
+            else:
+                rhs = np.zeros(N, dtype=complex)
+                rhs[s] = 1.0
+                try:
+                    bcol = np.linalg.solve(E[sel], rhs)
+                except np.linalg.LinAlgError:
+                    break  # A is singular
+                ratios = np.abs(E @ bcol)
+                c = int(np.argmax(ratios))
+                if not (ratios[c] > 1.0 + 1e-14 and c not in sel):
+                    continue
+                gain += math.log(ratios[c])
+            if kept is not None:
+                kept.swap(s, c)
+            sel[s] = c
+            swapped = True
+        if not certified_gain and gain < 1e-12:
+            break
+    if swapped:
+        log_abs = _slogabs(E[sel])
+    return sel, log_abs, sweeps
 
 
 def _initial_tuples(E: np.ndarray, *, seed: int, starts: int, exhaustive: bool = False) -> list[list[int]]:
@@ -564,21 +515,6 @@ def _estimate(kind: str, k: int, rec: CountRecord, res: FeketeResult) -> Diamete
         est_kNk=res.log_abs / (k * rec.N),
         indices=res.indices,
     )
-
-
-def _coefficients(basis: GradedBasis, mono: GradedBasis) -> Optional[np.ndarray]:
-    """T with basis.elements[j] = sum_i T[j, i] mono.elements[i], in floats;
-    None when an element uses a monomial outside `mono` or of a higher
-    degree than its own, so that prefixes by degree match."""
-    cols = {e.monomials()[0]: i for i, e in enumerate(mono.elements)}
-    T = np.zeros((len(basis), len(mono)), dtype=complex)
-    for j, (e, deg) in enumerate(zip(basis.elements, basis.degrees)):
-        for m, c in e.items():
-            i = cols.get(m)
-            if i is None or mono.degrees[i] > deg:
-                return None
-            T[j, i] = complex(c)
-    return T
 
 
 def _grow(E: Optional[np.ndarray], basis: GradedBasis, k: int, points: np.ndarray) -> np.ndarray:
@@ -887,8 +823,12 @@ def bb_normalization(
     structured family is from orthonormal."""
     full = bb_basis(pres, k, quad)
     st = bb_structured(pres, k, quad)
-    mono = monomial_graded_basis(pres, k)
-    bm, sm = _coefficients(full, mono), _coefficients(st, mono)
+    cols = _monomial_columns(full, st)
+    bm, sm = (np.zeros((len(b), len(cols)), dtype=complex) for b in (full, st))
+    for b, mat in ((full, bm), (st, sm)):
+        for i, row in enumerate(_coef_rows(b, cols)):
+            for j, c in row.items():
+                mat[i, j] = complex(c)
     t, *_ = np.linalg.lstsq(sm.T, bm.T, rcond=None)
     t = t.T
     n = t.shape[0]

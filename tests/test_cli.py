@@ -117,6 +117,31 @@ def test_fekete_file_sampler_rejects_nan_row(tmp_path, capsys):
     assert "leave the variety" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[[[1.0]]]", "[1, 2]", "5", '[[[1.0, "x"], 1.0]]'])
+def test_fekete_file_sampler_rejects_malformed_rows(text, tmp_path, capsys):
+    f = tmp_path / "pts.json"
+    f.write_text(text)
+    assert run(["fekete", "--k", "1", "--sampler", f"file:{f}"]) == 1
+    assert capsys.readouterr().err.startswith("error: point file ")
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ([1, 2], "JSON object"),
+        ({"M": 1, "N": 2, "generators": 5}, "'generators'"),
+        ({"M": 1, "N": 2, "generators": [5]}, "'generators'"),
+        ({"M": 1, "N": 2, "generators": ["y1*x1 - 1"], "v_polys": 5}, "'v_polys'"),
+    ],
+)
+def test_validate_malformed_variety_file_exits_1(doc, field, tmp_path, capsys):
+    f = tmp_path / "bad.var"
+    f.write_text(json.dumps(doc))
+    assert run(["validate", "--variety", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -557,6 +557,28 @@ def test_certified_exchange_matches_fresh_solves_on_ill_conditioned_line(monkeyp
     assert_matches_fresh_solves(monkeypatch, lambda: diameter_sequence(C1, "monomial", k_max, samp, seed=1, starts=2))
 
 
+def test_the_kept_inverse_decides_most_slots(monkeypatch):
+    # the tests above compare against fresh solves, so an exchange whose
+    # every slot fell back to the solve would pass them; here the kept
+    # inverse must settle at least three slots in four (97 solves over
+    # 1,485 slot visits when written; 1,485 with every slot falling back)
+    E = vdm_matrix(monomial_graded_basis(HYP, 16), torus_sampler(HYP, 256).points)
+    inits = vdm._initial_tuples(E, seed=0, starts=4)
+    solve, solves = np.linalg.solve, []
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    visits = 0
+    for init in inits:
+        sel, _, sweeps = _sweep_to_convergence(E, list(init), 200)
+        visits += len(sel) * sweeps
+    assert visits > 0
+    assert len(solves) < visits / 4
+
+
 _INVARIANCE_SAMPLERS = {
     "hyperbola": (torus_sampler(HYP, 16), random_variety_points(HYP, 40, seed=3)),
     "cone2d": (torus_sampler(CONE, 6), random_variety_points(CONE, 60, seed=3)),
