@@ -29,7 +29,6 @@ from .variety import (
     decompose_A,
     distinct_infinity_check,
     monomial_basis,
-    validate_noether,
     x_monomials,
 )
 
@@ -84,10 +83,8 @@ class CmGenerators:
 def cm_generators(
     pres: VarietyPresentation, v_polys: Optional[Sequence[Polynomial]] = None
 ) -> CmGenerators:
-    rep = validate_noether(pres)
-    if not rep.valid:
-        raise CmConstructionError(f"invalid presentation: {'; '.join(rep.problems)}")
-    d = rep.d
+    decompose_A(pres)
+    d = pres.d
     if v_polys is not None:
         vs = tuple(v_polys)
         if len(vs) != d:
@@ -112,6 +109,8 @@ def cm_generators(
     for lam in inf.exact_roots:
         w = y_poly - x_poly * lam
         c2 = star(w, w, pres.generators).coefficient(top_mono)
+        if c2.is_zero():
+            raise CmConstructionError(f"the sheet generator for the root {lam} at infinity has normalizer zero")
         try:
             c = exact_sqrt(c2)
         except ExactSqrtError:
@@ -269,7 +268,9 @@ def lift(pres: VarietyPresentation, xs: np.ndarray) -> np.ndarray:
     """The points of the variety over the x-points `xs` (P, M), x-major and
     sheet-minor.  Each generator is solved for its leading variable at every
     partial point at once, so it may involve only x and the variables solved
-    before it."""
+    before it.  Raises `ValueError` on an invalid presentation and
+    `QuadratureError` when a lifted point misses the variety by over 1e-9."""
+    decompose_A(pres)
     pts = np.concatenate(
         [np.asarray(xs, dtype=complex), np.full((len(xs), pres.ny), np.nan + 0j)], axis=1
     )
@@ -291,6 +292,10 @@ def lift(pres: VarietyPresentation, xs: np.ndarray) -> np.ndarray:
         pts = np.repeat(pts, m, axis=0)
         pts[:, yv] = _companion_roots(coeffs).ravel()
         solved.add(yv)
+    for g in pres.generators:
+        worst = float(np.abs(g.evaluate(pts)).max(initial=0.0))
+        if not worst <= 1e-9:  # NaN fails this too
+            raise QuadratureError(f"sheet solve residual {worst:.3e} exceeds 1e-9")
     return pts
 
 
@@ -303,16 +308,9 @@ def lift_grid(pres: VarietyPresentation, line: np.ndarray) -> np.ndarray:
 
 def torus_quadrature(pres: VarietyPresentation, n: int) -> QuadratureSpec:
     """Uniform n-point grids on M unit circles, lifted through the d sheets."""
-    rep = validate_noether(pres)
-    if not rep.valid:
-        raise QuadratureError(f"invalid presentation: {'; '.join(rep.problems)}")
     if n < 1:
         raise QuadratureError("need n >= 1")
     points = lift_grid(pres, np.exp(2j * np.pi * np.arange(n) / n))
-    for g in pres.generators:
-        worst = float(np.abs(g.evaluate(points)).max())
-        if not worst <= 1e-9:  # NaN fails this too
-            raise QuadratureError(f"sheet solve residual {worst:.3e} exceeds 1e-9")
     P = points.shape[0]
     return QuadratureSpec(n=n, points=points, weights=np.full(P, 1.0 / P))
 

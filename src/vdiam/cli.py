@@ -40,7 +40,6 @@ from .variety import (
     asymptotic_ratios,
     count,
     count_table,
-    decompose_A,
     distinct_infinity_check,
     load_variety,
     validate_noether,
@@ -98,9 +97,6 @@ def _display_poly(p: Polynomial) -> str:
 
 
 def _sampler_from_spec(pres, spec: str):
-    # the samplers lift without validating; an invalid presentation is
-    # invalid input (exit 1) here as it is for every basis
-    decompose_A(pres)
     kind, _, arg = spec.partition(":")
     if kind == "torus":
         return torus_sampler(pres, int(arg) if arg else 128)
@@ -165,9 +161,6 @@ def _cmd_validate(args, out) -> int:
 def _basis_from_args(pres, extras, args, quad=None):
     """`build_basis` for `--kind` and `--k`, with the file's sheet generators
     for cm and, unless `quad` is given, the `--n` quadrature for bb kinds."""
-    # cm_generators and the quadrature fail on an invalid presentation with
-    # numeric errors (exit 2); it is invalid input (exit 1) for every kind
-    decompose_A(pres)
     if quad is None and args.n and args.kind in ("bb", "bb_structured"):
         quad = torus_quadrature(pres, args.n)
     gens = _cm_gens(pres, extras) if args.kind == "cm" else None
@@ -237,7 +230,6 @@ def _cmd_compliance(args, out) -> int:
 def _cmd_gram(args, out) -> int:
     pres, extras = load_variety(args.variety)
     n = args.n or 1024
-    decompose_A(pres)  # before the quadrature lifts, as in _basis_from_args
     quad = torus_quadrature(pres, n)
     basis = _basis_from_args(pres, extras, args, quad)
     g = gram(basis.elements, quad)

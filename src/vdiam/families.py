@@ -28,16 +28,16 @@ class UnsupportedFamilyShape(Exception):
 class Coset:
     multiplier: Polynomial
     variables: frozenset[int]
-    scales: tuple[tuple[int, Scalar], ...] = ()
+    scales: tuple[tuple[int, Exact], ...] = ()
 
-    def scale_of(self, v: int) -> Scalar:
+    def scale_of(self, v: int) -> Exact:
         for w, s in self.scales:
             if w == v:
                 return s
         return Exact(1)
 
     def is_scaled(self) -> bool:
-        return any(not _scalar_same(s, Exact(1)) for _, s in self.scales)
+        return any(s != Exact(1) for _, s in self.scales)
 
     def describe(self) -> str:
         names = sorted(f"x{v + 1}" for v in self.variables)
@@ -113,43 +113,25 @@ def _poly_ratio(p: Polynomial, q: Polynomial) -> Optional[tuple[Scalar, tuple[in
     return (c, delta) if _poly_same(p1, q1 * c) else None
 
 
-def _scalar_pow(s: Scalar, e: int) -> Scalar:
-    if isinstance(s, Exact):
-        return s**e
-    return complex(s) ** e
-
-
-def _scale_prod(coset: Coset, delta: Sequence[int]) -> Scalar:
-    out: Scalar = Exact(1)
+def _scale_prod(p: Coset, g: Coset, delta: Sequence[int]) -> Exact:
+    """prod_v s_v^delta_v, with s_v p's scale on S_p and g's elsewhere."""
+    out = Exact(1)
     for v, e in enumerate(delta):
         if e:
-            out = _mul_scalar(out, _scalar_pow(coset.scale_of(v), e))
+            out = out * (p if v in p.variables else g).scale_of(v) ** e
     return out
-
-
-def _mul_scalar(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, Exact) and isinstance(b, Exact):
-        return a * b
-    ca = a.to_complex() if isinstance(a, Exact) else complex(a)
-    cb = b.to_complex() if isinstance(b, Exact) else complex(b)
-    return ca * cb
 
 
 def _scaled_monomial_times(coset: Coset, delta: Sequence[int]) -> Polynomial:
     """multiplier * x^delta with the coset's variable scalings applied."""
-    mono = tuple(delta)
-    out = coset.multiplier * Polynomial.monomial(mono, coset.multiplier.nx, coset.multiplier.nvars, coset.multiplier.mode)
-    s = _scale_prod(coset, delta)
-    if isinstance(s, Exact) and s == Exact(1):
-        return out
-    if isinstance(s, Exact) and out.mode == "exact":
-        return out * s
-    return (out.to_float() if out.mode == "exact" else out) * (
-        s.to_complex() if isinstance(s, Exact) else s
-    )
+    m = coset.multiplier
+    out = m * Polynomial.monomial(tuple(delta), m.nx, m.nvars, m.mode)
+    s = _scale_prod(coset, coset, delta)
+    # scaled cosets come from parse_family, so their multipliers are exact
+    return out if s == Exact(1) else out * s
 
 
-def _restrict_scales(coset: Coset, keep: frozenset[int]) -> tuple[tuple[int, Scalar], ...]:
+def _restrict_scales(coset: Coset, keep: frozenset[int]) -> tuple[tuple[int, Exact], ...]:
     return tuple((v, s) for v, s in coset.scales if v in keep)
 
 
@@ -187,9 +169,15 @@ def _slices(p: Coset, base: tuple[int, ...], pinned: Sequence[int]) -> list[Cose
 
 
 def _subtract_coset(p: Coset, g: Coset) -> list[Coset]:
-    """Pieces of p not contained in g (g may be a single point: S_g empty)."""
+    """Pieces of p not contained in g (either may be a single point: S empty).
+
+    With g's multiplier c * x^delta * p's, p's element at beta equals g's
+    element at beta - delta, so it lies in g exactly when beta >= delta+,
+    delta+ lies in S_p and delta- in S_g, beta_v = delta_v off S_g, and the
+    scales balance: c = prod_v s_v^delta_v with s_v p's scale on S_p and g's
+    on S_g - S_p."""
     nvars = p.multiplier.nvars
-    ratio = _poly_ratio(p.multiplier, g.multiplier)
+    ratio = _poly_ratio(g.multiplier, p.multiplier)
     if ratio is None:
         return [p]
     c, delta = ratio
@@ -199,94 +187,49 @@ def _subtract_coset(p: Coset, g: Coset) -> list[Coset]:
         return [p]
     if any(e and v not in g.variables for v, e in enumerate(dminus)):
         return [p]
-    scales_differ = any(
-        not _scalar_same(p.scale_of(v), g.scale_of(v))
-        for v in (p.variables | g.variables)
-    )
-    if not scales_differ:
-        # p element at beta matches g element at beta + delta when the scale
-        # factors balance: c must equal s^delta.
-        if not _scalar_same(c, _scale_prod(p, delta)):
+    pinned = sorted(p.variables - g.variables)
+    shared = sorted(p.variables & g.variables)
+    if all(p.scale_of(v) == g.scale_of(v) for v in shared):
+        if not _scalar_same(c, _scale_prod(p, g, delta)):
             return [p]
-        out = _staircase(p, dplus)
-        pinned = sorted(v for v in p.variables if v not in g.variables)
-        out.extend(_slices(p, dplus, pinned))
-        return out
+        return _staircase(p, dplus) + _slices(p, dplus, pinned)
     # differing scalings: only the shift-free, factor-free overlap is supported
     if any(e for e in delta) or not _scalar_same(c, Exact(1)):
         raise UnsupportedFamilyShape(
             "cannot subtract cosets that combine differing variable scalings "
             "with a monomial shift or scalar factor"
         )
-    free: set[int] = set()
-    pinned_vars: list[int] = []
-    for v in sorted(p.variables):
-        if v not in g.variables:
-            pinned_vars.append(v)
+    # p's element at beta lies in g when beta vanishes off S_g and the scale
+    # ratios rho_v = s_v^p / s_v^g multiply to one over beta
+    sides = set()
+    for v in shared:
+        rho = p.scale_of(v) / g.scale_of(v)
+        if rho == Exact(1):
             continue
-        rho = _mul_scalar(
-            p.scale_of(v),
-            g.scale_of(v).inverse() if isinstance(g.scale_of(v), Exact) else 1.0 / complex(g.scale_of(v)),
+        side = (rho.modulus_squared() - Exact(1)).real_sign()
+        if side == 0:
+            raise UnsupportedFamilyShape(
+                f"variable scaling ratio on x{v + 1} has modulus one; the overlap is not a finite union of cosets"
+            )
+        sides.add(side)
+        pinned.append(v)
+    if len(sides) > 1:
+        raise UnsupportedFamilyShape(
+            "variable scaling ratios lie on both sides of modulus one; the overlap is not a finite union of cosets"
         )
-        if _scalar_same(rho, Exact(1)):
-            free.add(v)
-        else:
-            mod = abs(rho.to_complex() if isinstance(rho, Exact) else complex(rho))
-            if abs(mod - 1.0) <= 1e-12:
-                raise UnsupportedFamilyShape(
-                    f"variable scaling ratio on x{v + 1} has modulus one; the overlap is not a finite union of cosets"
-                )
-            pinned_vars.append(v)
     # overlap = sub-coset over the scale-matched variables only
-    zero = tuple(0 for _ in range(nvars))
-    return _slices(p, zero, pinned_vars)
-
-
-def _point_in_coset(q: Polynomial, p: Coset) -> bool:
-    ratio = _poly_ratio(q, p.multiplier)
-    if ratio is None:
-        return False
-    c, delta = ratio
-    if any(e < 0 for e in delta):
-        return False
-    if any(e and v not in p.variables for v, e in enumerate(delta)):
-        return False
-    return _scalar_same(c, _scale_prod(p, delta))
-
-
-def _subtract_point(p: Coset, q: Polynomial) -> list[Coset]:
-    if not _point_in_coset(q, p):
-        return [p]
-    ratio = _poly_ratio(q, p.multiplier)
-    assert ratio is not None
-    _, delta = ratio
-    dplus = tuple(max(e, 0) for e in delta)
-    out = _staircase(p, dplus)
-    out.extend(_slices(p, dplus, sorted(p.variables)))
-    return out
+    return _slices(p, (0,) * nvars, pinned)
 
 
 def family_difference(left: BasisFamily, right: BasisFamily) -> BasisFamily:
-    """Elements of `left` not in `right`, as a family (exact set difference)."""
-    work = list(left.cosets)
-    for g in right.cosets:
+    """Elements of `left` not in `right`, as a family (exact set difference).
+    A finite element is the coset over no variables."""
+    work = list(left.cosets) + [Coset(f, frozenset()) for f in left.finite]
+    for g in list(right.cosets) + [Coset(q, frozenset()) for q in right.finite]:
         work = [piece for p in work for piece in _subtract_coset(p, g)]
-    for q in right.finite:
-        work = [piece for p in work for piece in _subtract_point(p, q)]
-    cosets: list[Coset] = []
-    finite: list[Polynomial] = []
-    for p in work:
-        if p.variables:
-            cosets.append(p)
-        else:
-            finite.append(p.multiplier)
-    for f in left.finite:
-        covered = any(_point_in_coset(f, g) for g in right.cosets) or any(
-            _poly_same(f, q) for q in right.finite
-        )
-        if not covered:
-            finite.append(f)
-    return BasisFamily(tuple(cosets), tuple(finite), label=f"({left.label}) minus ({right.label})")
+    cosets = tuple(p for p in work if p.variables)
+    finite = tuple(p.multiplier for p in work if not p.variables)
+    return BasisFamily(cosets, finite, label=f"({left.label}) minus ({right.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +354,12 @@ def parse_family(pres: VarietyPresentation, doc: dict, label: str = "") -> Basis
         vs = frozenset(_var_index(nm, pres) for nm in cd.get("variables", []))
         if any(v >= pres.M for v in vs):
             raise ValueError("coset variables must be x variables")
-        scales: list[tuple[int, Scalar]] = []
+        scales: list[tuple[int, Exact]] = []
         for nm, sval in (cd.get("scales") or {}).items():
             v = _var_index(nm, pres)
             sp = parse_polynomial(str(sval), pres.M, pres.N, "exact")
-            if sp.degree() > 0:
-                raise ValueError(f"scale for {nm} must be a constant, got {sval!r}")
+            if sp.degree() > 0 or sp.is_zero():
+                raise ValueError(f"scale for {nm} must be a nonzero constant, got {sval!r}")
             scales.append((v, sp.coefficient((0,) * pres.N)))
         cosets.append(Coset(mult, vs, tuple(sorted(scales, key=lambda p: p[0]))))
     finite = tuple(

@@ -400,6 +400,13 @@ def _polynomial_strings(doc: dict, field: str) -> list[str]:
     return list(vals)
 
 
+def _integer(doc: dict, field: str) -> int:
+    v = doc[field]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"variety field {field!r} must be an integer, got {v!r}")
+    return v
+
+
 def load_variety(source) -> tuple[VarietyPresentation, dict]:
     """Load a presentation from a dict, a path, or a bundled file name.
 
@@ -420,12 +427,12 @@ def load_variety(source) -> tuple[VarietyPresentation, dict]:
     if not isinstance(doc, dict):
         raise ValueError("a variety file must hold a JSON object")
     try:
-        M, N = int(doc["M"]), int(doc["N"])
+        M, N = _integer(doc, "M"), _integer(doc, "N")
         gen_strs = _polynomial_strings(doc, "generators")
     except KeyError as e:
         raise ValueError(f"variety file is missing field {e.args[0]!r}") from None
     gens = tuple(parse_polynomial(s, M, N, "exact") for s in gen_strs)
-    d_hint = int(doc["d"]) if "d" in doc and doc["d"] is not None else None
+    d_hint = _integer(doc, "d") if doc.get("d") is not None else None
     pres = VarietyPresentation(M=M, N=N, generators=gens, d_hint=d_hint)
     extras = {
         "name": doc.get("name"),

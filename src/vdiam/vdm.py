@@ -35,7 +35,7 @@ from .bases import (
 )
 from .polyring import Polynomial
 from .scalars import ONE, Exact
-from .variety import CountRecord, VarietyPresentation, count, validate_noether
+from .variety import CountRecord, VarietyPresentation, count
 
 
 class FeketeError(RuntimeError):
@@ -55,20 +55,11 @@ class CompactSetSampler:
         return self.points.shape[0]
 
 
-def _check_on_variety(pres: VarietyPresentation, points: np.ndarray):
-    for g in pres.generators:
-        res = np.abs(g.evaluate(points))
-        # max propagates NaN, and NaN fails every comparison
-        if res.size and not float(res.max()) <= 1e-8:
-            raise ValueError(f"candidate points leave the variety: residual {float(res.max()):.3e}")
-
-
 def torus_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
     """Unit-circle grids in each x variable, lifted through the sheets."""
     if nodes < 1:
         raise ValueError(f"need at least 1 node per x variable, got {nodes}")
     pts = lift_grid(pres, np.exp(2j * np.pi * np.arange(nodes) / nodes))
-    _check_on_variety(pres, pts)
     return CompactSetSampler(name=f"torus:{nodes}", points=pts)
 
 
@@ -77,7 +68,6 @@ def segment_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
     if nodes < 1:
         raise ValueError(f"need at least 1 node per x variable, got {nodes}")
     pts = lift_grid(pres, np.linspace(-1.0, 1.0, nodes).astype(complex))
-    _check_on_variety(pres, pts)
     return CompactSetSampler(name=f"segment:{nodes}", points=pts)
 
 
@@ -85,7 +75,12 @@ def points_sampler(pres: VarietyPresentation, points: np.ndarray, name: str = "p
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != pres.N:
         raise ValueError(f"points must have shape (P, {pres.N})")
-    _check_on_variety(pres, pts)
+    # lifted points are checked in `lift`; these come from the caller
+    for g in pres.generators:
+        res = np.abs(g.evaluate(pts))
+        # max propagates NaN, and NaN fails every comparison
+        if res.size and not float(res.max()) <= 1e-8:
+            raise ValueError(f"candidate points leave the variety: residual {float(res.max()):.3e}")
     return CompactSetSampler(name=name, points=pts)
 
 
@@ -101,12 +96,13 @@ def file_sampler(pres: VarietyPresentation, path) -> CompactSetSampler:
             raise ValueError(f"point file {path}: a row must be a list, got {row!r}")
         vals = []
         for entry in row:
-            if isinstance(entry, list) and len(entry) == 2 and all(isinstance(v, (int, float)) for v in entry):
-                vals.append(complex(entry[0], entry[1]))
-            elif isinstance(entry, (int, float)):
-                vals.append(complex(entry))
-            else:
+            pair = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
+            if not all(isinstance(v, (int, float)) for v in pair):
                 raise ValueError(f"point file {path}: an entry must be a number or an [re, im] pair, got {entry!r}")
+            try:
+                vals.append(complex(pair[0], pair[1]))
+            except OverflowError:
+                raise ValueError(f"point file {path}: an entry is too large for a float") from None
         rows.append(vals)
     return points_sampler(pres, np.array(rows, dtype=complex), name=f"file:{path}")
 
@@ -125,7 +121,6 @@ def random_variety_points(
         xs[i] = r * np.exp(1j * th)
         picks[i] = rng.integers(sheets)
     out = lift(pres, xs)[np.arange(count_) * sheets + picks]
-    _check_on_variety(pres, out)
     return CompactSetSampler(name=f"random:{seed}", points=out)
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, and the worked example."""
 
 import json
+import re
 
 import pytest
 
@@ -49,6 +50,37 @@ def test_basis_cm_on_degenerate_variety_exits_2(capsys):
     assert run(["basis", "--kind", "cm", "--variety", "nondistinct"]) == 2
 
 
+# y^3 - x^2 y - 1: roots at infinity 1, 0, -1, exact and distinct, but the
+# sheet y = 0 * x has normalizer zero
+ZERO_NORMALIZER = {"M": 1, "N": 2, "generators": ["y1^3 - x1^2*y1 - 1"]}
+
+
+def test_basis_cm_with_zero_normalizer_exits_2(tmp_path, capsys):
+    f = tmp_path / "cubic.var"
+    f.write_text(json.dumps(ZERO_NORMALIZER))
+    assert run(["basis", "--kind", "cm", "--variety", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: the sheet generator for the root 0 at infinity")
+
+
+def test_compare_drops_cm_with_zero_normalizer(tmp_path, capsys):
+    f = tmp_path / "cubic.var"
+    f.write_text(json.dumps(ZERO_NORMALIZER))
+    argv = ["compare", "--variety", str(f), "--k-max", "2", "--sampler", "torus:8", "--n", "16", "--format", "csv"]
+    assert run(argv) == 0
+    lines = out_of(capsys).strip().splitlines()
+    assert lines[0] == "k,est_monomial,est_bb,spread"
+    assert len(lines) == 3
+
+
+def test_basis_bb_drops_rounding_dust(capsys):
+    # the raw bb elements carry coefficients near 1e-17 on lower monomials
+    assert run(["basis", "--kind", "bb", "--k", "2", "--n", "64", "--format", "json"]) == 0
+    elements = [row["element"] for row in json.loads(out_of(capsys))]
+    assert elements[0] == "1" and elements[1] == "x1" and elements[3] == "x1^2"
+    assert re.fullmatch(r"0\.8865\d*\*y1", elements[2])
+    assert re.fullmatch(r"0\.8865\d*\*x1\*y1", elements[4])
+
+
 def test_counts_csv_has_header_and_rows(capsys):
     assert run(["counts", "--k-max", "6", "--format", "csv"]) == 0
     lines = out_of(capsys).strip().splitlines()
@@ -78,6 +110,32 @@ def test_compliance_scaled_family_exits_3(capsys):
 
 def test_compliance_unknown_family_exits_1(capsys):
     assert run(["compliance", "--right", "family:nope"]) == 1
+
+
+def test_compliance_shifted_family(tmp_path, capsys):
+    # {x1 * x1^a, x1 y1 * x1^a} misses exactly the monomials 1 and y1
+    doc = {
+        "M": 1,
+        "N": 2,
+        "generators": ["y1^2 - x1^2 - 1"],
+        "families": {
+            "shifted": {
+                "cosets": [
+                    {"multiplier": "x1", "variables": ["x1"]},
+                    {"multiplier": "x1*y1", "variables": ["x1"]},
+                ]
+            }
+        },
+    }
+    f = tmp_path / "hyperbola.var"
+    f.write_text(json.dumps(doc))
+    argv = ["compliance", "--variety", str(f), "--left", "monomial", "--right", "family:shifted", "--format", "csv"]
+    assert run(argv) == 0
+    rows = dict(line.split(",", 1) for line in out_of(capsys).strip().splitlines()[1:])
+    assert rows["left_minus_right_extra_1"] == "1"
+    assert rows["left_minus_right_extra_2"] == "y1"
+    assert rows["right_minus_left"] == "empty"
+    assert "left_minus_right_coset_1" not in rows and "right_minus_left_coset_1" not in rows
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +175,18 @@ def test_fekete_file_sampler_rejects_nan_row(tmp_path, capsys):
     assert "leave the variety" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["[[[1.0]]]", "[1, 2]", "5", '[[[1.0, "x"], 1.0]]'])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[[[1.0]]]",
+        "[1, 2]",
+        "5",
+        '[[[1.0, "x"], 1.0]]',
+        # integers too large for a float
+        pytest.param("[[1" + "0" * 400 + ", 1.0]]", id="huge-number"),
+        pytest.param("[[[1.0, -1" + "0" * 400 + "], 1.0]]", id="huge-pair"),
+    ],
+)
 def test_fekete_file_sampler_rejects_malformed_rows(text, tmp_path, capsys):
     f = tmp_path / "pts.json"
     f.write_text(text)
@@ -132,6 +201,11 @@ def test_fekete_file_sampler_rejects_malformed_rows(text, tmp_path, capsys):
         ({"M": 1, "N": 2, "generators": 5}, "'generators'"),
         ({"M": 1, "N": 2, "generators": [5]}, "'generators'"),
         ({"M": 1, "N": 2, "generators": ["y1*x1 - 1"], "v_polys": 5}, "'v_polys'"),
+        ({"M": None, "N": 2, "generators": ["y1*x1 - 1"]}, "'M'"),
+        ({"M": [1], "N": 2, "generators": ["y1*x1 - 1"]}, "'M'"),
+        ({"M": 1, "N": None, "generators": ["y1*x1 - 1"]}, "'N'"),
+        ({"M": 1, "N": 2.5, "generators": ["y1*x1 - 1"]}, "'N'"),
+        ({"M": 1, "N": 2, "generators": ["y1*x1 - 1"], "d": [2]}, "'d'"),
     ],
 )
 def test_validate_malformed_variety_file_exits_1(doc, field, tmp_path, capsys):

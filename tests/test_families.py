@@ -1,6 +1,10 @@
 """Coset families, set differences, cores, and compliance verdicts."""
 
+from fractions import Fraction
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vdiam import (
     BasisFamily,
@@ -16,6 +20,8 @@ from vdiam import (
     parse_polynomial,
     torus_quadrature,
 )
+from vdiam.polyring import Polynomial
+from vdiam.scalars import Exact
 
 HYP, HYP_EXTRAS = load_variety("hyperbola")
 CONE, CONE_EXTRAS = load_variety("cone2d")
@@ -147,6 +153,15 @@ def test_unit_modulus_scaling_is_refused():
         family_difference(flipped, family_for(HYP, "monomial"))
 
 
+def test_scaling_ratios_on_both_sides_of_one_are_refused():
+    # (2 x1)^a (x2 / 2)^b equals x1^a x2^b whenever a = b: no finite union
+    one = P("1", CONE)
+    both = Coset(one, frozenset({0, 1}), ((0, Exact(2)), (1, Exact(Fraction(1, 2)))))
+    plain = Coset(one, frozenset({0, 1}))
+    with pytest.raises(UnsupportedFamilyShape, match="both sides"):
+        family_difference(BasisFamily((both,), ()), BasisFamily((plain,), ()))
+
+
 # ---------------------------------------------------------------------------
 # difference mechanics
 
@@ -189,3 +204,102 @@ def test_coset_describe_smoke():
 def test_parse_family_rejects_bad_variable():
     with pytest.raises(ValueError):
         parse_family(HYP, {"cosets": [{"multiplier": "1", "variables": ["x9"]}]}, "bad")
+
+
+def test_parse_family_rejects_zero_scale():
+    doc = {"cosets": [{"multiplier": "1", "variables": ["x1"], "scales": {"x1": "0"}}]}
+    with pytest.raises(ValueError, match="nonzero"):
+        parse_family(HYP, doc, "zero")
+
+
+# ---------------------------------------------------------------------------
+# closed forms for shifted cosets
+
+
+def test_shifted_two_variable_pair_is_not_compliant():
+    # R - L = {x2 * x2^b} and {x1 x2^2 * x1^a x2^b}: two variable sets
+    left = BasisFamily((Coset(P("x1*x2", CONE), frozenset({0})),), (), label="L")
+    right = BasisFamily((Coset(P("x2", CONE), frozenset({0, 1})),), (), label="R")
+    verdict = check_compliant(left, right)
+    assert not verdict.compliant
+    assert verdict.reason == "right difference has no core: cosets use different variable sets"
+    assert {(str(c.multiplier), c.variables) for c in verdict.diff_right.cosets} == {
+        ("x2", frozenset({1})),
+        ("x1*x2^2", frozenset({0, 1})),
+    }
+    assert verdict.diff_left.is_empty()
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle: expand both sides to a degree and take set differences
+
+ORACLE_DEGREE = 5
+SCALES = [Fraction(1), Fraction(1), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-2)]
+
+
+def expand(fam, M, degree=ORACLE_DEGREE):
+    """Every element of `fam` of degree <= `degree`, from the definition."""
+    N = M + 1
+    out = {f for f in fam.finite if f.degree() <= degree}
+    for c in fam.cosets:
+        vs = sorted(c.variables)
+        room = degree - c.multiplier.degree()
+        for es in product(range(max(room + 1, 0)), repeat=len(vs)):
+            if sum(es) > room:
+                continue
+            beta = [0] * N
+            factor = Exact(1)
+            for v, e in zip(vs, es):
+                beta[v] = e
+                factor = factor * c.scale_of(v) ** e
+            out.add(c.multiplier * Polynomial.monomial(tuple(beta), M, N) * factor)
+    return out
+
+
+@st.composite
+def families(draw, M):
+    N = M + 1
+
+    def element():
+        mono = tuple(draw(st.integers(0, 2)) for _ in range(M)) + (draw(st.integers(0, 1)),)
+        poly = Polynomial.monomial(mono, M, N) * Exact(draw(st.sampled_from([1, 2, -1, Fraction(1, 2)])))
+        if draw(st.booleans()):
+            poly = poly * parse_polynomial(f"y1 + x{M}", M, N)
+        return poly
+
+    cosets = []
+    for _ in range(draw(st.integers(0, 3))):
+        mult = element()
+        vs = frozenset(v for v in range(M) if draw(st.booleans()))
+        scales = tuple((v, Exact(draw(st.sampled_from(SCALES)))) for v in sorted(vs))
+        cosets.append(Coset(mult, vs, tuple((v, s) for v, s in scales if s != Exact(1))))
+    finite = tuple(element() for _ in range(draw(st.integers(0, 2))))
+    return BasisFamily(tuple(cosets), finite)
+
+
+@st.composite
+def family_pairs(draw):
+    M = draw(st.sampled_from([1, 2]))
+    left, right = draw(families(M)), draw(families(M))
+    # add left cosets shifted by one x to the right, so that overlaps are common
+    extra = []
+    for c in left.cosets:
+        if draw(st.booleans()):
+            v = draw(st.integers(0, M - 1))
+            x = Polynomial.variable(v, M, M + 1)
+            vs = c.variables | ({v} if draw(st.booleans()) else set())
+            scale = c.scale_of(v) if draw(st.booleans()) else Exact(1)
+            extra.append(Coset(c.multiplier * x * scale, vs, c.scales))
+    right = BasisFamily(right.cosets + tuple(extra), right.finite)
+    return M, left, right
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_pairs())
+def test_family_difference_matches_brute_force(pair):
+    M, left, right = pair
+    try:
+        diff = family_difference(left, right)
+    except UnsupportedFamilyShape:
+        return
+    assert expand(diff, M) == expand(left, M) - expand(right, M)

@@ -193,6 +193,14 @@ def test_double_root_at_infinity_is_rejected():
     assert rep.min_chordal == 0.0
 
 
+def test_rational_roots_at_infinity_of_a_cubic():
+    # y^3 - x^2 y - 1 has top form y (y - x)(y + x): the rational-root scan
+    # finds all three roots, sorted by decreasing real part
+    rep = distinct_infinity_check(mk(1, 2, "y1^3 - x1^2*y1 - 1"))
+    assert rep.exact_roots == (Exact(1), Exact(0), Exact(-1))
+    assert rep.verdict
+
+
 def test_cone2d_infinity():
     pres, _ = load_variety("cone2d")
     rep = distinct_infinity_check(pres)

@@ -17,6 +17,7 @@ from vdiam import (
     cm_basis,
     cm_generators,
     count,
+    default_quadrature_n,
     diameter_sequence,
     fekete_maximize,
     file_sampler,
@@ -213,6 +214,13 @@ def test_trivial_line_matches_classical_circle_rate():
 def test_build_basis_unknown_kind():
     with pytest.raises(ValueError):
         build_basis(HYP, "chebyshev", 2)
+
+
+@pytest.mark.parametrize("kind", ["bb", "bb_structured"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_build_basis_default_quadrature(kind, k):
+    quad = torus_quadrature(HYP, default_quadrature_n(k))
+    assert build_basis(HYP, kind, k).elements == build_basis(HYP, kind, k, quad=quad).elements
 
 
 # ---------------------------------------------------------------------------
