@@ -47,7 +47,6 @@ class GradedBasis:
     k: int
     elements: tuple[Polynomial, ...]
     degrees: tuple[int, ...]
-    label: str
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -64,7 +63,6 @@ def monomial_graded_basis(pres: VarietyPresentation, k: int) -> GradedBasis:
         k=k,
         elements=elems,
         degrees=tuple(sum(m) for m in monos),
-        label=f"monomial basis through degree {k}",
     )
 
 
@@ -77,7 +75,6 @@ class CmGenerators:
     t: int
     vs: tuple[Polynomial, ...]
     lambdas: Optional[tuple[Exact, ...]]
-    source: str  # "file" or "auto"
 
 
 def cm_generators(
@@ -92,7 +89,7 @@ def cm_generators(
         degs = {v.degree() for v in vs}
         if len(degs) != 1:
             raise CmConstructionError(f"sheet generators must share one degree, got {sorted(degs)}")
-        return CmGenerators(t=degs.pop(), vs=vs, lambdas=None, source="file")
+        return CmGenerators(t=degs.pop(), vs=vs, lambdas=None)
     if pres.ny != 1:
         raise CmConstructionError("automatic construction needs exactly one y variable")
     inf = distinct_infinity_check(pres)
@@ -120,7 +117,7 @@ def cm_generators(
         if c.real_sign() <= 0:
             c = -c
         vs.append(w * c.inverse())
-    return CmGenerators(t=t, vs=tuple(vs), lambdas=tuple(inf.exact_roots), source="auto")
+    return CmGenerators(t=t, vs=tuple(vs), lambdas=tuple(inf.exact_roots))
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,6 @@ def cm_basis(pres: VarietyPresentation, k: int, gens: Optional[CmGenerators] = N
         k=k,
         elements=tuple(elements),
         degrees=tuple(degrees),
-        label=f"sheet-normalized basis through degree {k} (t={t}, d={len(gens.vs)})",
     )
 
 
@@ -405,7 +401,6 @@ def bb_basis(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedB
         k=k,
         elements=elements,
         degrees=tuple(sum(m) for m in monos),
-        label=f"orthonormalized basis through degree {k} (n={quad.n})",
     )
 
 
@@ -433,5 +428,4 @@ def bb_structured(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> Gr
         k=k,
         elements=tuple(it[1] for it in items),
         degrees=tuple(it[2] for it in items),
-        label=f"structured orthonormalized basis through degree {k} (n={quad.n})",
     )

@@ -429,38 +429,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Transfinite diameter estimation on affine varieties via Vandermonde maximization.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, *, k_min=None, k_max_min=None, kind=False, sampler=False):
-        p.add_argument("--variety", default="hyperbola", help="variety file path or bundled name")
-        p.add_argument("--n", type=_at_least(1), default=None, help="quadrature nodes per circle")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--starts", type=_at_least(1), default=1)
-        p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-        if k_min is not None:
-            p.add_argument("--k", type=_at_least(k_min), default=3)
-        if k_max_min is not None:
-            p.add_argument("--k-max", dest="k_max", type=_at_least(k_max_min), default=8)
-        if kind:
-            p.add_argument(
-                "--kind",
-                choices=["monomial", "cm", "bb", "bb_structured"],
-                default="monomial",
-            )
-        if sampler:
-            p.add_argument("--sampler", default="torus:128", help="torus[:n], segment[:n], or file:PATH")
-
-    common(sub.add_parser("validate", help="check the presentation and its points at infinity"))
-    common(sub.add_parser("basis", help="list the elements of a graded basis"), k_min=0, kind=True)
-    common(sub.add_parser("counts", help="dimension counts and their ratios"), k_max_min=0)
-    p = sub.add_parser("compliance", help="compare two basis families")
-    common(p)
-    p.add_argument("--left", default="monomial", help="monomial | cm | bb | family:NAME")
-    p.add_argument("--right", default="cm", help="monomial | cm | bb | family:NAME")
-    common(sub.add_parser("gram", help="Gram matrix of a basis in the torus quadrature"), k_min=0, kind=True)
-    common(sub.add_parser("fekete", help="maximize |det VDM| over candidate tuples"), k_min=1, kind=True, sampler=True)
-    common(sub.add_parser("compare", help="diameter estimates across bases"), k_max_min=1, sampler=True)
-    common(sub.add_parser("reproduce-example", help="re-derive the hyperbola walkthrough"))
+    # `--k=L` and `--k-max=L` are `--k` and `--k-max` with the least value L
+    flags = {
+        "--variety": dict(default="hyperbola", help="variety file path or bundled name"),
+        "--n": dict(type=_at_least(1), default=None, help="quadrature nodes per circle"),
+        "--seed": dict(type=int, default=0),
+        "--starts": dict(type=_at_least(1), default=1),
+        "--format": dict(choices=["table", "csv", "json"], default="table"),
+        "--out": dict(default=None, help="write output to a file instead of stdout"),
+        "--k=0": dict(type=_at_least(0), default=3),
+        "--k=1": dict(type=_at_least(1), default=3),
+        "--k-max=0": dict(type=_at_least(0), default=8),
+        "--k-max=1": dict(type=_at_least(1), default=8),
+        "--kind": dict(choices=["monomial", "cm", "bb", "bb_structured"], default="monomial"),
+        "--sampler": dict(default="torus:128", help="torus[:n], segment[:n], or file:PATH"),
+        "--left": dict(default="monomial", help="monomial | cm | bb | family:NAME"),
+        "--right": dict(default="cm", help="monomial | cm | bb | family:NAME"),
+    }
+    # each command declares only the flags it reads
+    for name, summary, declared in (
+        ("validate", "check the presentation and its points at infinity", "--variety --format --out"),
+        ("basis", "list the elements of a graded basis", "--variety --n --format --out --k=0 --kind"),
+        ("counts", "dimension counts and their ratios", "--variety --format --out --k-max=0"),
+        ("compliance", "compare two basis families", "--variety --n --format --out --left --right"),
+        ("gram", "Gram matrix of a basis in the torus quadrature", "--variety --n --format --out --k=0 --kind"),
+        ("fekete", "maximize |det VDM| over candidate tuples", "--variety --n --seed --starts --format --out --k=1 --kind --sampler"),
+        ("compare", "diameter estimates across bases", "--variety --n --seed --starts --format --out --k-max=1 --sampler"),
+        ("reproduce-example", "re-derive the hyperbola walkthrough", "--n --seed --out"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        for flag in declared.split():
+            p.add_argument(flag.partition("=")[0], **flags[flag])
     return ap
 
 

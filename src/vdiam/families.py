@@ -345,17 +345,29 @@ def _var_index(name: str, pres: VarietyPresentation) -> int:
     return idx
 
 
+def _list_of(doc: dict, field: str, kind: type, what: str) -> list:
+    vals = doc.get(field, [])
+    if not isinstance(vals, list) or not all(isinstance(v, kind) for v in vals):
+        raise ValueError(f"family field {field!r} must be a list of {what}")
+    return vals
+
+
 def parse_family(pres: VarietyPresentation, doc: dict, label: str = "") -> BasisFamily:
     """Family from its JSON description: cosets with multiplier/variables/scales
     plus optional finite extras.  Coset variables must be x variables."""
     cosets: list[Coset] = []
-    for cd in doc.get("cosets", []):
+    for cd in _list_of(doc, "cosets", dict, "objects"):
+        if not isinstance(cd.get("multiplier"), str):
+            raise ValueError("family field 'multiplier' must be a polynomial string in every coset")
         mult = parse_polynomial(cd["multiplier"], pres.M, pres.N, "exact")
-        vs = frozenset(_var_index(nm, pres) for nm in cd.get("variables", []))
+        vs = frozenset(_var_index(nm, pres) for nm in _list_of(cd, "variables", str, "variable names"))
         if any(v >= pres.M for v in vs):
             raise ValueError("coset variables must be x variables")
+        scale_doc = cd.get("scales") or {}
+        if not isinstance(scale_doc, dict):
+            raise ValueError("family field 'scales' must map variable names to constants")
         scales: list[tuple[int, Exact]] = []
-        for nm, sval in (cd.get("scales") or {}).items():
+        for nm, sval in scale_doc.items():
             v = _var_index(nm, pres)
             sp = parse_polynomial(str(sval), pres.M, pres.N, "exact")
             if sp.degree() > 0 or sp.is_zero():
@@ -363,6 +375,6 @@ def parse_family(pres: VarietyPresentation, doc: dict, label: str = "") -> Basis
             scales.append((v, sp.coefficient((0,) * pres.N)))
         cosets.append(Coset(mult, vs, tuple(sorted(scales, key=lambda p: p[0]))))
     finite = tuple(
-        parse_polynomial(s, pres.M, pres.N, "exact") for s in doc.get("finite", [])
+        parse_polynomial(s, pres.M, pres.N, "exact") for s in _list_of(doc, "finite", str, "polynomial strings")
     )
     return BasisFamily(tuple(cosets), finite, label=label or doc.get("label", ""))

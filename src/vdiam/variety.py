@@ -39,7 +39,6 @@ class VarietyPresentation:
     M: int
     N: int
     generators: tuple[Polynomial, ...]
-    d_hint: Optional[int] = None
 
     @property
     def ny(self) -> int:
@@ -47,12 +46,8 @@ class VarietyPresentation:
 
     @property
     def d(self) -> int:
-        if self.d_hint is not None:
-            return self.d_hint
-        out = 1
-        for g in self.generators:
-            out *= sum(g.leading_monomial())
-        return out
+        """The sheet count: the product of the generators' leading degrees."""
+        return math.prod(sum(g.leading_monomial()) for g in self.generators)
 
 
 @dataclass(frozen=True)
@@ -104,9 +99,7 @@ def validate_noether(pres: VarietyPresentation) -> NoetherReport:
             spoly_ok = s_poly_check(pres.generators)
             if not spoly_ok:
                 problems.append("an S-polynomial of a generator pair does not reduce to zero")
-    d = None
-    if structural_ok:
-        d = pres.d_hint if pres.d_hint is not None else math.prod(m_degrees) if m_degrees else 1
+    d = pres.d if structural_ok else None
     return NoetherReport(not problems, tuple(problems), m_degrees, d, spoly_ok)
 
 
@@ -432,13 +425,23 @@ def load_variety(source) -> tuple[VarietyPresentation, dict]:
     except KeyError as e:
         raise ValueError(f"variety file is missing field {e.args[0]!r}") from None
     gens = tuple(parse_polynomial(s, M, N, "exact") for s in gen_strs)
-    d_hint = _integer(doc, "d") if doc.get("d") is not None else None
-    pres = VarietyPresentation(M=M, N=N, generators=gens, d_hint=d_hint)
+    pres = VarietyPresentation(M=M, N=N, generators=gens)
+    if doc.get("d") is not None:
+        d = _integer(doc, "d")
+        # the sheet count is defined once every leading term is a pure y
+        # power; for other generators `validate_noether` names the problem
+        leads = [g.leading_monomial() for g in gens if not g.is_zero()]
+        pure_y = len(leads) == len(gens) and all(not any(m[:M]) and sum(map(bool, m)) == 1 for m in leads)
+        if pure_y and d != pres.d:
+            raise ValueError(f"variety field 'd' is {d}, but the generators' leading terms give {pres.d} sheets")
+    families = doc.get("families")
+    if families is not None and not (isinstance(families, dict) and all(isinstance(f, dict) for f in families.values())):
+        raise ValueError("variety field 'families' must map family names to objects")
     extras = {
         "name": doc.get("name"),
         "v_polys": [parse_polynomial(s, M, N, "exact") for s in _polynomial_strings(doc, "v_polys")]
         if doc.get("v_polys")
         else None,
-        "families": doc.get("families"),
+        "families": families,
     }
     return pres, extras

@@ -22,7 +22,6 @@ from .bases import (
     CmGenerators,
     GradedBasis,
     QuadratureSpec,
-    _lift_order,
     bb_basis,
     bb_structured,
     cm_basis,
@@ -48,7 +47,6 @@ class FeketeError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class CompactSetSampler:
-    name: str
     points: np.ndarray  # (P, N) complex
 
     def __len__(self) -> int:
@@ -60,7 +58,7 @@ def torus_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
     if nodes < 1:
         raise ValueError(f"need at least 1 node per x variable, got {nodes}")
     pts = lift_grid(pres, np.exp(2j * np.pi * np.arange(nodes) / nodes))
-    return CompactSetSampler(name=f"torus:{nodes}", points=pts)
+    return CompactSetSampler(pts)
 
 
 def segment_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
@@ -68,10 +66,10 @@ def segment_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
     if nodes < 1:
         raise ValueError(f"need at least 1 node per x variable, got {nodes}")
     pts = lift_grid(pres, np.linspace(-1.0, 1.0, nodes).astype(complex))
-    return CompactSetSampler(name=f"segment:{nodes}", points=pts)
+    return CompactSetSampler(pts)
 
 
-def points_sampler(pres: VarietyPresentation, points: np.ndarray, name: str = "points") -> CompactSetSampler:
+def points_sampler(pres: VarietyPresentation, points: np.ndarray) -> CompactSetSampler:
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != pres.N:
         raise ValueError(f"points must have shape (P, {pres.N})")
@@ -81,7 +79,7 @@ def points_sampler(pres: VarietyPresentation, points: np.ndarray, name: str = "p
         # max propagates NaN, and NaN fails every comparison
         if res.size and not float(res.max()) <= 1e-8:
             raise ValueError(f"candidate points leave the variety: residual {float(res.max()):.3e}")
-    return CompactSetSampler(name=name, points=pts)
+    return CompactSetSampler(pts)
 
 
 def file_sampler(pres: VarietyPresentation, path) -> CompactSetSampler:
@@ -104,24 +102,23 @@ def file_sampler(pres: VarietyPresentation, path) -> CompactSetSampler:
             except OverflowError:
                 raise ValueError(f"point file {path}: an entry is too large for a float") from None
         rows.append(vals)
-    return points_sampler(pres, np.array(rows, dtype=complex), name=f"file:{path}")
+    return points_sampler(pres, np.array(rows, dtype=complex))
 
 
-def random_variety_points(
-    pres: VarietyPresentation, count_: int, seed: int, radius: tuple[float, float] = (0.6, 1.4)
-) -> CompactSetSampler:
-    """Generic points: random x in an annulus, one random sheet per point."""
+def random_variety_points(pres: VarietyPresentation, count_: int, seed: int) -> CompactSetSampler:
+    """Generic points: random x in the annulus 0.6 <= |x_j| <= 1.4, one
+    random sheet per point."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sheets = math.prod(m for _, _, m in _lift_order(pres))
+    sheets = pres.d
     xs = np.empty((count_, pres.M), dtype=complex)
     picks = np.empty(count_, dtype=int)
     for i in range(count_):
-        r = rng.uniform(radius[0], radius[1], size=pres.M)
+        r = rng.uniform(0.6, 1.4, size=pres.M)
         th = rng.uniform(0.0, 2.0 * np.pi, size=pres.M)
         xs[i] = r * np.exp(1j * th)
         picks[i] = rng.integers(sheets)
     out = lift(pres, xs)[np.arange(count_) * sheets + picks]
-    return CompactSetSampler(name=f"random:{seed}", points=out)
+    return CompactSetSampler(out)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +412,6 @@ def fekete_maximize(
     seed: int = 0,
     starts: int = 1,
     exhaustive: bool = False,
-    max_sweeps: int = _MAX_SWEEPS,
 ) -> FeketeResult:
     """Greedy coordinate-exchange maximization of |det| over point tuples.
 
@@ -433,7 +429,7 @@ def fekete_maximize(
         if len(search) != len(basis):
             raise ValueError(f"search basis has {len(search)} elements, the basis {len(basis)}")
         E_search = vdm_matrix(search, sampler.points)
-    return _scored(E, _searched(E_search, inits, max_sweeps))
+    return _scored(E, _searched(E_search, inits, _MAX_SWEEPS))
 
 
 def brute_force_max(basis: GradedBasis, sampler: CompactSetSampler) -> VdmEvaluation:
@@ -477,14 +473,10 @@ def build_basis(
         return monomial_graded_basis(pres, k)
     if kind == "cm":
         return cm_basis(pres, k, gens if gens is not None else cm_generators(pres))
-    if kind == "bb":
+    if kind in ("bb", "bb_structured"):
         if quad is None:
             quad = torus_quadrature(pres, default_quadrature_n(k))
-        return bb_basis(pres, k, quad)
-    if kind == "bb_structured":
-        if quad is None:
-            quad = torus_quadrature(pres, default_quadrature_n(k))
-        return bb_structured(pres, k, quad)
+        return (bb_basis if kind == "bb" else bb_structured)(pres, k, quad)
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
@@ -495,7 +487,6 @@ def _prefix(basis: GradedBasis, k: int) -> GradedBasis:
         k=k,
         elements=tuple(basis.elements[i] for i in keep),
         degrees=tuple(basis.degrees[i] for i in keep),
-        label=basis.label,
     )
 
 
@@ -750,8 +741,6 @@ def row_scale_bound(
     basis_b: GradedBasis,
     basis_c: GradedBasis,
     point_sets: Sequence[np.ndarray] = (),
-    *,
-    identity_tol: float = 1e-10,
 ) -> ScaleBoundReport:
     """Pivot bounds for the change of basis T with B = T C, for exact bases.
 
@@ -759,7 +748,7 @@ def row_scale_bound(
     rescales; its pivot moduli give m and Mx with
     N log m + log|VDM_C| <= log|VDM_B| <= N log Mx + log|VDM_C|,
     and the determinant ratio of the two Vandermonde matrices must match the
-    pivot-modulus product on every nonsingular tuple.
+    pivot-modulus product, to a relative 1e-10, on every nonsingular tuple.
     """
     if len(basis_b) != len(basis_c):
         raise ValueError("bases must have the same length")
@@ -783,7 +772,7 @@ def row_scale_bound(
             sandwich = False
         err = abs((lb - lc) - log_det) / max(1.0, abs(log_det))
         id_errs.append(err)
-    identity_ok = all(e <= identity_tol for e in id_errs)
+    identity_ok = all(e <= 1e-10 for e in id_errs)
     return ScaleBoundReport(
         m=m,
         Mx=mx,

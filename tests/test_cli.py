@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, formats, and the worked example."""
 
+import argparse
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from vdiam.cli import run
+from vdiam.cli import _build_parser, run
 
 
 def out_of(capsys):
@@ -216,6 +218,41 @@ def test_validate_malformed_variety_file_exits_1(doc, field, tmp_path, capsys):
     assert err.startswith("error: ") and field in err
 
 
+HYPERBOLA_DOC = {"M": 1, "N": 2, "generators": ["y1^2 - x1^2 - 1"]}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["basis", "--kind", "cm"], ["compare", "--k-max", "1", "--sampler", "torus:4", "--n", "16"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_files_d_must_match_the_sheets_exits_1(command, tmp_path, capsys):
+    f = tmp_path / "hyperbola.var"
+    f.write_text(json.dumps({**HYPERBOLA_DOC, "d": 3}))
+    assert run(command + ["--variety", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: variety field 'd' is 3")
+
+
+@pytest.mark.parametrize(
+    "families, field",
+    [
+        (["f"], "'families'"),
+        ({"f": {"cosets": 5}}, "'cosets'"),
+        ({"f": {"cosets": [{"multiplier": 1, "variables": ["x1"]}]}}, "'multiplier'"),
+        ({"f": {"cosets": [{"variables": ["x1"]}]}}, "'multiplier'"),
+    ],
+    ids=["families-list", "cosets-number", "multiplier-number", "multiplier-missing"],
+)
+def test_compliance_malformed_family_exits_1(families, field, tmp_path, capsys):
+    f = tmp_path / "hyperbola.var"
+    f.write_text(json.dumps({**HYPERBOLA_DOC, "families": families}))
+    assert run(["compliance", "--variety", str(f), "--right", "family:f"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"field {field}" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -270,6 +307,48 @@ def test_integer_flags_are_checked_at_parse_time(argv, code, capsys):
         assert "must be at least" in captured.err
     else:
         assert captured.out
+
+
+# flags that these commands do not read
+REMOVED_FLAGS = [
+    (command, flag)
+    for command, flags in (
+        ("validate", ["--n", "--seed", "--starts"]),
+        ("counts", ["--n", "--seed", "--starts"]),
+        ("basis", ["--seed", "--starts"]),
+        ("gram", ["--seed", "--starts"]),
+        ("compliance", ["--seed", "--starts"]),
+        ("reproduce-example", ["--variety", "--format", "--starts"]),
+    )
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS, ids=[f"{c} {f}" for c, f in REMOVED_FLAGS])
+def test_a_command_rejects_a_flag_it_does_not_read(command, flag, capsys):
+    value = {"--variety": "cone2d", "--format": "json"}.get(flag, "2")
+    assert run([command, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+def _flag_table(readme: str) -> dict[str, set[str]]:
+    """The README's per-command flag table: command -> flags."""
+    section = readme.split("| command | flags |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.strip().splitlines()[1:]]
+    return {cmd.strip(" `"): set(re.findall(r"--[a-z-]+", flags)) for cmd, flags in rows}
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {opt for action in p._actions for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert _flag_table(readme) == parsed
+    assert sum(map(len, parsed.values())) == 45
 
 
 def test_fekete_csv_deterministic(capsys):

@@ -59,6 +59,21 @@ def test_load_variety_unknown_name():
         load_variety("no-such-variety")
 
 
+def test_d_is_the_product_of_leading_degrees():
+    # y1^2 and y2^3 lead, so the lift has 2 * 3 sheets
+    pres, _ = load_variety({"M": 1, "N": 3, "generators": ["y1^2 - x1", "y2^3 - x1*y1 - 1"], "d": 6})
+    assert pres.d == 6
+    assert validate_noether(pres).d == 6
+
+
+@pytest.mark.parametrize("gen", ["y1*x1 - 1", "x1^2 - y1", "0"])
+def test_d_is_not_checked_without_pure_y_leading_terms(gen):
+    # the sheet count is undefined; validate_noether names the problem
+    pres, _ = load_variety({"M": 1, "N": 2, "generators": [gen], "d": 5})
+    rep = validate_noether(pres)
+    assert not rep.valid and rep.d is None and rep.problems
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -423,7 +423,7 @@ def test_sparse_pivots_on_random_graded_change(case):
         )
         for row in t
     )
-    bb = GradedBasis("random", mb.k, elements, mb.degrees, "T * monomial")
+    bb = GradedBasis("random", mb.k, elements, mb.degrees)
     pivots = sparse_pivots(bb, mb)
     assert pivots == dense_pivots(bb, mb)
     assert abs(math.prod(p.as_fraction() for p in pivots)) == abs(det)
@@ -448,7 +448,7 @@ def test_scale_bound_closed_form_at_k50():
 def _hyp_basis(*texts):
     elements = tuple(parse_polynomial(s, 1, 2) for s in texts)
     degrees = tuple(e.degree() for e in elements)
-    return GradedBasis("test", max(degrees), elements, degrees, "test")
+    return GradedBasis("test", max(degrees), elements, degrees)
 
 
 @pytest.mark.parametrize(
