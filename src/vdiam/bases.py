@@ -214,7 +214,6 @@ def cm_basis(pres: VarietyPresentation, k: int, gens: Optional[CmGenerators] = N
 
 @dataclass(frozen=True, eq=False)
 class QuadratureSpec:
-    n: int
     points: np.ndarray  # (P, N) complex
     weights: np.ndarray  # (P,) float
 
@@ -308,7 +307,7 @@ def torus_quadrature(pres: VarietyPresentation, n: int) -> QuadratureSpec:
         raise QuadratureError("need n >= 1")
     points = lift_grid(pres, np.exp(2j * np.pi * np.arange(n) / n))
     P = points.shape[0]
-    return QuadratureSpec(n=n, points=points, weights=np.full(P, 1.0 / P))
+    return QuadratureSpec(points=points, weights=np.full(P, 1.0 / P))
 
 
 def inner_product(f: Polynomial, g: Polynomial, quad: QuadratureSpec) -> complex:

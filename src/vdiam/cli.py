@@ -34,7 +34,7 @@ from .families import (
     family_for,
     parse_family,
 )
-from .polyring import Polynomial, PolyParseError, parse_polynomial, star
+from .polyring import Polynomial, PolyParseError, parse_polynomial
 from .scalars import Exact
 from .variety import (
     asymptotic_ratios,
@@ -124,7 +124,7 @@ def _family_from_spec(pres, extras, spec: str, n: int):
         fams = extras.get("families") or {}
         if name not in fams:
             raise ValueError(f"variety file defines no family named {name!r}")
-        return parse_family(pres, fams[name], label=name)
+        return parse_family(pres, fams[name])
     raise ValueError(f"unknown family spec {spec!r}; expected monomial, cm, bb, or family:NAME")
 
 
@@ -342,9 +342,7 @@ def reproduce_example(n: int = 4096, seed: int = 0) -> tuple[bool, list[str]]:
     )
     verify = verify_cm_products(pres, gens)
     check("product_table", verify.ok, "x1^2 coefficients of star(v_i, v_j) form the identity")
-    p11 = star(gens.vs[0], gens.vs[0], pres.generators)
-    p22 = star(gens.vs[1], gens.vs[1], pres.generators)
-    p12 = star(gens.vs[0], gens.vs[1], pres.generators)
+    p11, p22, p12 = (verify.products[ij] for ij in ((0, 0), (1, 1), (0, 1)))
     e11 = parse_polynomial("x1^2 - x1*y1 + 1/2", 1, 2)
     e22 = parse_polynomial("x1^2 + x1*y1 + 1/2", 1, 2)
     e12 = parse_polynomial("1/2", 1, 2)
@@ -359,12 +357,13 @@ def reproduce_example(n: int = 4096, seed: int = 0) -> tuple[bool, list[str]]:
     yy = inner_product(y, y, quad).real
     err_yy = abs(yy - 4.0 / math.pi)
     check("moment_y", err_yy <= 1e-6, f"<y,y> = {_fmt(yy)}, |err| = {_fmt(err_yy)} at n={n}")
-    bb1 = bb_basis(pres, 1, quad)
-    coef = abs(complex(bb1.elements[2].coefficient((0, 1))))
+    # Gram-Schmidt is left-looking, so bb at k = 1 is the degree <= 1 prefix of bb at k = 3
+    bb3 = bb_basis(pres, 3, quad)
+    coef = abs(complex(bb3.elements[2].coefficient((0, 1))))
     target = math.sqrt(math.pi) / 2.0
     err_c = abs(coef - target)
     check("normalized_y", err_c <= 1e-6, f"y-coefficient {_fmt(coef)} vs sqrt(pi)/2 = {_fmt(target)}, |err| = {_fmt(err_c)}")
-    g3 = gram(bb_basis(pres, 3, quad).elements, quad)
+    g3 = gram(bb3.elements, quad)
     gerr = float(np.max(np.abs(g3 - np.eye(g3.shape[0]))))
     check("orthonormality", gerr <= 1e-10, f"max |G - I| = {_fmt(gerr)} at k=3")
 
@@ -427,6 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="vdiam",
         description="Transfinite diameter estimation on affine varieties via Vandermonde maximization.",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
     # `--k=L` and `--k-max=L` are `--k` and `--k-max` with the least value L
@@ -457,11 +457,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ("compare", "diameter estimates across bases", "--variety --n --seed --starts --format --out --k-max=1 --sampler"),
         ("reproduce-example", "re-derive the hyperbola walkthrough", "--n --seed --out"),
     ):
-        p = sub.add_parser(name, help=summary)
+        # no prefix matching: `counts --k 2` must not run as `--k-max 2`
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for flag in declared.split():
             p.add_argument(flag.partition("=")[0], **flags[flag])
     return ap
 
+
+# built once per process: `parse_args` keeps no state on the parser, and a
+# build takes about as long as a whole `compliance` command
+_PARSER = _build_parser()
 
 _COMMANDS = {
     "validate": _cmd_validate,
@@ -477,7 +482,7 @@ _COMMANDS = {
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     sink = None

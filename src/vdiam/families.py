@@ -52,7 +52,6 @@ class Coset:
 class BasisFamily:
     cosets: tuple[Coset, ...]
     finite: tuple[Polynomial, ...] = ()
-    label: str = ""
 
     def is_empty(self) -> bool:
         return not self.cosets and not self.finite
@@ -229,7 +228,7 @@ def family_difference(left: BasisFamily, right: BasisFamily) -> BasisFamily:
         work = [piece for p in work for piece in _subtract_coset(p, g)]
     cosets = tuple(p for p in work if p.variables)
     finite = tuple(p.multiplier for p in work if not p.variables)
-    return BasisFamily(cosets, finite, label=f"({left.label}) minus ({right.label})")
+    return BasisFamily(cosets, finite)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +304,7 @@ def family_for(
         cosets = tuple(
             Coset(Polynomial.monomial(al, pres.M, pres.N, "exact"), all_x) for al in dec.A
         )
-        return BasisFamily(cosets, (), label="monomial")
+        return BasisFamily(cosets)
     if kind == "cm":
         if gens is None:
             gens = cm_generators(pres)
@@ -323,14 +322,12 @@ def family_for(
                     cosets.append(Coset(mult, prefix))
                 else:
                     finite.append(mult)
-        return BasisFamily(tuple(cosets), tuple(finite), label="cm")
+        return BasisFamily(tuple(cosets), tuple(finite))
     if kind == "bb":
         if quad is None:
             raise ValueError("bb family needs a quadrature")
         yhats, _ = bb_y_block(pres, quad)
-        return BasisFamily(
-            tuple(Coset(_trimmed(yh), all_x) for yh in yhats), (), label="bb"
-        )
+        return BasisFamily(tuple(Coset(_trimmed(yh), all_x) for yh in yhats))
     raise ValueError(f"unknown basis kind {kind!r}; expected monomial, cm, or bb")
 
 
@@ -352,7 +349,7 @@ def _list_of(doc: dict, field: str, kind: type, what: str) -> list:
     return vals
 
 
-def parse_family(pres: VarietyPresentation, doc: dict, label: str = "") -> BasisFamily:
+def parse_family(pres: VarietyPresentation, doc: dict) -> BasisFamily:
     """Family from its JSON description: cosets with multiplier/variables/scales
     plus optional finite extras.  Coset variables must be x variables."""
     cosets: list[Coset] = []
@@ -377,4 +374,4 @@ def parse_family(pres: VarietyPresentation, doc: dict, label: str = "") -> Basis
     finite = tuple(
         parse_polynomial(s, pres.M, pres.N, "exact") for s in _list_of(doc, "finite", str, "polynomial strings")
     )
-    return BasisFamily(tuple(cosets), finite, label=label or doc.get("label", ""))
+    return BasisFamily(tuple(cosets), finite)

@@ -734,7 +734,6 @@ class ScaleBoundReport:
     sandwich_ok: bool
     identity_rel_errors: tuple[float, ...]
     identity_ok: bool
-    mode: str
 
 
 def row_scale_bound(
@@ -782,7 +781,6 @@ def row_scale_bound(
         sandwich_ok=sandwich,
         identity_rel_errors=tuple(id_errs),
         identity_ok=identity_ok,
-        mode="exact",
     )
 
 

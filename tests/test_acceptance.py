@@ -125,7 +125,7 @@ def test_3_compliance_verdicts(verdict):
             ],
             "finite": [],
         }
-        scaled = parse_family(HYP, doc, label=f"scaled-{r}")
+        scaled = parse_family(HYP, doc)
         if check_compliant(family_for(HYP, "monomial"), scaled).compliant:
             problems.append(f"r={r} scaled pair should not be compliant")
 

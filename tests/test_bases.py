@@ -407,11 +407,23 @@ def test_bb_builders_match_the_reference_where_the_weights_round(pres, n, k):
     assert unchanged()
 
 
+@pytest.mark.parametrize("pres, n", [(HYP, 64), (CONE, 64)], ids=["hyperbola", "cone2d"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_bb_at_k_is_the_prefix_of_bb_at_k_plus_2(pres, n, k):
+    # Gram-Schmidt is left-looking: element j depends only on elements < j,
+    # so `reproduce-example` reads bb at k = 1 off bb at k = 3
+    quad = torus_quadrature(pres, n)
+    small, big = bb_basis(pres, k, quad), bb_basis(pres, k + 2, quad)
+    assert big.elements[: len(small)] == small.elements
+    assert big.degrees[: len(small)] == small.degrees
+    assert min(big.degrees[len(small):]) == k + 1
+
+
 def test_bb_rejects_a_nan_quadrature_point():
     quad = torus_quadrature(HYP, 16)
     points = quad.points.copy()
     points[3, 0] = complex(math.nan, 0.0)
-    bad = QuadratureSpec(n=quad.n, points=points, weights=quad.weights)
+    bad = QuadratureSpec(points=points, weights=quad.weights)
     with pytest.raises(QuadratureError, match="numerically dependent"):
         bb_basis(HYP, 2, bad)
 

@@ -2,11 +2,15 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from vdiam import cli
 from vdiam.cli import _build_parser, run
 
 
@@ -309,16 +313,17 @@ def test_integer_flags_are_checked_at_parse_time(argv, code, capsys):
         assert captured.out
 
 
-# flags that these commands do not read
+# flags that these commands do not read; a prefix of a declared flag is one too
 REMOVED_FLAGS = [
     (command, flag)
     for command, flags in (
         ("validate", ["--n", "--seed", "--starts"]),
-        ("counts", ["--n", "--seed", "--starts"]),
+        ("counts", ["--n", "--seed", "--starts", "--k"]),
         ("basis", ["--seed", "--starts"]),
         ("gram", ["--seed", "--starts"]),
         ("compliance", ["--seed", "--starts"]),
         ("reproduce-example", ["--variety", "--format", "--starts"]),
+        ("compare", ["--k"]),
     )
     for flag in flags
 ]
@@ -349,6 +354,46 @@ def test_readme_flag_table_matches_the_parser():
     }
     assert _flag_table(readme) == parsed
     assert sum(map(len, parsed.values())) == 45
+
+
+def test_run_builds_no_parser(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or argparse.ArgumentParser())
+    assert run(["counts", "--k-max", "1"]) == 0
+    assert run(["validate", "--format", "csv"]) == 0
+    assert run(["fekete", "--k", "0"]) == 1
+    capsys.readouterr()
+    assert built == []
+
+
+def test_shared_parser_carries_nothing_between_runs(tmp_path, monkeypatch, capsys):
+    # one process running the sequence prints what one process per command prints
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def sequence(out):
+        return [
+            ["fekete", "--k", "0"],
+            ["--help"],
+            ["counts", "--format", "csv"],
+            ["compare", "--k-max", "2", "--sampler", "torus:16", "--n", "64", "--format", "csv", "--out", str(out)],
+            ["counts", "--format", "csv"],
+        ]
+
+    results = []
+    for argv, argv_each in zip(sequence(tmp_path / "one.csv"), sequence(tmp_path / "each.csv")):
+        code = run(argv)
+        results.append((code, capsys.readouterr().out))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vdiam.cli", *argv_each], env=env, capture_output=True, text=True
+        )
+        assert results[-1] == (proc.returncode, proc.stdout), argv
+    assert [code for code, _ in results] == [1, 0, 0, 0, 0]
+    assert results[0][1] == "" and results[3][1] == ""
+    assert (tmp_path / "one.csv").read_text() == (tmp_path / "each.csv").read_text()
+    # --out closed its file: the next command prints to stdout again
+    assert results[4][1] == results[2][1] != ""
 
 
 def test_fekete_csv_deterministic(capsys):

@@ -112,7 +112,7 @@ def test_bb_vs_monomial_compliant():
 
 
 def test_bundled_scaled_family_not_compliant():
-    scaled = parse_family(HYP, HYP_EXTRAS["families"]["scaled2"], label="scaled2")
+    scaled = parse_family(HYP, HYP_EXTRAS["families"]["scaled2"])
     assert all(c.is_scaled() for c in scaled.cosets)
     verdict = check_compliant(family_for(HYP, "monomial"), scaled)
     assert not verdict.compliant
@@ -120,7 +120,7 @@ def test_bundled_scaled_family_not_compliant():
 
 
 def test_scaled_difference_keeps_scaled_cosets():
-    scaled = parse_family(HYP, HYP_EXTRAS["families"]["scaled2"], label="scaled2")
+    scaled = parse_family(HYP, HYP_EXTRAS["families"]["scaled2"])
     mono = family_for(HYP, "monomial")
     diff = family_difference(scaled, mono)
     assert any(c.is_scaled() for c in diff.cosets)
@@ -138,7 +138,7 @@ def test_three_halves_scaling_not_compliant():
         ],
         "finite": [],
     }
-    scaled = parse_family(HYP, doc, label="r-scaled")
+    scaled = parse_family(HYP, doc)
     verdict = check_compliant(family_for(HYP, "monomial"), scaled)
     assert not verdict.compliant
 
@@ -148,7 +148,7 @@ def test_unit_modulus_scaling_is_refused():
         "cosets": [{"multiplier": "1", "variables": ["x1"], "scales": {"x1": "-1"}}],
         "finite": [],
     }
-    flipped = parse_family(HYP, doc, label="sign-flipped")
+    flipped = parse_family(HYP, doc)
     with pytest.raises(UnsupportedFamilyShape):
         family_difference(flipped, family_for(HYP, "monomial"))
 
@@ -182,14 +182,14 @@ def test_finite_elements_absorbed_by_cosets():
 def test_staircase_removes_low_corner():
     # {x^n} minus the single point {1} leaves the shifted coset x*{x^n}
     x_coset = Coset(P("1"), frozenset({0}))
-    fam = BasisFamily((x_coset,), (), label="all-powers")
-    pt = BasisFamily((), (P("1"),), label="origin")
+    fam = BasisFamily((x_coset,), ())
+    pt = BasisFamily((), (P("1"),))
     diff = family_difference(fam, pt)
     assert mult_strs(diff.cosets) == {"x1"}
 
 
 def test_core_of_empty_family_is_wildcard():
-    fam = BasisFamily((), (P("1"), P("x1")), label="just-points")
+    fam = BasisFamily((), (P("1"), P("x1")))
     core = find_core(fam)
     assert core.found
     assert core.variables is None  # nothing constrains the variable set
@@ -203,13 +203,13 @@ def test_coset_describe_smoke():
 
 def test_parse_family_rejects_bad_variable():
     with pytest.raises(ValueError):
-        parse_family(HYP, {"cosets": [{"multiplier": "1", "variables": ["x9"]}]}, "bad")
+        parse_family(HYP, {"cosets": [{"multiplier": "1", "variables": ["x9"]}]})
 
 
 def test_parse_family_rejects_zero_scale():
     doc = {"cosets": [{"multiplier": "1", "variables": ["x1"], "scales": {"x1": "0"}}]}
     with pytest.raises(ValueError, match="nonzero"):
-        parse_family(HYP, doc, "zero")
+        parse_family(HYP, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +218,8 @@ def test_parse_family_rejects_zero_scale():
 
 def test_shifted_two_variable_pair_is_not_compliant():
     # R - L = {x2 * x2^b} and {x1 x2^2 * x1^a x2^b}: two variable sets
-    left = BasisFamily((Coset(P("x1*x2", CONE), frozenset({0})),), (), label="L")
-    right = BasisFamily((Coset(P("x2", CONE), frozenset({0, 1})),), (), label="R")
+    left = BasisFamily((Coset(P("x1*x2", CONE), frozenset({0})),), ())
+    right = BasisFamily((Coset(P("x2", CONE), frozenset({0, 1})),), ())
     verdict = check_compliant(left, right)
     assert not verdict.compliant
     assert verdict.reason == "right difference has no core: cosets use different variable sets"
