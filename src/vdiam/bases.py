@@ -1,17 +1,23 @@
 """Graded bases of the coordinate ring: monomial, sheet-normalized (cm), and
-numerically orthonormalized (bb).
+numerically orthonormalized (bb), and the basis families they come from.
 
-The cm construction builds degree-one generators v_i = (y - lambda_i x_M)/c_i
+A family is a finite union of cosets {multiplier * x^beta : supp(beta) in S}
+plus finitely many extra elements.  `family_for` is the one place where the
+monomial, cm and bb families are written down, and `monomial_graded_basis`,
+`cm_basis` and `bb_structured` are those families expanded to degree k.  The
+cm construction builds degree-one generators v_i = (y - lambda_i x_M)/c_i
 from the points at infinity and normalizes them so the product table in the
 quotient ring has unit diagonal in the top x_M coefficient.  The bb basis is
-Gram-Schmidt against a torus-lifted quadrature measure; bb_structured runs the
-same orthogonalization on the pure-y block only and multiplies by x monomials,
-which keeps the family description finite.
+Gram-Schmidt against a torus-lifted quadrature measure, a numerical basis
+with no family; the bb family multiplies the orthonormalized pure-y block by
+x monomials, which keeps its description finite.  It carries that block as
+`bb_y_block` returns it and trims rounding dust only to print or compare.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,6 +26,7 @@ import numpy as np
 from .polyring import (
     Polynomial,
     grevlex_key,
+    monomial_mul,
     star,
 )
 from .scalars import Exact, ExactSqrtError, exact_sqrt
@@ -51,19 +58,131 @@ class GradedBasis:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def weighted_length(self) -> int:
-        return sum(self.degrees)
+
+# ---------------------------------------------------------------------------
+# basis families
+
+
+@dataclass(frozen=True)
+class Coset:
+    multiplier: Polynomial
+    variables: frozenset[int]
+    scales: tuple[tuple[int, Exact], ...] = ()
+
+    def scale_of(self, v: int) -> Exact:
+        for w, s in self.scales:
+            if w == v:
+                return s
+        return Exact(1)
+
+    def is_scaled(self) -> bool:
+        return any(s != Exact(1) for _, s in self.scales)
+
+    def element(self, beta: Sequence[int]) -> Polynomial:
+        """multiplier * x^beta with the coset's variable scalings applied."""
+        m = self.multiplier
+        out = m * Polynomial.monomial(tuple(beta), m.nx, m.nvars, m.mode)
+        for v, sv in self.scales:
+            if beta[v]:
+                # scaled cosets come from parse_family, so their multipliers are exact
+                out = out * sv ** beta[v]
+        return out
+
+    def describe(self) -> str:
+        names = sorted(f"x{v + 1}" for v in self.variables)
+        mult = _trimmed(self.multiplier)
+        body = f"({mult}) * monomials in {{{', '.join(names)}}}" if names else f"{mult}"
+        if self.is_scaled():
+            pairs = ", ".join(f"x{v + 1}->{s}" for v, s in self.scales)
+            body += f" with scalings {pairs}"
+        return body
+
+
+@dataclass(frozen=True)
+class BasisFamily:
+    cosets: tuple[Coset, ...]
+    finite: tuple[Polynomial, ...] = ()
+
+    def is_empty(self) -> bool:
+        return not self.cosets and not self.finite
+
+
+def _trimmed(p: Polynomial) -> Polynomial:
+    """Drop floating-point dust relative to the largest coefficient."""
+    if p.mode == "exact" or p.is_zero():
+        return p
+    mx = max(abs(c) for _, c in p.items())
+    kept = {m: c for m, c in p.items() if abs(c) > 1e-12 * mx}
+    return Polynomial(kept, p.nx, p.nvars, "float")
+
+
+def family_for(
+    pres: VarietyPresentation,
+    kind: str,
+    *,
+    gens: Optional[CmGenerators] = None,
+    quad: Optional[QuadratureSpec] = None,
+) -> BasisFamily:
+    """Family description of a named basis kind: monomial, cm, or bb (the
+    family of bb_structured, the finitely describable surrogate of bb)."""
+    all_x = frozenset(range(pres.M))
+    if kind == "monomial":
+        dec = decompose_A(pres)
+        cosets = tuple(
+            Coset(Polynomial.monomial(al, pres.M, pres.N, "exact"), all_x) for al in dec.A
+        )
+        return BasisFamily(cosets)
+    if kind == "cm":
+        if gens is None:
+            gens = cm_generators(pres)
+        prefix = frozenset(range(pres.M - 1))
+        dec = decompose_A(pres)
+        cosets: list[Coset] = [Coset(v, all_x) for v in gens.vs]
+        finite: list[Polynomial] = []
+        for alpha in dec.A:
+            for l in range(max(0, gens.t - sum(alpha))):
+                mono = tuple(
+                    e + (l if j == pres.M - 1 else 0) for j, e in enumerate(alpha)
+                )
+                mult = Polynomial.monomial(mono, pres.M, pres.N, "exact")
+                if prefix:
+                    cosets.append(Coset(mult, prefix))
+                else:
+                    finite.append(mult)
+        return BasisFamily(tuple(cosets), tuple(finite))
+    if kind == "bb":
+        if quad is None:
+            raise ValueError("bb family needs a quadrature")
+        yhats, _ = bb_y_block(pres, quad)
+        return BasisFamily(tuple(Coset(yh, all_x) for yh in yhats))
+    raise ValueError(f"unknown basis kind {kind!r}; expected monomial, cm, or bb")
+
+
+def _expand(family: BasisFamily, k: int, kind: str) -> GradedBasis:
+    """The family's elements of degree <= k: each coset's multiplier times
+    every x-monomial in the coset's variables, a finite element being a coset
+    over no variables.  Ordered by degree, then by the grevlex key of the
+    leading monomial, then by coset index."""
+    items = []
+    cosets = family.cosets + tuple(Coset(f, frozenset()) for f in family.finite)
+    for idx, coset in enumerate(cosets):
+        m = coset.multiplier
+        lead = m.leading_monomial()
+        for beta in x_monomials(m.nx, m.nvars, k - m.degree()):
+            if all(v in coset.variables for v, e in enumerate(beta) if e):
+                items.append(((grevlex_key(monomial_mul(lead, beta)), idx), coset.element(beta)))
+    items.sort(key=lambda it: it[0])
+    return GradedBasis(
+        kind=kind,
+        k=k,
+        elements=tuple(poly for _, poly in items),
+        # a grevlex key leads with the degree
+        degrees=tuple(key[0] for (key, _), _ in items),
+    )
 
 
 def monomial_graded_basis(pres: VarietyPresentation, k: int) -> GradedBasis:
-    monos = monomial_basis(pres, k)
-    elems = tuple(Polynomial.monomial(m, pres.M, pres.N, "exact") for m in monos)
-    return GradedBasis(
-        kind="monomial",
-        k=k,
-        elements=elems,
-        degrees=tuple(sum(m) for m in monos),
-    )
+    return _expand(family_for(pres, "monomial"), k, "monomial")
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +252,17 @@ def verify_cm_products(pres: VarietyPresentation, gens: CmGenerators) -> CmProdu
     t = gens.t
     xM = pres.M - 1
     top_mono = tuple(2 * t if j == xM else 0 for j in range(pres.N))
+    n = len(gens.vs)
+    # star is commutative: one product per unordered pair
+    once = {(i, j): star(gens.vs[i], gens.vs[j], pres.generators) for i in range(n) for j in range(i, n)}
+    products = {(i, j): once[min(i, j), max(i, j)] for i in range(n) for j in range(n)}
     problems: list[str] = []
     coefs: list[tuple[Exact, ...]] = []
-    products: dict = {}
     one, zero = Exact(1), Exact(0)
-    for i, vi in enumerate(gens.vs):
+    for i in range(n):
         row = []
-        for j, vj in enumerate(gens.vs):
-            p = star(vi, vj, pres.generators)
-            products[(i, j)] = p
+        for j in range(n):
+            p = products[(i, j)]
             c = p.coefficient(top_mono)
             row.append(c)
             want = one if i == j else zero
@@ -159,53 +280,18 @@ def verify_cm_products(pres: VarietyPresentation, gens: CmGenerators) -> CmProdu
 
 
 def cm_basis(pres: VarietyPresentation, k: int, gens: Optional[CmGenerators] = None) -> GradedBasis:
-    """Graded basis from sheet generators: low-order monomials x_M^l y^alpha with
+    """The cm family to degree k: low-order monomials x_M^l y^alpha with
     l + |alpha| < t, multiplied by monomials in x_1..x_{M-1}, together with
     x^beta x_M^l v_i for every sheet index i."""
-    if gens is None:
-        gens = cm_generators(pres)
-    t = gens.t
-    dec = decompose_A(pres)
-    xM = pres.M - 1
-    per_degree: dict[int, list[tuple[int, tuple, Polynomial]]] = {}
-
-    def push(deg: int, rank: int, key, poly: Polynomial):
-        per_degree.setdefault(deg, []).append((rank, key, poly))
-
-    # low-order block: x^beta * x_M^l * y^alpha with l + |alpha| <= t - 1
-    for alpha in dec.A:
-        for l in range(max(0, t - sum(alpha))):
-            base = tuple(e + (l if j == xM else 0) for j, e in enumerate(alpha))
-            room = k - sum(base)
-            if room < 0:
-                continue
-            for beta in x_monomials(pres.M - 1, pres.N, room):
-                mono = tuple(b + e for b, e in zip(beta, base))
-                push(sum(mono), 0, grevlex_key(mono), Polynomial.monomial(mono, pres.M, pres.N, "exact"))
-    # sheet block: x^gamma * v_i with gamma over all x variables
-    for gmono in x_monomials(pres.M, pres.N, k - t):
-        gpoly = Polynomial.monomial(gmono, pres.M, pres.N, "exact")
-        for i, v in enumerate(gens.vs):
-            push(sum(gmono) + t, 1, (grevlex_key(gmono), i), gpoly * v)
-
-    elements: list[Polynomial] = []
-    degrees: list[int] = []
+    basis = _expand(family_for(pres, "cm", gens=gens), k, "cm")
+    per_degree = Counter(basis.degrees)
     for deg in sorted(per_degree):
-        group = sorted(per_degree[deg], key=lambda item: (item[0], item[1]))
         want = count(pres, deg).N_eq
-        if len(group) != want:
+        if per_degree[deg] != want:
             raise CmConstructionError(
-                f"sheet basis has {len(group)} elements in degree {deg}, expected {want}"
+                f"sheet basis has {per_degree[deg]} elements in degree {deg}, expected {want}"
             )
-        for _, _, poly in group:
-            elements.append(poly)
-            degrees.append(deg)
-    return GradedBasis(
-        kind="cm",
-        k=k,
-        elements=tuple(elements),
-        degrees=tuple(degrees),
-    )
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -410,21 +496,6 @@ def bb_y_block(pres: VarietyPresentation, quad: QuadratureSpec) -> tuple[tuple[P
 
 
 def bb_structured(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedBasis:
-    """x^beta times the orthonormalized pure-y block; finitely describable but
-    only orthonormal in the y directions."""
-    yhats, _ = bb_y_block(pres, quad)
-    dec = decompose_A(pres)
-    items: list[tuple[tuple, Polynomial, int]] = []
-    for j, (alpha, yh) in enumerate(zip(dec.A, yhats)):
-        da = sum(alpha)
-        for beta in x_monomials(pres.M, pres.N, k - da):
-            poly = Polynomial.monomial(beta, pres.M, pres.N, "float") * yh
-            deg = sum(beta) + da
-            items.append(((deg, j, grevlex_key(beta)), poly, deg))
-    items.sort(key=lambda it: it[0])
-    return GradedBasis(
-        kind="bb_structured",
-        k=k,
-        elements=tuple(it[1] for it in items),
-        degrees=tuple(it[2] for it in items),
-    )
+    """The bb family to degree k: x^beta times the orthonormalized pure-y
+    block; finitely describable but only orthonormal in the y directions."""
+    return _expand(family_for(pres, "bb", quad=quad), k, "bb_structured")

@@ -22,6 +22,7 @@ from .bases import (
     cm_basis,
     cm_generators,
     default_quadrature_n,
+    family_for,
     gram,
     inner_product,
     monomial_graded_basis,
@@ -31,7 +32,6 @@ from .bases import (
 from .families import (
     UnsupportedFamilyShape,
     check_compliant,
-    family_for,
     parse_family,
 )
 from .polyring import Polynomial, PolyParseError, parse_polynomial
@@ -109,13 +109,9 @@ def _sampler_from_spec(pres, spec: str):
     raise ValueError(f"unknown sampler {spec!r}; expected torus[:n], segment[:n], or file:PATH")
 
 
-def _cm_gens(pres, extras):
-    return cm_generators(pres, extras.get("v_polys"))
-
-
 def _family_from_spec(pres, extras, spec: str, n: int):
     if spec in ("monomial", "cm"):
-        gens = _cm_gens(pres, extras) if spec == "cm" else None
+        gens = cm_generators(pres, extras.get("v_polys")) if spec == "cm" else None
         return family_for(pres, spec, gens=gens)
     if spec == "bb":
         return family_for(pres, "bb", quad=torus_quadrature(pres, n))
@@ -163,7 +159,7 @@ def _basis_from_args(pres, extras, args, quad=None):
     for cm and, unless `quad` is given, the `--n` quadrature for bb kinds."""
     if quad is None and args.n and args.kind in ("bb", "bb_structured"):
         quad = torus_quadrature(pres, args.n)
-    gens = _cm_gens(pres, extras) if args.kind == "cm" else None
+    gens = cm_generators(pres, extras.get("v_polys")) if args.kind == "cm" else None
     return build_basis(pres, args.kind, args.k, gens=gens, quad=quad)
 
 
@@ -281,7 +277,7 @@ def _cmd_compare(args, out) -> int:
     kinds = ["monomial"]
     gens = None
     try:
-        gens = _cm_gens(pres, extras)
+        gens = cm_generators(pres, extras.get("v_polys"))
         kinds.append("cm")
     except CmConstructionError:
         pass

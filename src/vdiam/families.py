@@ -1,10 +1,12 @@
-"""Finitely described basis families and the compliance check.
+"""Set differences of basis families and the compliance check.
 
-A family is a finite union of cosets {multiplier * x^beta : supp(beta) in S}
-plus finitely many extra elements.  Differences of families are computed
-exactly as unions of smaller cosets; a family is `compliant` against another
-when both differences admit a core description (uniform variable set, no
-variable scalings), which is what the diameter comparison machinery needs.
+Families (`Coset`, `BasisFamily`) and the families of the named bases
+(`family_for`) live in `bases`; this module builds no basis elements.
+Differences of families are computed exactly as unions of smaller cosets; a
+family is `compliant` against another when both differences admit a core
+description (uniform variable set, no variable scalings), which is what the
+diameter comparison machinery needs.  `parse_family` reads a family from a
+variety file.
 """
 
 from __future__ import annotations
@@ -12,49 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .bases import CmGenerators, bb_y_block, cm_generators
+from .bases import BasisFamily, Coset, _trimmed
 from .polyring import Polynomial, parse_polynomial
 from .scalars import Exact
-from .variety import VarietyPresentation, decompose_A
+from .variety import VarietyPresentation
 
 Scalar = Union[Exact, complex]
 
 
 class UnsupportedFamilyShape(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Coset:
-    multiplier: Polynomial
-    variables: frozenset[int]
-    scales: tuple[tuple[int, Exact], ...] = ()
-
-    def scale_of(self, v: int) -> Exact:
-        for w, s in self.scales:
-            if w == v:
-                return s
-        return Exact(1)
-
-    def is_scaled(self) -> bool:
-        return any(s != Exact(1) for _, s in self.scales)
-
-    def describe(self) -> str:
-        names = sorted(f"x{v + 1}" for v in self.variables)
-        body = f"({self.multiplier}) * monomials in {{{', '.join(names)}}}" if names else f"{self.multiplier}"
-        if self.is_scaled():
-            pairs = ", ".join(f"x{v + 1}->{s}" for v, s in self.scales)
-            body += f" with scalings {pairs}"
-        return body
-
-
-@dataclass(frozen=True)
-class BasisFamily:
-    cosets: tuple[Coset, ...]
-    finite: tuple[Polynomial, ...] = ()
-
-    def is_empty(self) -> bool:
-        return not self.cosets and not self.finite
 
 
 # ---------------------------------------------------------------------------
@@ -69,15 +38,6 @@ def _scalar_same(a: Scalar, b: Scalar, tol: float = _TOL) -> bool:
     ca = complex(a) if not isinstance(a, Exact) else a.to_complex()
     cb = complex(b) if not isinstance(b, Exact) else b.to_complex()
     return abs(ca - cb) <= tol * max(1.0, abs(cb))
-
-
-def _trimmed(p: Polynomial) -> Polynomial:
-    """Drop floating-point dust relative to the largest coefficient."""
-    if p.mode == "exact" or p.is_zero():
-        return p
-    mx = max(abs(c) for _, c in p.items())
-    kept = {m: c for m, c in p.items() if abs(c) > 1e-12 * mx}
-    return Polynomial(kept, p.nx, p.nvars, "float")
 
 
 def _poly_same(p: Polynomial, q: Polynomial, tol: float = _TOL) -> bool:
@@ -121,15 +81,6 @@ def _scale_prod(p: Coset, g: Coset, delta: Sequence[int]) -> Exact:
     return out
 
 
-def _scaled_monomial_times(coset: Coset, delta: Sequence[int]) -> Polynomial:
-    """multiplier * x^delta with the coset's variable scalings applied."""
-    m = coset.multiplier
-    out = m * Polynomial.monomial(tuple(delta), m.nx, m.nvars, m.mode)
-    s = _scale_prod(coset, coset, delta)
-    # scaled cosets come from parse_family, so their multipliers are exact
-    return out if s == Exact(1) else out * s
-
-
 def _restrict_scales(coset: Coset, keep: frozenset[int]) -> tuple[tuple[int, Exact], ...]:
     return tuple((v, s) for v, s in coset.scales if v in keep)
 
@@ -146,7 +97,7 @@ def _staircase(p: Coset, dplus: tuple[int, ...]) -> list[Coset]:
         for e in range(dplus[v]):
             shift = list(fixed)
             shift[v] = e
-            mult = _scaled_monomial_times(p, shift)
+            mult = p.element(shift)
             keep = p.variables - {v}
             out.append(Coset(mult, keep, _restrict_scales(p, keep)))
         fixed[v] = dplus[v]
@@ -160,7 +111,7 @@ def _slices(p: Coset, base: tuple[int, ...], pinned: Sequence[int]) -> list[Cose
     for v in sorted(pinned):
         shift = list(base)
         shift[v] += 1
-        mult = _scaled_monomial_times(p, shift)
+        mult = p.element(shift)
         keep = p.variables - done
         out.append(Coset(mult, keep, _restrict_scales(p, keep)))
         done.add(v)
@@ -286,49 +237,7 @@ def check_compliant(left: BasisFamily, right: BasisFamily) -> ComplianceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# building families
-
-
-def family_for(
-    pres: VarietyPresentation,
-    kind: str,
-    *,
-    gens: Optional[CmGenerators] = None,
-    quad=None,
-) -> BasisFamily:
-    """Family description of a named basis kind: monomial, cm, or bb (via its
-    structured variant, the finitely describable surrogate)."""
-    all_x = frozenset(range(pres.M))
-    if kind == "monomial":
-        dec = decompose_A(pres)
-        cosets = tuple(
-            Coset(Polynomial.monomial(al, pres.M, pres.N, "exact"), all_x) for al in dec.A
-        )
-        return BasisFamily(cosets)
-    if kind == "cm":
-        if gens is None:
-            gens = cm_generators(pres)
-        prefix = frozenset(range(pres.M - 1))
-        dec = decompose_A(pres)
-        cosets: list[Coset] = [Coset(v, all_x) for v in gens.vs]
-        finite: list[Polynomial] = []
-        for alpha in dec.A:
-            for l in range(max(0, gens.t - sum(alpha))):
-                mono = tuple(
-                    e + (l if j == pres.M - 1 else 0) for j, e in enumerate(alpha)
-                )
-                mult = Polynomial.monomial(mono, pres.M, pres.N, "exact")
-                if prefix:
-                    cosets.append(Coset(mult, prefix))
-                else:
-                    finite.append(mult)
-        return BasisFamily(tuple(cosets), tuple(finite))
-    if kind == "bb":
-        if quad is None:
-            raise ValueError("bb family needs a quadrature")
-        yhats, _ = bb_y_block(pres, quad)
-        return BasisFamily(tuple(Coset(_trimmed(yh), all_x) for yh in yhats))
-    raise ValueError(f"unknown basis kind {kind!r}; expected monomial, cm, or bb")
+# families from variety files
 
 
 def _var_index(name: str, pres: VarietyPresentation) -> int:

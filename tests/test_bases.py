@@ -11,6 +11,7 @@ import pytest
 from vdiam import (
     BbNormalizationReport,
     CmConstructionError,
+    CmGenerators,
     Exact,
     QuadratureError,
     VarietyPresentation,
@@ -23,10 +24,12 @@ from vdiam import (
     count,
     decompose_A,
     default_quadrature_n,
+    family_for,
     grevlex_key,
     gram,
     inner_product,
     load_variety,
+    star,
     monomial_basis,
     monomial_graded_basis,
     parse_polynomial,
@@ -35,6 +38,7 @@ from vdiam import (
     torus_quadrature,
     verify_cm_products,
 )
+from vdiam import bases
 from vdiam.bases import _orthonormal
 from vdiam.variety import x_monomials
 from vdiam.vdm import _monomial_columns
@@ -55,8 +59,16 @@ def test_monomial_basis_hyperbola_k2():
     b = monomial_graded_basis(HYP, 2)
     assert [str(e) for e in b.elements] == ["1", "x1", "y1", "x1^2", "x1*y1"]
     assert b.degrees == (0, 1, 1, 2, 2)
-    assert b.weighted_length() == 6
+    assert sum(b.degrees) == count(HYP, 2).l == 6
     assert len(b) == count(HYP, 2).N
+
+
+@pytest.mark.parametrize("pres, k_max", [(HYP, 16), (CONE, 6)], ids=["hyperbola", "cone2d"])
+def test_monomial_basis_is_the_monomials_outside_the_ideal(pres, k_max):
+    for k in range(k_max + 1):
+        b = monomial_graded_basis(pres, k)
+        assert [e.leading_monomial() for e in b.elements] == monomial_basis(pres, k)
+        assert all(list(e.items()) == [(e.leading_monomial(), Exact(1))] for e in b.elements)
 
 
 def test_monomial_basis_counts_per_degree():
@@ -92,6 +104,61 @@ def test_cm_product_identities():
     for i, row in enumerate(rep.top_coefficients):
         for j, c in enumerate(row):
             assert c == (Exact(1) if i == j else Exact(0))
+
+
+def _ref_verify_cm_products(pres, gens):
+    """verify_cm_products as it stood with one star product per ordered pair."""
+    t = gens.t
+    xM = pres.M - 1
+    top_mono = tuple(2 * t if j == xM else 0 for j in range(pres.N))
+    problems, coefs, products = [], [], {}
+    one, zero = Exact(1), Exact(0)
+    for i, vi in enumerate(gens.vs):
+        row = []
+        for j, vj in enumerate(gens.vs):
+            p = star(vi, vj, pres.generators)
+            products[(i, j)] = p
+            c = p.coefficient(top_mono)
+            row.append(c)
+            want = one if i == j else zero
+            if c != want:
+                problems.append(
+                    f"star(v{i + 1}, v{j + 1}) has x{xM + 1}^{2 * t} coefficient {c}, expected {want}"
+                )
+            xm_deg = max((m[xM] for m in p.monomials()), default=0)
+            if xm_deg > 2 * t:
+                problems.append(
+                    f"star(v{i + 1}, v{j + 1}) has x{xM + 1}-degree {xm_deg} > {2 * t}"
+                )
+        coefs.append(tuple(row))
+    return not problems, tuple(problems), tuple(coefs), products
+
+
+PRODUCT_CASES = [
+    (HYP, cm_generators(HYP), True),
+    (CONE, cm_generators(CONE, v_polys=CONE_EXTRAS["v_polys"]), True),
+    # three generators with off-identity products and an x1-degree overflow
+    (HYP, CmGenerators(t=1, vs=(P("y1"), P("x1"), P("x1^2 + y1")), lambdas=None), False),
+]
+
+
+@pytest.mark.parametrize("pres, gens, ok", PRODUCT_CASES, ids=["hyperbola", "cone2d-file", "three-generators"])
+def test_cm_products_star_once_per_unordered_pair(pres, gens, ok, monkeypatch):
+    calls = []
+
+    def counted(p, q, generators):
+        calls.append((p, q))
+        return star(p, q, generators)
+
+    monkeypatch.setattr(bases, "star", counted)
+    rep = verify_cm_products(pres, gens)
+    d = len(gens.vs)
+    assert len(calls) == d * (d + 1) // 2
+    ref_ok, problems, coefs, products = _ref_verify_cm_products(pres, gens)
+    assert (rep.ok, rep.problems, rep.top_coefficients) == (ref_ok, problems, coefs)
+    assert list(rep.products) == list(products)
+    assert rep.products == products
+    assert rep.ok == ok
 
 
 def test_cm_generators_from_file_polys():
@@ -141,6 +208,57 @@ def test_cm_basis_per_degree_counts():
         b = cm_basis(pres, 4, gens)
         for j in range(5):
             assert sum(1 for d in b.degrees if d == j) == count(pres, j).N_eq
+
+
+# cm_basis as it stood with its own enumeration, before it became the cm
+# family expanded to degree k, kept as the reference.
+
+
+def _ref_cm_basis(pres, k, gens):
+    t = gens.t
+    dec = decompose_A(pres)
+    xM = pres.M - 1
+    per_degree = {}
+
+    def push(deg, rank, key, poly):
+        per_degree.setdefault(deg, []).append((rank, key, poly))
+
+    for alpha in dec.A:
+        for l in range(max(0, t - sum(alpha))):
+            base = tuple(e + (l if j == xM else 0) for j, e in enumerate(alpha))
+            room = k - sum(base)
+            if room < 0:
+                continue
+            for beta in x_monomials(pres.M - 1, pres.N, room):
+                mono = tuple(b + e for b, e in zip(beta, base))
+                push(sum(mono), 0, grevlex_key(mono), Polynomial.monomial(mono, pres.M, pres.N, "exact"))
+    for gmono in x_monomials(pres.M, pres.N, k - t):
+        gpoly = Polynomial.monomial(gmono, pres.M, pres.N, "exact")
+        for i, v in enumerate(gens.vs):
+            push(sum(gmono) + t, 1, (grevlex_key(gmono), i), gpoly * v)
+    elements, degrees = [], []
+    for deg in sorted(per_degree):
+        for _, _, poly in sorted(per_degree[deg], key=lambda item: (item[0], item[1])):
+            elements.append(poly)
+            degrees.append(deg)
+    return elements, tuple(degrees)
+
+
+CM_CASES = [
+    (HYP, cm_generators(HYP), 16),
+    (CONE, cm_generators(CONE), 6),
+    (CONE, cm_generators(CONE, v_polys=CONE_EXTRAS["v_polys"]), 6),
+]
+
+
+@pytest.mark.parametrize("pres, gens, k_max", CM_CASES, ids=["hyperbola", "cone2d", "cone2d-file"])
+def test_cm_basis_matches_the_reference_element_for_element(pres, gens, k_max):
+    for k in range(k_max + 1):
+        got = cm_basis(pres, k, gens)
+        ref_elements, ref_degrees = _ref_cm_basis(pres, k, gens)
+        assert [list(e.items()) for e in got.elements] == [list(e.items()) for e in ref_elements]
+        assert got.degrees == ref_degrees
+        assert (got.kind, got.k) == ("cm", k)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +450,15 @@ def test_bb_builders_match_the_reference_bit_for_bit(pres, n, k):
     assert _coefficient_bytes(yhats) == _coefficient_bytes(ref_y)
     got = bb_structured(pres, k, quad).elements
     assert _coefficient_bytes(got) == _coefficient_bytes(_ref_bb_structured(pres, k, quad))
+
+
+@pytest.mark.parametrize("pres, n", [(HYP, 64), (CONE, 16)], ids=["hyperbola", "cone2d"])
+def test_bb_family_carries_the_y_block_untrimmed(pres, n):
+    quad = torus_quadrature(pres, n)
+    fam = family_for(pres, "bb", quad=quad)
+    yhats, _ = bb_y_block(pres, quad)
+    assert _coefficient_bytes(c.multiplier for c in fam.cosets) == _coefficient_bytes(yhats)
+    assert all(c.variables == frozenset(range(pres.M)) for c in fam.cosets) and not fam.finite
 
 
 def _ref_bb_normalization(pres, k, quad):

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, and the worked example."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -101,6 +102,25 @@ def test_counts_json_round_trip(capsys):
     assert doc[-1]["N"] == 9
 
 
+# sha256 of `basis --k 3 --format csv` as printed before the monomial, cm and
+# bb_structured bases became their families expanded to degree k; any
+# reordered or reprinted element changes it
+BASIS_CSV_SHA256 = {
+    ("hyperbola", "monomial"): "5166f21ab7adb26fe5168b35d3aa80ebffbf604d678eaadd6a5a4ffb19193f43",
+    ("hyperbola", "cm"): "506e70700b08f02a0846b2f05289e50f2bc492145d3c504e7ced9dcebb75dd30",
+    ("hyperbola", "bb_structured"): "715e5436423fa324b618fb890aef7c414ebcd924f2faa6a7837512bf7dccdbef",
+    ("cone2d", "monomial"): "19c2e2058c82b97d7d419976e4cb4fd790224fd228aee1302e0b05660db7ebf5",
+    ("cone2d", "cm"): "306db512ae323be6fe559a356268f6642b354b7959caebe3037d847f7f98bf68",
+    ("cone2d", "bb_structured"): "d7340fc4bed73270e74940cb266143be42b2dc65f83657d84d4786321f040cc6",
+}
+
+
+@pytest.mark.parametrize("variety, kind", sorted(BASIS_CSV_SHA256))
+def test_basis_csv_is_byte_identical(variety, kind, capsys):
+    assert run(["basis", "--variety", variety, "--kind", kind, "--k", "3", "--format", "csv"]) == 0
+    assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == BASIS_CSV_SHA256[variety, kind]
+
+
 # ---------------------------------------------------------------------------
 # compliance
 
@@ -142,6 +162,67 @@ def test_compliance_shifted_family(tmp_path, capsys):
     assert rows["left_minus_right_extra_2"] == "y1"
     assert rows["right_minus_left"] == "empty"
     assert "left_minus_right_coset_1" not in rows and "right_minus_left_coset_1" not in rows
+
+
+# The bb family carries its pure-y block unrounded and trims rounding dust
+# only to print it, so these lines read as they did when the family held the
+# trimmed block.
+BB_COMPLIANCE = {
+    ("hyperbola", "cm"): (
+        "field                       value\n"
+        "compliant                   true\n"
+        "reason                      both differences admit cores\n"
+        "left_minus_right_coset_1    (x1) * monomials in {x1}\n"
+        "left_minus_right_coset_2    (0.886583101752*y1) * monomials in {x1}\n"
+        "left_minus_right_core_t     1\n"
+        "left_minus_right_core_vars  x1\n"
+        "right_minus_left_coset_1    (1/2*sqrt2*y1 - 1/2*sqrt2*x1) * monomials in {x1}\n"
+        "right_minus_left_coset_2    (1/2*sqrt2*y1 + 1/2*sqrt2*x1) * monomials in {x1}\n"
+        "right_minus_left_core_t     1\n"
+        "right_minus_left_core_vars  x1\n"
+    ),
+    ("hyperbola", "monomial"): (
+        "field                       value\n"
+        "compliant                   true\n"
+        "reason                      both differences admit cores\n"
+        "left_minus_right_coset_1    (0.886583101752*y1) * monomials in {x1}\n"
+        "left_minus_right_core_t     1\n"
+        "left_minus_right_core_vars  x1\n"
+        "right_minus_left_coset_1    (y1) * monomials in {x1}\n"
+        "right_minus_left_core_t     1\n"
+        "right_minus_left_core_vars  x1\n"
+    ),
+    ("cone2d", "cm"): (
+        "field                       value\n"
+        "compliant                   true\n"
+        "reason                      both differences admit cores\n"
+        "left_minus_right_coset_1    (x2) * monomials in {x1, x2}\n"
+        "left_minus_right_coset_2    (0.886583101752*y1) * monomials in {x1, x2}\n"
+        "left_minus_right_core_t     1\n"
+        "left_minus_right_core_vars  x1 x2\n"
+        "right_minus_left_coset_1    (1/2*sqrt2*y1 + 1/2*sqrt2*x2) * monomials in {x1, x2}\n"
+        "right_minus_left_coset_2    (1/2*sqrt2*y1 - 1/2*sqrt2*x2) * monomials in {x1, x2}\n"
+        "right_minus_left_core_t     1\n"
+        "right_minus_left_core_vars  x1 x2\n"
+    ),
+    ("cone2d", "monomial"): (
+        "field                       value\n"
+        "compliant                   true\n"
+        "reason                      both differences admit cores\n"
+        "left_minus_right_coset_1    (0.886583101752*y1) * monomials in {x1, x2}\n"
+        "left_minus_right_core_t     1\n"
+        "left_minus_right_core_vars  x1 x2\n"
+        "right_minus_left_coset_1    (y1) * monomials in {x1, x2}\n"
+        "right_minus_left_core_t     1\n"
+        "right_minus_left_core_vars  x1 x2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("variety, right", sorted(BB_COMPLIANCE))
+def test_compliance_of_the_bb_family_prints_the_trimmed_block(variety, right, capsys):
+    assert run(["compliance", "--variety", variety, "--left", "bb", "--right", right, "--n", "64"]) == 0
+    assert out_of(capsys) == BB_COMPLIANCE[variety, right]
 
 
 # ---------------------------------------------------------------------------
