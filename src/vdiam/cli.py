@@ -54,7 +54,6 @@ from .vdm import (
     row_scale_bound,
     segment_sampler,
     torus_sampler,
-    vdm_matrix,
 )
 
 
@@ -374,10 +373,7 @@ def reproduce_example(n: int = 4096, seed: int = 0) -> tuple[bool, list[str]]:
         abs(rsb.m - 1 / math.sqrt(2)) < 1e-12 and abs(rsb.Mx - math.sqrt(2)) < 1e-12,
         f"m = {_fmt(rsb.m)}, Mx = {_fmt(rsb.Mx)}",
     )
-    # LU-based log|det| is good to about N*eps*cond, so the worst tuple's
-    # larger VDM condition number says whether a miss is conditioning
-    worst = max(range(len(tuples)), key=rsb.identity_rel_errors.__getitem__)
-    cond = max(np.linalg.cond(vdm_matrix(b, tuples[worst])) for b in (cmb, mb))
+    cond = rsb.worst_cond
     check(
         "determinant_ratio",
         rsb.identity_ok and rsb.sandwich_ok,

@@ -9,6 +9,8 @@ basis, which sandwiches one determinant by the other.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -136,11 +138,14 @@ def _slogabs(a: np.ndarray) -> float:
     return float(logdet) if sign != 0 else -math.inf
 
 
-def log_abs_vdm(basis: GradedBasis, points: np.ndarray) -> float:
-    a = vdm_matrix(basis, points)
+def _square_slogabs(a: np.ndarray) -> float:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got {a.shape}")
     return _slogabs(a)
+
+
+def log_abs_vdm(basis: GradedBasis, points: np.ndarray) -> float:
+    return _square_slogabs(vdm_matrix(basis, points))
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,60 @@ class VdmEvaluation:
 
 # ---------------------------------------------------------------------------
 # Fekete-style maximization
+
+
+# (get, set) thread-count symbols, in the order they are looked up: the
+# scipy-openblas build that numpy wheels bundle, then a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions in the library bundled
+    with numpy, or None when there is none. Looked up on the first search,
+    so importing vdiam does not pay for it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _one_blas_thread(fn):
+    """Run `fn` with one OpenBLAS thread, and give the caller's thread count
+    back when it returns or raises; a nested call keeps one thread until the
+    outermost returns.
+
+    The exchange is a serial loop of small matrix-vector products (P x N
+    with N up to a few dozen). Threaded, each is split across the cores,
+    whose workers then spin between calls: the CPU time doubles on two
+    cores and the wall time does not fall. The split also moves the last
+    bits of the sums, so in one thread a result does not depend on the
+    host's core count. The count is process-wide: searches run from several
+    Python threads at once can hand each other the wrong count back."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        blas = _openblas_threads()
+        if blas is None:
+            return fn(*args, **kwargs)
+        get, set_ = blas
+        saved = get()
+        set_(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            set_(saved)
+
+    return run
 
 
 def _greedy_init(E: np.ndarray) -> list[int]:
@@ -259,7 +318,8 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int], max_sweeps: int) -> tup
     no sweep when E[sel] is singular. Slot s takes the candidate c with the
     largest ratio |E[c] @ A^-1[:, s]| = |det| after / |det| before
     (A = E[sel]) when it exceeds 1 + 1e-14 and c is not in the tuple; sweeps
-    over the slots stop once one gains less than 1e-12 in log|det|.
+    over the slots stop once one gains less than 1e-12 in log|det|, or at
+    the slot where a fresh solve finds A singular.
 
     A fresh solve per slot decides this. Here the ratios come from an
     inverse, inverted once per sweep and kept by rank-one updates, and they
@@ -277,7 +337,7 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int], max_sweeps: int) -> tup
     log_abs = float(log_abs)
     N = len(sel)
     row2 = np.einsum("ij,ij->i", E, E.conj()).real
-    sweeps, swapped = 0, False
+    sweeps, swapped, singular = 0, False, False
     while sweeps < max_sweeps:
         sweeps += 1
         gain = 0.0  # the fresh logs of this sweep's swaps
@@ -312,7 +372,8 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int], max_sweeps: int) -> tup
                 try:
                     bcol = np.linalg.solve(E[sel], rhs)
                 except np.linalg.LinAlgError:
-                    break  # A is singular
+                    singular = True  # A is singular: the exchange ends here
+                    break
                 ratios = np.abs(E @ bcol)
                 c = int(np.argmax(ratios))
                 if not (ratios[c] > 1.0 + 1e-14 and c not in sel):
@@ -322,7 +383,7 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int], max_sweeps: int) -> tup
                 kept.swap(s, c)
             sel[s] = c
             swapped = True
-        if not certified_gain and gain < 1e-12:
+        if singular or (not certified_gain and gain < 1e-12):
             break
     if swapped:
         log_abs = _slogabs(E[sel])
@@ -404,6 +465,7 @@ def _scored(E: np.ndarray, runs: Sequence[tuple[list[int], float, int]]) -> Feke
     )
 
 
+@_one_blas_thread
 def fekete_maximize(
     basis: GradedBasis,
     sampler: CompactSetSampler,
@@ -516,6 +578,7 @@ def _grow(E: Optional[np.ndarray], basis: GradedBasis, k: int, points: np.ndarra
     return new if E is None else np.concatenate([E, new], axis=1)
 
 
+@_one_blas_thread
 def _sequences(
     pres: VarietyPresentation,
     kinds: Sequence[str],
@@ -577,6 +640,7 @@ def _sequences(
     return out
 
 
+@_one_blas_thread
 def diameter_sequence(
     pres: VarietyPresentation,
     kind: str,
@@ -734,6 +798,7 @@ class ScaleBoundReport:
     sandwich_ok: bool
     identity_rel_errors: tuple[float, ...]
     identity_ok: bool
+    worst_cond: Optional[float]
 
 
 def row_scale_bound(
@@ -748,6 +813,10 @@ def row_scale_bound(
     N log m + log|VDM_C| <= log|VDM_B| <= N log Mx + log|VDM_C|,
     and the determinant ratio of the two Vandermonde matrices must match the
     pivot-modulus product, to a relative 1e-10, on every nonsingular tuple.
+    `worst_cond` is the larger condition number of the two Vandermonde
+    matrices on the tuple with the largest identity error (the first such),
+    or None with no tuples: LU-based log|det| is good to about
+    N eps cond, so it says whether a miss is conditioning.
     """
     if len(basis_b) != len(basis_c):
         raise ValueError("bases must have the same length")
@@ -762,9 +831,10 @@ def row_scale_bound(
     triples: list[tuple[float, float, float]] = []
     id_errs: list[float] = []
     sandwich = True
+    matrices: list[tuple[np.ndarray, np.ndarray]] = []
     for pts in point_sets:
-        lb = log_abs_vdm(basis_b, pts)
-        lc = log_abs_vdm(basis_c, pts)
+        matrices.append((vdm_matrix(basis_b, pts), vdm_matrix(basis_c, pts)))
+        lb, lc = (_square_slogabs(a) for a in matrices[-1])
         lo, hi = n * math.log(m) + lc, n * math.log(mx) + lc
         triples.append((lo, lb, hi))
         if not (lo - 1e-9 <= lb <= hi + 1e-9):
@@ -772,6 +842,10 @@ def row_scale_bound(
         err = abs((lb - lc) - log_det) / max(1.0, abs(log_det))
         id_errs.append(err)
     identity_ok = all(e <= 1e-10 for e in id_errs)
+    worst_cond = None
+    if matrices:
+        worst = max(range(len(matrices)), key=id_errs.__getitem__)
+        worst_cond = max(float(np.linalg.cond(a)) for a in matrices[worst])
     return ScaleBoundReport(
         m=m,
         Mx=mx,
@@ -781,6 +855,7 @@ def row_scale_bound(
         sandwich_ok=sandwich,
         identity_rel_errors=tuple(id_errs),
         identity_ok=identity_ok,
+        worst_cond=worst_cond,
     )
 
 

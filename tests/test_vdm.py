@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +251,35 @@ def test_scale_bound_cm_vs_monomial():
     assert abs(rep.log_abs_det) < 1e-12
 
 
+def test_scale_bound_reports_the_worst_tuple_s_condition():
+    # the tuple with the largest identity error, its larger VDM condition
+    # number, from the matrices the bound already evaluated
+    cb, mb = cm_basis(HYP, 6, GENS), monomial_graded_basis(HYP, 6)
+    for seed in (0, 102):
+        tuples = [random_variety_points(HYP, len(mb), seed=seed + i).points for i in range(5)]
+        rep = row_scale_bound(cb, mb, tuples)
+        worst = max(range(5), key=rep.identity_rel_errors.__getitem__)
+        assert rep.worst_cond == max(np.linalg.cond(vdm_matrix(b, tuples[worst])) for b in (cb, mb))
+    assert row_scale_bound(cb, mb).worst_cond is None
+
+
+def test_reproduce_example_evaluates_each_vdm_matrix_once(monkeypatch):
+    # two matrices per tuple, both in row_scale_bound (12 when the CLI
+    # evaluated the worst tuple's again for its condition number)
+    from vdiam import cli
+
+    calls = []
+
+    def counted(basis, points):
+        calls.append(len(basis))
+        return vdm_matrix(basis, points)
+
+    monkeypatch.setattr(vdm, "vdm_matrix", counted)
+    monkeypatch.setattr(cli, "vdm_matrix", counted, raising=False)
+    assert cli.reproduce_example(seed=0)[0]
+    assert len(calls) == 10
+
+
 def test_scale_bound_requires_matching_lengths():
     with pytest.raises(ValueError):
         row_scale_bound(monomial_graded_basis(HYP, 2), monomial_graded_basis(HYP, 3))
@@ -485,7 +518,7 @@ def _fresh_solve_sweep(E, sel, max_sweeps):
             try:
                 bcol = np.linalg.solve(A, rhs)
             except np.linalg.LinAlgError:
-                break
+                return sel, log_abs, sweeps
             ratios = np.abs(E @ bcol)
             c = int(np.argmax(ratios))
             if ratios[c] > 1.0 + 1e-14 and c not in sel:
@@ -583,6 +616,38 @@ def test_the_kept_inverse_decides_most_slots(monkeypatch):
         visits += len(sel) * sweeps
     assert visits > 0
     assert len(solves) < visits / 4
+
+
+class _NoKeptInverse:
+    """Stands in for `_KeptInverse` as a failed inversion, so every slot
+    takes the fresh solve."""
+
+    def __init__(self, *args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+
+@pytest.mark.parametrize("at", [2, 5, 7])
+def test_a_singular_fresh_solve_ends_the_exchange(monkeypatch, at):
+    # from this start the exchange swaps in its first sweep and runs three
+    # sweeps of five slots; a solve that finds the tuple singular at call
+    # `at` must be the last solve, in the sweep it happened in
+    E = vdm_matrix(monomial_graded_basis(HYP, 2), torus_sampler(HYP, 16).points)
+    start = [0, 16, 1, 17, 24]
+    monkeypatch.setattr(vdm, "_KeptInverse", _NoKeptInverse)
+    assert _sweep_to_convergence(E, list(start), 200)[2] == 3
+    solve, calls = np.linalg.solve, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == at:
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    sel, log_abs, sweeps = _sweep_to_convergence(E, list(start), 200)
+    assert len(calls) == at
+    assert sweeps == (at - 1) // len(start) + 1
+    assert log_abs == vdm._slogabs(E[sel])
 
 
 _INVARIANCE_SAMPLERS = {
@@ -828,3 +893,102 @@ def test_compare_bases_builds_the_search_basis_itself():
         grouped = compare_bases(HYP, ["monomial", "cm", "bb"], 3, samp, quad=quad, seed=seed, starts=4).estimates
         assert alone == {kind: grouped[kind] for kind in ("cm", "bb")}
         assert abs(alone["cm"][2].est_lk - grouped["monomial"][2].est_lk) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread per search
+
+_BLAS = vdm._openblas_threads()
+needs_openblas = pytest.mark.skipif(_BLAS is None, reason="no OpenBLAS found beside numpy")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller's OpenBLAS thread count set to 2 for the test, and its own
+    count given back after it."""
+    get, set_ = _BLAS
+    saved = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS does not take a count of 2 here")
+        yield get
+    finally:
+        set_(saved)
+
+
+@needs_openblas
+def test_every_search_runs_in_one_blas_thread(monkeypatch, two_blas_threads):
+    get = two_blas_threads
+    seen = {}
+
+    def spy(name):
+        fn = getattr(vdm, name)
+
+        def read(*args, **kwargs):
+            seen.setdefault(name, set()).add(get())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(vdm, name, read)
+
+    # `count` runs inside diameter_sequence between its fekete_maximize
+    # calls, after an inner call has returned
+    for name in ("_sweep_to_convergence", "_greedy_init", "count"):
+        spy(name)
+    samp = torus_sampler(HYP, 32)
+    fekete_maximize(monomial_graded_basis(HYP, 3), samp, starts=2)
+    compare_bases(HYP, ["monomial", "cm"], 3, samp, starts=2)
+    diameter_sequence(HYP, "cm", 3, samp)
+    assert seen == {"_sweep_to_convergence": {1}, "_greedy_init": {1}, "count": {1}}
+    assert get() == 2
+
+
+@needs_openblas
+def test_the_caller_s_thread_count_comes_back(two_blas_threads):
+    get = two_blas_threads
+    compare_bases(HYP, ["monomial", "cm"], 2, torus_sampler(HYP, 16))
+    assert get() == 2
+    with pytest.raises(FeketeError, match="need at least 9 candidates"):
+        fekete_maximize(monomial_graded_basis(HYP, 4), torus_sampler(HYP, 4))
+    assert get() == 2
+
+
+def test_searches_without_openblas_give_the_same_results(monkeypatch):
+    samp = torus_sampler(HYP, 64)
+    basis = cm_basis(HYP, 6, GENS)
+
+    def run():
+        return (
+            fekete_maximize(basis, samp, seed=3, starts=4),
+            compare_bases(HYP, ["monomial", "cm", "bb"], 6, samp, quad=torus_quadrature(HYP, 64), seed=3, starts=4),
+        )
+
+    found = run()
+    monkeypatch.setattr(vdm, "_openblas_threads", lambda: None)
+    assert run() == found
+
+
+_K52_SEARCH = """
+import sys
+from vdiam import fekete_maximize, load_variety, monomial_graded_basis, torus_sampler
+hyp, _ = load_variety("hyperbola")
+res = fekete_maximize(monomial_graded_basis(hyp, 52), torus_sampler(hyp, 512), starts=1)
+print(repr(res.log_abs), res.indices)
+"""
+
+
+def test_a_search_does_not_depend_on_the_blas_thread_count():
+    # at N = 105 the threaded matrix-vector products round differently: with
+    # the caller's threads this search read 244.90603655526624 in two
+    # threads and ...627 in one, on the same tuple
+    src = str(Path(vdm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _K52_SEARCH], env=dict(env, OPENBLAS_NUM_THREADS=str(threads)),
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for threads in (1, 2)
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("244.906036555266")
