@@ -18,6 +18,7 @@ import numpy as np
 from .bases import (
     CmConstructionError,
     QuadratureError,
+    _trimmed,
     bb_basis,
     cm_basis,
     cm_generators,
@@ -85,14 +86,6 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
 
 def _emit_pairs(pairs: list[tuple[str, object]], fmt: str, out) -> None:
     _emit([{"field": k, "value": v} for k, v in pairs], ["field", "value"], fmt, out)
-
-
-def _display_poly(p: Polynomial) -> str:
-    if p.mode == "exact" or p.is_zero():
-        return str(p)
-    mx = max(abs(c) for _, c in p.items())
-    kept = {m: c for m, c in p.items() if abs(c) > 1e-11 * mx}
-    return str(Polynomial(kept, p.nx, p.nvars, "float"))
 
 
 def _sampler_from_spec(pres, spec: str):
@@ -166,7 +159,7 @@ def _cmd_basis(args, out) -> int:
     pres, extras = load_variety(args.variety)
     basis = _basis_from_args(pres, extras, args)
     rows = [
-        {"index": i, "degree": d, "element": _display_poly(e)}
+        {"index": i, "degree": d, "element": str(_trimmed(e))}
         for i, (e, d) in enumerate(zip(basis.elements, basis.degrees), start=1)
     ]
     _emit(rows, ["index", "degree", "element"], args.format, out)
@@ -209,7 +202,7 @@ def _cmd_compliance(args, out) -> int:
         for i, c in enumerate(diff.cosets, start=1):
             pairs.append((f"{tag}_coset_{i}", c.describe()))
         for i, f in enumerate(diff.finite, start=1):
-            pairs.append((f"{tag}_extra_{i}", _display_poly(f)))
+            pairs.append((f"{tag}_extra_{i}", str(_trimmed(f))))
         if not diff.cosets and not diff.finite:
             pairs.append((f"{tag}", "empty"))
         if core.found:

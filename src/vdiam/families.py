@@ -40,6 +40,14 @@ def _scalar_same(a: Scalar, b: Scalar, tol: float = _TOL) -> bool:
     return abs(ca - cb) <= tol * max(1.0, abs(cb))
 
 
+def _modulus_side(a: Scalar) -> int:
+    """Sign of |a| - 1: exact for an Exact a, 0 within the tolerance for a complex one."""
+    if isinstance(a, Exact):
+        return (a.modulus_squared() - Exact(1)).real_sign()
+    d = abs(a) - 1.0
+    return 0 if abs(d) <= _TOL else (1 if d > 0 else -1)
+
+
 def _poly_same(p: Polynomial, q: Polynomial, tol: float = _TOL) -> bool:
     if p.mode == "exact" and q.mode == "exact":
         return p == q
@@ -143,27 +151,34 @@ def _subtract_coset(p: Coset, g: Coset) -> list[Coset]:
         if not _scalar_same(c, _scale_prod(p, g, delta)):
             return [p]
         return _staircase(p, dplus) + _slices(p, dplus, pinned)
-    # differing scalings: only the shift-free, factor-free overlap is supported
-    if any(e for e in delta) or not _scalar_same(c, Exact(1)):
+    # differing scalings, answered only without a shift (delta = 0): p's
+    # element at beta then lies in g when beta vanishes off S_g and
+    # prod_v rho_v^beta_v = c, with rho_v = s_v^p / s_v^g
+    sides = {}
+    for v in shared:
+        rho = p.scale_of(v) / g.scale_of(v)
+        if rho != Exact(1):
+            sides[v] = _modulus_side(rho)
+    factor = not _scalar_same(c, Exact(1))
+    if factor and not any(delta) and set(sides.values()) in ({1}, {-1}):
+        # every |rho_v| on one side of 1 puts |prod rho_v^beta_v| there too,
+        # and at 1 only for beta = 0: no beta reaches a c on the other side,
+        # nor an exact c of modulus 1
+        c_side, (rho_side,) = _modulus_side(c), set(sides.values())
+        if c_side == -rho_side or (c_side == 0 and isinstance(c, Exact)):
+            return [p]
+    if factor or any(delta):
         raise UnsupportedFamilyShape(
             "cannot subtract cosets that combine differing variable scalings "
             "with a monomial shift or scalar factor"
         )
-    # p's element at beta lies in g when beta vanishes off S_g and the scale
-    # ratios rho_v = s_v^p / s_v^g multiply to one over beta
-    sides = set()
-    for v in shared:
-        rho = p.scale_of(v) / g.scale_of(v)
-        if rho == Exact(1):
-            continue
-        side = (rho.modulus_squared() - Exact(1)).real_sign()
+    for v, side in sides.items():
         if side == 0:
             raise UnsupportedFamilyShape(
                 f"variable scaling ratio on x{v + 1} has modulus one; the overlap is not a finite union of cosets"
             )
-        sides.add(side)
         pinned.append(v)
-    if len(sides) > 1:
+    if len(set(sides.values())) > 1:
         raise UnsupportedFamilyShape(
             "variable scaling ratios lie on both sides of modulus one; the overlap is not a finite union of cosets"
         )

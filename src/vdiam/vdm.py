@@ -34,7 +34,7 @@ from .bases import (
     monomial_graded_basis,
     torus_quadrature,
 )
-from .polyring import Polynomial
+from .polyring import Polynomial, grevlex_key
 from .scalars import ONE, Exact
 from .variety import CountRecord, VarietyPresentation, count
 
@@ -703,10 +703,9 @@ def compare_bases(
 
 
 def _monomial_columns(*bases: GradedBasis) -> dict:
-    """Column of each monomial the bases use, ordered by degree, then by the
-    reversed exponent vector."""
+    """Column of each monomial the bases use, in the graded order."""
     monos = {m for b in bases for e in b.elements for m in e.monomials()}
-    return {m: j for j, m in enumerate(sorted(monos, key=lambda m: (sum(m), tuple(reversed(m)))))}
+    return {m: j for j, m in enumerate(sorted(monos, key=grevlex_key))}
 
 
 def _coef_rows(basis: GradedBasis, cols: dict) -> list[dict]:
@@ -725,67 +724,52 @@ def _sub_scaled(row: dict, f: Exact, other: dict) -> None:
             del row[j]
 
 
-def _exact_change_of_basis(bc: list[dict], cc: list[dict], width: int) -> list[dict]:
-    """T with T @ C = B, via row reduction of C carrying combination vectors.
-    Rows are sparse, so the work follows the nonzero pattern: for graded
-    bases the fill-in stays inside each degree block."""
-    n = len(cc)
-    rows = [dict(r) for r in cc]
-    combos = [{i: ONE} for i in range(n)]
-    piv_cols: list[int] = []
-    r = 0
+def _eliminate(rows: list[dict], width: int) -> dict[int, int]:
+    """Sparse forward elimination of the columns below `width`, in place.
+
+    Each column's pivot is the first row, in the given order, that is not yet
+    a pivot and is nonzero there; it is subtracted from every other such row.
+    Columns from `width` on are carried along. Returns {column: pivot row};
+    a pivot row is not changed after it is chosen, so rows[r][col] is the
+    pivot. Rows are sparse, so the work follows the nonzero pattern: for
+    graded bases the fill-in stays inside each degree block."""
+    free = list(range(len(rows)))
+    pivots: dict[int, int] = {}
     for col in range(width):
-        pr = next((i for i in range(r, n) if col in rows[i]), None)
+        pr = next((i for i in free if col in rows[i]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        combos[r], combos[pr] = combos[pr], combos[r]
-        inv = rows[r][col].inverse()
-        rows[r] = {j: v * inv for j, v in rows[r].items()}
-        combos[r] = {j: v * inv for j, v in combos[r].items()}
-        for i in range(n):
-            if i != r and col in rows[i]:
-                f = rows[i][col]
-                _sub_scaled(rows[i], f, rows[r])
-                _sub_scaled(combos[i], f, combos[r])
-        piv_cols.append(col)
-        r += 1
-        if r == n:
-            break
-    if r < n:
-        raise ValueError("second basis has linearly dependent elements")
-    t_rows: list[dict] = []
-    for b in bc:
-        resid, t = dict(b), {}
-        for i, col in enumerate(piv_cols):
-            f = resid.get(col)
-            if f is None:
-                continue
-            _sub_scaled(resid, f, rows[i])
-            _sub_scaled(t, -f, combos[i])
-        if resid:
-            raise ValueError("bases do not span the same monomial space")
-        t_rows.append(t)
-    return t_rows
-
-
-def _first_nonzero_pivots_exact(t: list[dict]) -> list[Exact]:
-    n = len(t)
-    work = [dict(r) for r in t]
-    used: set[int] = set()
-    pivots: list[Exact] = []
-    for col in range(n):
-        pr = next((i for i in range(n) if i not in used and col in work[i]), None)
-        if pr is None:
-            raise ValueError("change of basis is singular")
-        used.add(pr)
-        piv = work[pr][col]
-        pivots.append(piv)
-        inv = piv.inverse()
-        for i in range(n):
-            if i not in used and col in work[i]:
-                _sub_scaled(work[i], work[i][col] * inv, work[pr])
+        free.remove(pr)
+        pivots[col] = pr
+        inv = rows[pr][col].inverse()
+        for i in free:
+            if col in rows[i]:
+                _sub_scaled(rows[i], rows[i][col] * inv, rows[pr])
     return pivots
+
+
+def _change_of_basis_pivots(basis_b: GradedBasis, basis_c: GradedBasis) -> list[Exact]:
+    """First-nonzero pivots of the exact T with B = T C.
+
+    The stacked rows [C | I ; B | 0] are eliminated over the monomial
+    columns. C's rows come first, so they are the pivots when C is
+    independent, and a B row is one only when B leaves span(C); each other B
+    row reduces to [0 | -T]. T is then eliminated by the same rule."""
+    n = len(basis_c)
+    cols = _monomial_columns(basis_b, basis_c)
+    w = len(cols)
+    rows = [{**r, w + i: ONE} for i, r in enumerate(_coef_rows(basis_c, cols))]
+    rows += _coef_rows(basis_b, cols)
+    used = set(_eliminate(rows, w).values())
+    if not used.issuperset(range(n)):
+        raise ValueError("second basis has linearly dependent elements")
+    if len(used) > n:
+        raise ValueError("bases do not span the same monomial space")
+    t = [{j - w: -v for j, v in r.items()} for r in rows[n:]]
+    pivots = _eliminate(t, n)
+    if len(pivots) < n:
+        raise ValueError("change of basis is singular")
+    return [t[pivots[j]][j] for j in range(n)]
 
 
 @dataclass(frozen=True)
@@ -812,10 +796,11 @@ def row_scale_bound(
     rescales; its pivot moduli give m and Mx with
     N log m + log|VDM_C| <= log|VDM_B| <= N log Mx + log|VDM_C|,
     and the determinant ratio of the two Vandermonde matrices must match the
-    pivot-modulus product, to a relative 1e-10, on every nonsingular tuple.
-    `worst_cond` is the larger condition number of the two Vandermonde
-    matrices on the tuple with the largest identity error (the first such),
-    or None with no tuples: LU-based log|det| is good to about
+    pivot-modulus product, to a relative 1e-10, on every tuple. A tuple on
+    which either matrix is singular has no ratio: its error is inf, so it
+    fails the check. `worst_cond` is the larger condition number of the two
+    Vandermonde matrices on the tuple with the largest identity error (the
+    first such), or None with no tuples: LU-based log|det| is good to about
     N eps cond, so it says whether a miss is conditioning.
     """
     if len(basis_b) != len(basis_c):
@@ -823,9 +808,7 @@ def row_scale_bound(
     n = len(basis_b)
     if any(e.mode != "exact" for e in basis_b.elements + basis_c.elements):
         raise ValueError("row-scale bounds need exact bases")
-    cols = _monomial_columns(basis_b, basis_c)
-    t_rows = _exact_change_of_basis(_coef_rows(basis_b, cols), _coef_rows(basis_c, cols), len(cols))
-    piv_abs = [abs(p.to_complex()) for p in _first_nonzero_pivots_exact(t_rows)]
+    piv_abs = [abs(p.to_complex()) for p in _change_of_basis_pivots(basis_b, basis_c)]
     m, mx = min(piv_abs), max(piv_abs)
     log_det = sum(math.log(p) for p in piv_abs)
     triples: list[tuple[float, float, float]] = []
@@ -839,8 +822,8 @@ def row_scale_bound(
         triples.append((lo, lb, hi))
         if not (lo - 1e-9 <= lb <= hi + 1e-9):
             sandwich = False
-        err = abs((lb - lc) - log_det) / max(1.0, abs(log_det))
-        id_errs.append(err)
+        singular = min(lb, lc) == -math.inf
+        id_errs.append(math.inf if singular else abs((lb - lc) - log_det) / max(1.0, abs(log_det)))
     identity_ok = all(e <= 1e-10 for e in id_errs)
     worst_cond = None
     if matrices:
@@ -856,54 +839,4 @@ def row_scale_bound(
         identity_rel_errors=tuple(id_errs),
         identity_ok=identity_ok,
         worst_cond=worst_cond,
-    )
-
-
-# ---------------------------------------------------------------------------
-# bb vs structured normalization
-
-
-@dataclass(frozen=True)
-class BbNormalizationReport:
-    diag_abs: tuple[float, ...]
-    min_diag: float
-    max_diag: float
-    degree_triangular_ok: bool
-    first_nonunit: Optional[tuple[int, float]]
-
-
-def bb_normalization(
-    pres: VarietyPresentation, k: int, quad: QuadratureSpec
-) -> BbNormalizationReport:
-    """Change of basis from the structured to the fully orthonormalized basis:
-    block-triangular across degrees; the diagonal moduli measure how far the
-    structured family is from orthonormal."""
-    full = bb_basis(pres, k, quad)
-    st = bb_structured(pres, k, quad)
-    cols = _monomial_columns(full, st)
-    bm, sm = (np.zeros((len(b), len(cols)), dtype=complex) for b in (full, st))
-    for b, mat in ((full, bm), (st, sm)):
-        for i, row in enumerate(_coef_rows(b, cols)):
-            for j, c in row.items():
-                mat[i, j] = complex(c)
-    t, *_ = np.linalg.lstsq(sm.T, bm.T, rcond=None)
-    t = t.T
-    n = t.shape[0]
-    tri_ok = True
-    for i in range(n):
-        for j in range(n):
-            if st.degrees[j] > full.degrees[i] and abs(t[i, j]) > 1e-8:
-                tri_ok = False
-    diag = tuple(float(abs(t[i, i])) for i in range(n))
-    first_nonunit = None
-    for i, v in enumerate(diag):
-        if abs(v - 1.0) > 1e-6:
-            first_nonunit = (i, v)
-            break
-    return BbNormalizationReport(
-        diag_abs=diag,
-        min_diag=min(diag),
-        max_diag=max(diag),
-        degree_triangular_ok=tri_ok,
-        first_nonunit=first_nonunit,
     )

@@ -1,6 +1,5 @@
 """Graded bases (monomial / cm / bb) and the torus quadrature."""
 
-import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,14 +8,12 @@ import numpy as np
 import pytest
 
 from vdiam import (
-    BbNormalizationReport,
     CmConstructionError,
     CmGenerators,
     Exact,
     QuadratureError,
     VarietyPresentation,
     bb_basis,
-    bb_normalization,
     bb_structured,
     bb_y_block,
     cm_basis,
@@ -41,7 +38,6 @@ from vdiam import (
 from vdiam import bases
 from vdiam.bases import _orthonormal
 from vdiam.variety import x_monomials
-from vdiam.vdm import _monomial_columns
 
 HYP, HYP_EXTRAS = load_variety("hyperbola")
 CONE, CONE_EXTRAS = load_variety("cone2d")
@@ -461,40 +457,6 @@ def test_bb_family_carries_the_y_block_untrimmed(pres, n):
     assert all(c.variables == frozenset(range(pres.M)) for c in fam.cosets) and not fam.finite
 
 
-def _ref_bb_normalization(pres, k, quad):
-    """bb_normalization as it stood with its own dense coefficient matrices."""
-    full = bb_basis(pres, k, quad)
-    st = bb_structured(pres, k, quad)
-    cols = _monomial_columns(full, st)
-
-    def coef_matrix(basis):
-        out = np.zeros((len(basis), len(cols)), dtype=complex)
-        for i, e in enumerate(basis.elements):
-            for m, c in e.items():
-                out[i, cols[m]] = complex(c)
-        return out
-
-    t, *_ = np.linalg.lstsq(coef_matrix(st).T, coef_matrix(full).T, rcond=None)
-    t = t.T
-    n = t.shape[0]
-    tri_ok = all(
-        not (st.degrees[j] > full.degrees[i] and abs(t[i, j]) > 1e-8)
-        for i in range(n)
-        for j in range(n)
-    )
-    diag = tuple(float(abs(t[i, i])) for i in range(n))
-    first_nonunit = next(((i, v) for i, v in enumerate(diag) if abs(v - 1.0) > 1e-6), None)
-    return BbNormalizationReport(diag, min(diag), max(diag), tri_ok, first_nonunit)
-
-
-@pytest.mark.parametrize("pres, n, k", BB_CASES, ids=BB_IDS)
-def test_bb_normalization_matches_the_reference(pres, n, k):
-    quad = torus_quadrature(pres, n)
-    got, want = bb_normalization(pres, k, quad), _ref_bb_normalization(pres, k, quad)
-    for f in dataclasses.fields(BbNormalizationReport):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
-
-
 # ---------------------------------------------------------------------------
 # the in-place orthonormalizer where the weights round, its inputs, and its
 # footprint
@@ -529,8 +491,6 @@ def test_bb_builders_match_the_reference_where_the_weights_round(pres, n, k):
     assert yc.tobytes() == ref_yc.tobytes()
     assert _coefficient_bytes(yhats) == _coefficient_bytes(ref_y)
     assert _coefficient_bytes(bb_structured(pres, k, quad).elements) == _coefficient_bytes(ref_st)
-    assert unchanged()
-    bb_normalization(pres, k, quad)
     assert unchanged()
 
 

@@ -134,6 +134,17 @@ def test_compliance_scaled_family_exits_3(capsys):
     assert run(["compliance", "--right", "family:scaled2"]) == 3
 
 
+@pytest.mark.parametrize("left, right", [("bb", "family:scaled2"), ("family:scaled2", "bb")])
+def test_compliance_of_bb_against_the_scaled_family_gives_a_verdict(capsys, left, right):
+    # 0.8862 y1 x1^a never equals y1 (2 x1)^a, so each y-coset is left whole
+    argv = ["compliance", "--left", left, "--right", right, "--n", "256", "--format", "csv"]
+    assert run(argv) == 3
+    rows = dict(line.split(",", 1) for line in out_of(capsys).splitlines()[1:])
+    assert rows["compliant"] == "false"
+    assert "(0.886249170545*y1) * monomials in {x1}" in rows.values()
+    assert "(y1) * monomials in {x1} with scalings x1->2" in rows.values()
+
+
 def test_compliance_unknown_family_exits_1(capsys):
     assert run(["compliance", "--right", "family:nope"]) == 1
 

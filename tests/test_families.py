@@ -162,6 +162,27 @@ def test_scaling_ratios_on_both_sides_of_one_are_refused():
         family_difference(BasisFamily((both,), ()), BasisFamily((plain,), ()))
 
 
+@pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(-1)], ids=["half", "minus-one"])
+@pytest.mark.parametrize("scaled_left", [True, False], ids=["scaled-left", "scaled-right"])
+def test_a_scalar_factor_no_scaling_reaches_leaves_the_coset_whole(factor, scaled_left):
+    # y1 (2 x1)^a = c y1 x1^a needs 2^a = c, which no a meets for c = 1/2 or -1
+    scaled = BasisFamily((Coset(P("y1"), frozenset({0}), ((0, Exact(2)),)),), ())
+    plain = BasisFamily((Coset(P("y1") * Exact(factor), frozenset({0})),), ())
+    left, right = (scaled, plain) if scaled_left else (plain, scaled)
+    diff = family_difference(left, right)
+    assert diff.cosets == left.cosets
+    assert expand(diff, 1) == expand(left, 1) - expand(right, 1)
+
+
+def test_a_scalar_factor_a_scaling_reaches_is_refused():
+    # y1 (2 x1)^2 = 4 y1 x1^2: the overlap is one element, not handled
+    scaled = BasisFamily((Coset(P("y1"), frozenset({0}), ((0, Exact(2)),)),), ())
+    plain = BasisFamily((Coset(P("4*y1"), frozenset({0})),), ())
+    for left, right in ((scaled, plain), (plain, scaled)):
+        with pytest.raises(UnsupportedFamilyShape, match="scalar factor"):
+            family_difference(left, right)
+
+
 # ---------------------------------------------------------------------------
 # difference mechanics
 

@@ -16,7 +16,7 @@ from vdiam import (
     FeketeError,
     VarietyPresentation,
     bb_basis,
-    bb_normalization,
+    bb_structured,
     brute_force_max,
     cm_basis,
     cm_generators,
@@ -41,9 +41,8 @@ from vdiam.polyring import Polynomial, parse_polynomial
 from vdiam.scalars import SQRT2, Exact
 import vdiam.vdm as vdm
 from vdiam.vdm import (
+    _change_of_basis_pivots,
     _coef_rows,
-    _exact_change_of_basis,
-    _first_nonzero_pivots_exact,
     _greedy_init,
     _monomial_columns,
     _sweep_to_convergence,
@@ -263,6 +262,19 @@ def test_scale_bound_reports_the_worst_tuple_s_condition():
     assert row_scale_bound(cb, mb).worst_cond is None
 
 
+def test_a_singular_tuple_is_the_worst_in_either_order():
+    cb, mb = cm_basis(HYP, 2, GENS), monomial_graded_basis(HYP, 2)
+    good = random_variety_points(HYP, len(mb), seed=0).points
+    bad = good.copy()
+    bad[1] = bad[0]  # two equal points: both matrices are singular
+    reports = [row_scale_bound(cb, mb, tuples) for tuples in ([good, bad], [bad, good])]
+    assert reports[0].identity_rel_errors == reports[1].identity_rel_errors[::-1]
+    assert math.inf in reports[0].identity_rel_errors
+    assert not any(r.identity_ok for r in reports)
+    singular = max(np.linalg.cond(vdm_matrix(b, bad)) for b in (cb, mb))
+    assert reports[0].worst_cond == reports[1].worst_cond == singular
+
+
 def test_reproduce_example_evaluates_each_vdm_matrix_once(monkeypatch):
     # two matrices per tuple, both in row_scale_bound (12 when the CLI
     # evaluated the worst tuple's again for its condition number)
@@ -292,14 +304,21 @@ def test_scale_bound_refuses_float_bases():
 
 
 def test_bb_normalization_block_structure():
+    # bb = T bb_structured, with T by least squares over the monomials
     quad = torus_quadrature(HYP, 256)
-    rep = bb_normalization(HYP, 3, quad)
-    assert rep.degree_triangular_ok
-    assert abs(rep.min_diag - 1.0) < 1e-6
+    full, st = bb_basis(HYP, 3, quad), bb_structured(HYP, 3, quad)
+    cols = _monomial_columns(full, st)
+
+    def coefficients(basis):
+        return np.array([[complex(e.coefficient(m)) for m in cols] for e in basis.elements])
+
+    t = np.linalg.lstsq(coefficients(st).T, coefficients(full).T, rcond=None)[0].T
+    later = np.less.outer(full.degrees, st.degrees)  # T[i, j] with deg st_j > deg bb_i
+    assert np.all(np.abs(t[later]) <= 1e-8)  # block-triangular across degrees
+    diag = np.abs(np.diag(t))
+    assert abs(diag.min() - 1.0) < 1e-6
     # the first row that mixes y with the x-block rescales by 3/(2*sqrt2)
-    assert rep.first_nonunit is not None
-    _, value = rep.first_nonunit
-    assert abs(value - 3 / (2 * math.sqrt(2))) < 1e-3
+    assert abs(next(v for v in diag if abs(v - 1.0) > 1e-6) - 3 / (2 * math.sqrt(2))) < 1e-3
 
 
 # The dense elimination the sparse one replaced, kept as the reference: every
@@ -384,23 +403,27 @@ def dense_pivots(basis_b, basis_c):
 
 
 def sparse_pivots(basis_b, basis_c):
-    cols = _monomial_columns(basis_b, basis_c)
-    t = _exact_change_of_basis(_coef_rows(basis_b, cols), _coef_rows(basis_c, cols), len(cols))
-    return _first_nonzero_pivots_exact(t)
+    return _change_of_basis_pivots(basis_b, basis_c)
 
 
 CONE, _ = load_variety("cone2d")
 
 
+# cm -> monomial (B = cm, C = monomial), plus the benchmark's k = 12 and the
+# monomial -> cm direction
 @pytest.mark.parametrize(
-    "name, k",
-    [("hyperbola", k) for k in range(1, 9)] + [("cone2d", k) for k in range(1, 4)],
+    "name, k, to_cm",
+    [pytest.param("hyperbola", k, False, id=f"hyperbola-{k}") for k in (*range(1, 9), 12)]
+    + [pytest.param("cone2d", k, False, id=f"cone2d-{k}") for k in range(1, 4)]
+    + [pytest.param("hyperbola", k, True, id=f"hyperbola-{k}-monomial-to-cm") for k in (1, 2, 6, 12)]
+    + [pytest.param("cone2d", k, True, id=f"cone2d-{k}-monomial-to-cm") for k in range(1, 4)],
 )
-def test_sparse_pivots_match_dense_reference(name, k):
+def test_sparse_pivots_match_dense_reference(name, k, to_cm):
     pres = {"hyperbola": HYP, "cone2d": CONE}[name]
     cb = cm_basis(pres, k, cm_generators(pres))
     mb = monomial_graded_basis(pres, k)
-    assert sparse_pivots(cb, mb) == dense_pivots(cb, mb)
+    b, c = (mb, cb) if to_cm else (cb, mb)
+    assert sparse_pivots(b, c) == dense_pivots(b, c)
 
 
 @st.composite
