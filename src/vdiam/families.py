@@ -11,12 +11,13 @@ variety file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .bases import BasisFamily, Coset, _trimmed
 from .polyring import Polynomial, parse_polynomial
-from .scalars import Exact
+from .scalars import ONE, Exact
 from .variety import VarietyPresentation
 
 Scalar = Union[Exact, complex]
@@ -97,6 +98,11 @@ def _restrict_scales(coset: Coset, keep: frozenset[int]) -> tuple[tuple[int, Exa
 # coset subtraction
 
 
+def _piece(p: Coset, shift: Sequence[int], keep: frozenset[int]) -> Coset:
+    """p's sub-coset over `keep` starting at p's element at `shift`."""
+    return Coset(p.element(shift), keep, _restrict_scales(p, keep))
+
+
 def _staircase(p: Coset, dplus: tuple[int, ...]) -> list[Coset]:
     """Split {beta over S_p} into pieces with beta not >= dplus."""
     out: list[Coset] = []
@@ -105,24 +111,59 @@ def _staircase(p: Coset, dplus: tuple[int, ...]) -> list[Coset]:
         for e in range(dplus[v]):
             shift = list(fixed)
             shift[v] = e
-            mult = p.element(shift)
-            keep = p.variables - {v}
-            out.append(Coset(mult, keep, _restrict_scales(p, keep)))
+            out.append(_piece(p, shift, p.variables - {v}))
         fixed[v] = dplus[v]
     return out
 
 
-def _slices(p: Coset, base: tuple[int, ...], pinned: Sequence[int]) -> list[Coset]:
-    """Split {beta >= base over S_p : beta_v > base_v for some v in pinned}."""
+def _punctured(p: Coset, base: Sequence[int], vs: Sequence[int], points: Sequence[tuple[int, ...]]) -> list[Coset]:
+    """Split {beta >= base over S_p} minus the beta whose entries on the
+    sorted variables vs equal one of the (nonempty) points, into cosets."""
     out: list[Coset] = []
-    done: set[int] = set()
-    for v in sorted(pinned):
-        shift = list(base)
-        shift[v] += 1
-        mult = p.element(shift)
-        keep = p.variables - done
-        out.append(Coset(mult, keep, _restrict_scales(p, keep)))
-        done.add(v)
+
+    def split(shift: list[int], done: frozenset[int], hits: Sequence[tuple[int, ...]]) -> None:
+        if len(done) == len(vs):
+            return
+        v = vs[len(done)]
+        values = {b[len(done)] for b in hits}
+
+        def at(e: int) -> list[int]:
+            return shift[:v] + [e] + shift[v + 1 :]
+
+        for e in range(base[v], max(values) + 1):
+            if e not in values:
+                out.append(_piece(p, at(e), p.variables - done - {v}))
+        out.append(_piece(p, at(max(values) + 1), p.variables - done))
+        for e in sorted(values):
+            split(at(e), done | {v}, [b for b in hits if b[len(done)] == e])
+
+    split(list(base), frozenset(), points)
+    return out
+
+
+def _exponents_reaching(rhos: Sequence[Exact], c: Scalar) -> list[tuple[int, ...]]:
+    """Every beta >= 0 with prod_v rhos[v]^beta_v = c, when every |rho_v| lies
+    strictly on one side of 1: then beta_v log|rho_v| <= log|c| (signs taken
+    on that side) bounds every beta_v, and each candidate is checked exactly."""
+    side = 1.0 if abs(complex(rhos[0])) > 1 else -1.0
+    logs = [side * math.log(abs(complex(r))) for r in rhos]
+    target = side * math.log(abs(complex(c)))
+    slack = 1e-9 * max(1.0, abs(target))
+    out: list[tuple[int, ...]] = []
+
+    def walk(beta: tuple[int, ...], prod: Exact, rest: float) -> None:
+        i = len(beta)
+        if i == len(rhos) - 1:
+            e = round(rest / logs[i])
+            if e >= 0 and _scalar_same(c, prod * rhos[i] ** e):
+                out.append(beta + (e,))
+            return
+        e = 0
+        while e * logs[i] <= rest + slack:
+            walk(beta + (e,), prod * rhos[i] ** e, rest - e * logs[i])
+            e += 1
+
+    walk((), ONE, target)
     return out
 
 
@@ -150,40 +191,34 @@ def _subtract_coset(p: Coset, g: Coset) -> list[Coset]:
     if all(p.scale_of(v) == g.scale_of(v) for v in shared):
         if not _scalar_same(c, _scale_prod(p, g, delta)):
             return [p]
-        return _staircase(p, dplus) + _slices(p, dplus, pinned)
+        return _staircase(p, dplus) + _punctured(p, dplus, pinned, [tuple(dplus[v] for v in pinned)])
     # differing scalings, answered only without a shift (delta = 0): p's
     # element at beta then lies in g when beta vanishes off S_g and
-    # prod_v rho_v^beta_v = c, with rho_v = s_v^p / s_v^g
-    sides = {}
-    for v in shared:
-        rho = p.scale_of(v) / g.scale_of(v)
-        if rho != Exact(1):
-            sides[v] = _modulus_side(rho)
-    factor = not _scalar_same(c, Exact(1))
-    if factor and not any(delta) and set(sides.values()) in ({1}, {-1}):
-        # every |rho_v| on one side of 1 puts |prod rho_v^beta_v| there too,
-        # and at 1 only for beta = 0: no beta reaches a c on the other side,
-        # nor an exact c of modulus 1
-        c_side, (rho_side,) = _modulus_side(c), set(sides.values())
-        if c_side == -rho_side or (c_side == 0 and isinstance(c, Exact)):
-            return [p]
-    if factor or any(delta):
+    # prod_v rho_v^beta_v = c, with rho_v = s_v^p / s_v^g; with every |rho_v|
+    # on one side of 1 that leaves finitely many beta, each fixing a sub-coset
+    if any(delta):
         raise UnsupportedFamilyShape(
             "cannot subtract cosets that combine differing variable scalings "
             "with a monomial shift or scalar factor"
         )
+    rhos = {v: p.scale_of(v) / g.scale_of(v) for v in shared}
+    sides = {v: _modulus_side(rho) for v, rho in rhos.items() if rho != ONE}
     for v, side in sides.items():
         if side == 0:
             raise UnsupportedFamilyShape(
                 f"variable scaling ratio on x{v + 1} has modulus one; the overlap is not a finite union of cosets"
             )
-        pinned.append(v)
     if len(set(sides.values())) > 1:
         raise UnsupportedFamilyShape(
             "variable scaling ratios lie on both sides of modulus one; the overlap is not a finite union of cosets"
         )
-    # overlap = sub-coset over the scale-matched variables only
-    return _slices(p, (0,) * nvars, pinned)
+    reached = _exponents_reaching([rhos[v] for v in sides], c)
+    if not reached:
+        return [p]
+    # each reached beta fixes the scaled variables; the pinned ones stay at 0
+    vs = sorted(pinned + list(sides))
+    points = [tuple(dict(zip(sides, beta)).get(v, 0) for v in vs) for beta in reached]
+    return _punctured(p, (0,) * nvars, vs, points)
 
 
 def family_difference(left: BasisFamily, right: BasisFamily) -> BasisFamily:

@@ -245,8 +245,12 @@ class Polynomial:
         idx = set(indices)
         return self._like({m: c for m, c in self._c.items() if all(m[j] == 0 for j in idx)})
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of points with shape (P, nvars)."""
+    def evaluate(self, points: np.ndarray, *, powers: dict | None = None) -> np.ndarray:
+        """Evaluate at an array of points with shape (P, nvars).
+
+        `powers`, passed by a caller that evaluates many polynomials at the
+        same points, keeps each `Z[:, j] ** e` as it is first computed, so
+        later terms read it instead of computing it again."""
         Z = np.asarray(points, dtype=complex)
         single = Z.ndim == 1
         if single:
@@ -255,10 +259,16 @@ class Polynomial:
             raise ValueError(f"points have {Z.shape[1]} coordinates, ring has {self.nvars}")
         vals = np.zeros(Z.shape[0], dtype=complex)
         for m, c in self._c.items():
-            t = np.full(Z.shape[0], complex(c))
+            t = complex(c)
             for j, e in enumerate(m):
                 if e:
-                    t = t * Z[:, j] ** e
+                    if powers is None:
+                        pw = Z[:, j] ** e
+                    elif (j, e) in powers:
+                        pw = powers[j, e]
+                    else:
+                        pw = powers[j, e] = Z[:, j] ** e
+                    t = t * pw
             vals += t
         return vals[0] if single else vals
 

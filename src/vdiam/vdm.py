@@ -128,9 +128,18 @@ def random_variety_points(pres: VarietyPresentation, count_: int, seed: int) -> 
 
 
 def vdm_matrix(basis: GradedBasis, points: np.ndarray) -> np.ndarray:
-    """Matrix e_j(z_i): rows are points, columns are basis elements."""
-    cols = [e.evaluate(points) for e in basis.elements]
-    return np.stack(cols, axis=1)
+    """Matrix e_j(z_i): rows are points, columns are basis elements. Each
+    coordinate power is computed once and shared by every element; one point
+    (a 1-D array) gives one row."""
+    Z = np.asarray(points, dtype=complex)
+    single = Z.ndim == 1
+    if single:
+        Z = Z[None, :]
+    E = np.empty((Z.shape[0], len(basis.elements)), dtype=complex)
+    powers: dict = {}
+    for i, e in enumerate(basis.elements):
+        E[:, i] = e.evaluate(Z, powers=powers)
+    return E[0] if single else E
 
 
 def _slogabs(a: np.ndarray) -> float:

@@ -121,6 +121,29 @@ def test_basis_csv_is_byte_identical(variety, kind, capsys):
     assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == BASIS_CSV_SHA256[variety, kind]
 
 
+# sha256 of stdout for commands that print estimates, determinants and
+# scale bounds, recorded before `vdm_matrix` shared one power table per call
+# (numpy 2.4, searches in one BLAS thread); a speed-up that moves a printed
+# digit changes one of them
+PRINTED_SHA256 = {
+    "compare --variety hyperbola --k-max 6 --sampler torus:64 --starts 4 --seed 0 --format csv":
+        "8624e74c49f9c49780e0ed58d754083036c50ce709aa931fc440b72dfbdc138a",
+    "compare --variety cone2d --k-max 3 --sampler torus:12 --n 32 --starts 4 --seed 0 --format csv":
+        "86c87c965f5893ee4c02aa15007a42ceadd574a0af41918ec77d835a81126681",
+    "fekete --kind cm --k 6 --sampler torus:64 --starts 4 --seed 0 --format csv":
+        "63d9e61b9fc38da3f8a9f9692e9de16c8bdf362bd7f8b19f523efdc37652fc67",
+    "fekete --kind bb --k 6 --sampler torus:64 --starts 4 --seed 0 --format csv":
+        "fb68b5bcc66a3f23dbee205f880c1961837797660e584b98c9cadaa31a8b6b1b",
+    "reproduce-example --seed 0": "f3d4ccf9e0ed3c20932ce43e069972f206499c39ff1e693906ffb629e26dd6a6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PRINTED_SHA256))
+def test_printed_numbers_are_byte_identical(argv, capsys):
+    assert run(argv.split()) == 0
+    assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == PRINTED_SHA256[argv]
+
+
 # ---------------------------------------------------------------------------
 # compliance
 

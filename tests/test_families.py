@@ -174,13 +174,27 @@ def test_a_scalar_factor_no_scaling_reaches_leaves_the_coset_whole(factor, scale
     assert expand(diff, 1) == expand(left, 1) - expand(right, 1)
 
 
-def test_a_scalar_factor_a_scaling_reaches_is_refused():
-    # y1 (2 x1)^2 = 4 y1 x1^2: the overlap is one element, not handled
+def test_a_scalar_factor_a_scaling_reaches_removes_that_element():
+    # y1 (2 x1)^2 = 4 y1 x1^2: the overlap is the one element at a = 2
     scaled = BasisFamily((Coset(P("y1"), frozenset({0}), ((0, Exact(2)),)),), ())
     plain = BasisFamily((Coset(P("4*y1"), frozenset({0})),), ())
     for left, right in ((scaled, plain), (plain, scaled)):
-        with pytest.raises(UnsupportedFamilyShape, match="scalar factor"):
-            family_difference(left, right)
+        diff = family_difference(left, right)
+        assert expand(diff, 1) == expand(left, 1) - expand(right, 1)
+        assert len(expand(left, 1) - expand(diff, 1)) == 1
+    assert mult_strs(family_difference(plain, scaled).cosets) == {"4*x1^3*y1"}
+    assert set(family_difference(plain, scaled).finite) == {P("4*y1"), P("4*x1*y1")}
+
+
+def test_a_scalar_factor_two_scalings_reach_removes_each_solution():
+    # y1 (2 x1)^a (4 x2)^b = 8 y1 x1^a x2^b exactly at (a, b) = (3, 0) and (1, 1)
+    scaled = BasisFamily((Coset(P("y1", CONE), frozenset({0, 1}), ((0, Exact(2)), (1, Exact(4)))),), ())
+    plain = BasisFamily((Coset(P("8*y1", CONE), frozenset({0, 1})),), ())
+    shared = {P("8*x1^3*y1", CONE), P("8*x1*x2*y1", CONE)}
+    for left, right in ((scaled, plain), (plain, scaled)):
+        diff = family_difference(left, right)
+        assert expand(diff, 2) == expand(left, 2) - expand(right, 2)
+        assert expand(left, 2) - expand(diff, 2) == shared
 
 
 # ---------------------------------------------------------------------------

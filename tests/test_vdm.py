@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +52,7 @@ from vdiam.vdm import (
 )
 
 HYP, _ = load_variety("hyperbola")
+CONE, _ = load_variety("cone2d")
 GENS = cm_generators(HYP)
 C1 = VarietyPresentation(M=1, N=1, generators=())
 
@@ -123,6 +125,102 @@ def test_vdm_matrix_shape_and_singularity():
     # a repeated point collapses the determinant
     rep = np.vstack([pts[:4], pts[:1]])
     assert log_abs_vdm(b, rep) == -math.inf
+
+
+def _ref_evaluate(poly, points):
+    """`Polynomial.evaluate` as it was before the power table, term by term."""
+    Z = np.asarray(points, dtype=complex)
+    vals = np.zeros(Z.shape[0], dtype=complex)
+    for m, c in poly.items():
+        t = np.full(Z.shape[0], complex(c))
+        for j, e in enumerate(m):
+            if e:
+                t = t * Z[:, j] ** e
+        vals += t
+    return vals
+
+
+def _ref_vdm_matrix(basis, points):
+    """`vdm_matrix` as it was before the power table: one column per element, stacked."""
+    return np.stack([_ref_evaluate(e, points) for e in basis.elements], axis=1)
+
+
+# a hand-made tuple with exact zeros, signed zeros among them, in every coordinate
+ZEROS = np.array([[0, 1], [complex(-0.0, 0.0), -1j], [0.5, complex(0.0, -0.0)], [1 + 1j, 0], [-2, 3 - 1j]])
+
+
+def _vdm_cases():
+    for pres in (HYP, CONE):
+        quad = torus_quadrature(pres, 16)
+        samplers = {
+            "torus": torus_sampler(pres, 16).points,
+            "segment": segment_sampler(pres, 16).points,
+            "random": random_variety_points(pres, 40, seed=3).points,
+        }
+        k = 6 if pres is HYP else 3
+        for kind in ("monomial", "cm", "bb", "bb_structured"):
+            basis = build_basis(pres, kind, k, quad=quad)
+            assert basis.elements[0].degree() == 0  # a constant element
+            for name, points in samplers.items():
+                yield pres, basis, name, points
+            if pres is HYP:
+                yield pres, basis, "zeros", ZEROS
+            else:
+                yield pres, basis, "zeros", np.hstack([ZEROS[:, :1], ZEROS[::-1, :1], ZEROS[:, 1:]])
+
+
+def test_vdm_matrix_equals_the_column_stack_bit_for_bit():
+    cases = 0
+    for pres, basis, name, points in _vdm_cases():
+        E, ref = vdm_matrix(basis, points), _ref_vdm_matrix(basis, points)
+        assert E.flags.c_contiguous and E.shape == ref.shape, (pres.M, basis.kind, name)
+        assert E.tobytes() == ref.tobytes(), (pres.M, basis.kind, name)
+        cases += 1
+    assert cases == 2 * 4 * 4
+
+
+def test_evaluate_without_a_table_is_the_term_by_term_loop():
+    for pres, basis, name, points in _vdm_cases():
+        for e in basis.elements:
+            assert e.evaluate(points).tobytes() == _ref_evaluate(e, points).tobytes(), (basis.kind, name)
+
+
+def _vdm_peak(basis, points):
+    """Peak bytes `vdm_matrix` allocates, over the bytes of the matrix it returns."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        E = vdm_matrix(basis, points)
+        return (tracemalloc.get_traced_memory()[1] - start) / E.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_vdm_matrix_holds_one_matrix_and_its_power_table():
+    # a column list and its stack held the matrix twice (2.04 x at k = 16)
+    hyp = _vdm_peak(monomial_graded_basis(HYP, 16), torus_sampler(HYP, 256).points)
+    cone = _vdm_peak(bb_basis(CONE, 4, torus_quadrature(CONE, 16)), torus_sampler(CONE, 16).points)
+    assert hyp <= 1.75 and cone <= 1.75
+
+
+def test_vdm_matrix_of_one_point_is_a_row():
+    b = monomial_graded_basis(HYP, 2)
+    pts = torus_sampler(HYP, 8).points
+    row = vdm_matrix(b, pts[3])
+    assert row.shape == (5,)
+    assert row.tobytes() == vdm_matrix(b, pts)[3].tobytes()
+
+
+def test_vdm_matrix_refuses_a_wrong_coordinate_count():
+    pts = torus_sampler(HYP, 8).points
+    with pytest.raises(ValueError, match="points have 1 coordinates, ring has 2"):
+        vdm_matrix(monomial_graded_basis(HYP, 2), pts[:, :1])
+
+
+def test_vdm_matrix_of_an_empty_basis_has_no_columns():
+    pts = torus_sampler(HYP, 8).points
+    E = vdm_matrix(GradedBasis(kind="monomial", k=0, elements=(), degrees=()), pts)
+    assert E.shape == (16, 0) and E.dtype == complex
 
 
 def test_cm_and_monomial_determinants_agree():
@@ -404,9 +502,6 @@ def dense_pivots(basis_b, basis_c):
 
 def sparse_pivots(basis_b, basis_c):
     return _change_of_basis_pivots(basis_b, basis_c)
-
-
-CONE, _ = load_variety("cone2d")
 
 
 # cm -> monomial (B = cm, C = monomial), plus the benchmark's k = 12 and the
