@@ -16,9 +16,12 @@ x monomials, which keeps its description finite.  It carries that block as
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -423,30 +426,79 @@ def gram(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndarray:
 # bb bases
 
 
+# (get, set) thread-count symbols, in the order they are looked up: the
+# scipy-openblas build that numpy wheels bundle, then a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions in the library bundled
+    with numpy, or None when there is none. Looked up on the first search or
+    bb build, so importing vdiam does not pay for it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _one_blas_thread(fn):
+    """Run `fn` with one OpenBLAS thread, and give the caller's thread count
+    back when it returns or raises; a nested call keeps one thread until the
+    outermost returns.
+
+    The Fekete exchange and the bb Gram-Schmidt are serial loops of small
+    matrix-vector products (P x N with N up to a few dozen). Threaded, each
+    is split across the cores, whose workers then spin between calls: the
+    CPU time doubles on two cores and the wall time does not fall. The split
+    also moves the last bits of the sums, so in one thread a result does not
+    depend on the host's core count. The count is process-wide: searches or
+    builds run from several Python threads at once can hand each other the
+    wrong count back."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        blas = _openblas_threads()
+        if blas is None:
+            return fn(*args, **kwargs)
+        get, set_ = blas
+        saved = get()
+        set_(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            set_(saved)
+
+    return run
+
+
 def _orthonormalize(q: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one reorthogonalization pass.  Rows of `q`
-    (complex, C-contiguous) are the input vectors sampled at the quadrature
-    points; row j of the result holds the coefficients of the j-th
+    """Classical Gram-Schmidt with one reorthogonalization pass, row by row.
+    Rows of `q` (complex, C-contiguous) are the input vectors sampled at the
+    quadrature points; row j of the result holds the coefficients of the j-th
     orthonormal vector over the inputs.  Works in place: on return `q`
     holds the orthonormal vectors."""
     m = q.shape[0]
     c = np.eye(m, dtype=complex)
-    # numpy casts a float operand of a complex product to complex first, so
-    # casting once gives the same bits as casting in every projection
-    cweights = weights.astype(complex)
-    wq = np.empty(q.shape[1], dtype=complex)
-    tmp = np.empty_like(wq)
+    v = np.empty(q.shape[1], dtype=complex)
     for j in range(m):
         for _ in range(2):
-            for i in range(j):
-                # r = sum((weights * q[j]) * conj(q[i])), in that order
-                np.multiply(cweights, q[j], out=wq)
-                np.conjugate(q[i], out=tmp)
-                np.multiply(wq, tmp, out=wq)
-                r = wq.sum()
-                np.multiply(r, q[i], out=tmp)
-                q[j] -= tmp
-                c[j] -= r * c[i]
+            # r[i] = <q[j], q[i]> for all i < j at once, conjugating the one
+            # row v rather than the j rows before it
+            np.multiply(weights, q[j], out=v)
+            np.conjugate(v, out=v)
+            r = np.conjugate(q[:j] @ v)
+            q[j] -= np.matmul(r, q[:j], out=v)
+            c[j] -= r @ c[:j]
         norm = math.sqrt(float(np.sum(weights * np.abs(q[j]) ** 2).real))
         if not norm >= 1e-13:  # NaN fails this too
             raise QuadratureError(f"vector {j} is numerically dependent (norm {norm:.3e})")
@@ -461,6 +513,7 @@ def _orthonormalize(q: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return c
 
 
+@_one_blas_thread
 def _orthonormal(
     pres: VarietyPresentation, monos: Sequence[tuple], quad: QuadratureSpec
 ) -> tuple[tuple[Polynomial, ...], np.ndarray]:

@@ -199,7 +199,7 @@ def _subtract_coset(p: Coset, g: Coset) -> list[Coset]:
     if any(delta):
         raise UnsupportedFamilyShape(
             "cannot subtract cosets that combine differing variable scalings "
-            "with a monomial shift or scalar factor"
+            "with a monomial shift"
         )
     rhos = {v: p.scale_of(v) / g.scale_of(v) for v in shared}
     sides = {v: _modulus_side(rho) for v, rho in rhos.items() if rho != ONE}

@@ -9,8 +9,6 @@ basis, which sandwiches one determinant by the other.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -24,6 +22,7 @@ from .bases import (
     CmGenerators,
     GradedBasis,
     QuadratureSpec,
+    _one_blas_thread,
     bb_basis,
     bb_structured,
     cm_basis,
@@ -165,60 +164,6 @@ class VdmEvaluation:
 
 # ---------------------------------------------------------------------------
 # Fekete-style maximization
-
-
-# (get, set) thread-count symbols, in the order they are looked up: the
-# scipy-openblas build that numpy wheels bundle, then a plain OpenBLAS
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_threads():
-    """OpenBLAS's (get, set) thread-count functions in the library bundled
-    with numpy, or None when there is none. Looked up on the first search,
-    so importing vdiam does not pay for it."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("lib*openblas*.so*")):
-        lib = ctypes.CDLL(str(path))
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-def _one_blas_thread(fn):
-    """Run `fn` with one OpenBLAS thread, and give the caller's thread count
-    back when it returns or raises; a nested call keeps one thread until the
-    outermost returns.
-
-    The exchange is a serial loop of small matrix-vector products (P x N
-    with N up to a few dozen). Threaded, each is split across the cores,
-    whose workers then spin between calls: the CPU time doubles on two
-    cores and the wall time does not fall. The split also moves the last
-    bits of the sums, so in one thread a result does not depend on the
-    host's core count. The count is process-wide: searches run from several
-    Python threads at once can hand each other the wrong count back."""
-
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        blas = _openblas_threads()
-        if blas is None:
-            return fn(*args, **kwargs)
-        get, set_ = blas
-        saved = get()
-        set_(1)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            set_(saved)
-
-    return run
 
 
 def _greedy_init(E: np.ndarray) -> list[int]:

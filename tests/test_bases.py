@@ -373,37 +373,62 @@ def test_bb_structured_aliasing_coupling():
 
 
 # ---------------------------------------------------------------------------
-# the shared orthonormalizer against the two builders it replaced
+# the shared orthonormalizer against loop references
 
-# The Gram-Schmidt and the per-builder loops as they stood before bb_basis
-# and bb_y_block shared one builder, kept as the reference.
+# Row-by-row classical Gram-Schmidt with one reorthogonalization, written as
+# plainly as it reads, is the reference the builders are pinned to bit for
+# bit.  Modified Gram-Schmidt with one reorthogonalization, which the builders
+# ran before, is kept as an accuracy oracle: the two agree to rounding.
+
+
+def _ref_normalize(q, c, j, weights):
+    norm = math.sqrt(float(np.sum(weights * np.abs(q[j]) ** 2).real))
+    q[j] /= norm
+    c[j] /= norm
+    big = [idx for idx in range(c.shape[1]) if abs(c[j, idx]) > 1e-10]
+    lead = big[-1] if big else int(np.argmax(np.abs(c[j])))
+    ph = c[j, lead] / abs(c[j, lead])
+    q[j] /= ph
+    c[j] /= ph
 
 
 def _ref_orthonormalize(vals, weights, coefs):
-    m = vals.shape[0]
     q = vals.astype(complex).copy()
     c = coefs.astype(complex).copy()
-    for j in range(m):
+    for j in range(q.shape[0]):
+        for _ in range(2):
+            v = np.conj(weights * q[j])
+            r = np.conj(q[:j] @ v)
+            q[j] -= r @ q[:j]
+            c[j] -= r @ c[:j]
+        _ref_normalize(q, c, j, weights)
+    return q, c
+
+
+def _mgs_orthonormalize(vals, weights, coefs):
+    q = vals.astype(complex).copy()
+    c = coefs.astype(complex).copy()
+    for j in range(q.shape[0]):
         for _ in range(2):
             for i in range(j):
                 r = np.sum(weights * q[j] * np.conj(q[i]))
                 q[j] -= r * q[i]
                 c[j] -= r * c[i]
-        norm = math.sqrt(float(np.sum(weights * np.abs(q[j]) ** 2).real))
-        q[j] /= norm
-        c[j] /= norm
-        big = [idx for idx in range(c.shape[1]) if abs(c[j, idx]) > 1e-10]
-        lead = big[-1] if big else int(np.argmax(np.abs(c[j])))
-        ph = c[j, lead] / abs(c[j, lead])
-        q[j] /= ph
-        c[j] /= ph
+        _ref_normalize(q, c, j, weights)
     return q, c
 
 
-def _ref_orthonormal(pres, monos, quad):
-    vals = np.stack(
+def _monomial_values(pres, monos, quad):
+    return np.stack(
         [Polynomial.monomial(m, pres.M, pres.N, "float").evaluate(quad.points) for m in monos]
     )
+
+
+# in one BLAS thread, as the builders run: threaded matrix-vector products
+# round differently
+@bases._one_blas_thread
+def _ref_orthonormal(pres, monos, quad):
+    vals = _monomial_values(pres, monos, quad)
     _, c = _ref_orthonormalize(vals, quad.weights, np.eye(len(monos)))
     polys = []
     for row in c:
@@ -492,6 +517,23 @@ def test_bb_builders_match_the_reference_where_the_weights_round(pres, n, k):
     assert _coefficient_bytes(yhats) == _coefficient_bytes(ref_y)
     assert _coefficient_bytes(bb_structured(pres, k, quad).elements) == _coefficient_bytes(ref_st)
     assert unchanged()
+
+
+@pytest.mark.parametrize("pres, n, k", BB_CASES + ROUNDING_CASES, ids=BB_IDS + ROUNDING_IDS)
+def test_bb_is_modified_gram_schmidt_to_rounding(pres, n, k):
+    # Both variants with one reorthogonalization are backward stable, so
+    # their coefficients part by m * eps * cond(W^1/2 V) times the largest
+    # coefficient, and by sqrt(P) more: every inner product is a P-term sum,
+    # whose rounding grows like sqrt(P) * eps, in a different order in each
+    quad = torus_quadrature(pres, n)
+    monos = monomial_basis(pres, k)
+    vals = _monomial_values(pres, monos, quad)
+    _, mgs = _mgs_orthonormalize(vals, quad.weights, np.eye(len(monos)))
+    elements, c = _orthonormal(pres, monos, quad)
+    cond = np.linalg.cond(vals * np.sqrt(quad.weights))
+    bound = len(monos) * math.sqrt(len(quad)) * np.finfo(float).eps * cond * np.abs(c).max()
+    assert np.abs(c - mgs).max() <= bound
+    assert np.abs(gram(elements, quad) - np.eye(len(monos))).max() <= 1e-14
 
 
 @pytest.mark.parametrize("pres, n", [(HYP, 64), (CONE, 64)], ids=["hyperbola", "cone2d"])

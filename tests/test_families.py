@@ -162,6 +162,14 @@ def test_scaling_ratios_on_both_sides_of_one_are_refused():
         family_difference(BasisFamily((both,), ()), BasisFamily((plain,), ()))
 
 
+def test_differing_scalings_with_a_shift_are_refused():
+    # x1 (2 x1)^a against x1^a: a shift by x1 and no scalar factor
+    shifted = BasisFamily((Coset(P("x1"), frozenset({0}), ((0, Exact(2)),)),), ())
+    plain = BasisFamily((Coset(P("1"), frozenset({0})),), ())
+    with pytest.raises(UnsupportedFamilyShape, match=r"differing variable scalings with a monomial shift$"):
+        family_difference(shifted, plain)
+
+
 @pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(-1)], ids=["half", "minus-one"])
 @pytest.mark.parametrize("scaled_left", [True, False], ids=["scaled-left", "scaled-right"])
 def test_a_scalar_factor_no_scaling_reaches_leaves_the_coset_whole(factor, scaled_left):

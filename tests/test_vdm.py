@@ -40,6 +40,7 @@ from vdiam import (
 from vdiam.bases import GradedBasis, QuadratureError
 from vdiam.polyring import Polynomial, parse_polynomial
 from vdiam.scalars import SQRT2, Exact
+import vdiam.bases as bases
 import vdiam.vdm as vdm
 from vdiam.vdm import (
     _change_of_basis_pivots,
@@ -1016,7 +1017,7 @@ def test_compare_bases_builds_the_search_basis_itself():
 # ---------------------------------------------------------------------------
 # one BLAS thread per search
 
-_BLAS = vdm._openblas_threads()
+_BLAS = bases._openblas_threads()
 needs_openblas = pytest.mark.skipif(_BLAS is None, reason="no OpenBLAS found beside numpy")
 
 
@@ -1062,6 +1063,25 @@ def test_every_search_runs_in_one_blas_thread(monkeypatch, two_blas_threads):
 
 
 @needs_openblas
+def test_every_bb_build_runs_in_one_blas_thread(monkeypatch, two_blas_threads):
+    get = two_blas_threads
+    seen = []
+    orthonormalize = bases._orthonormalize
+
+    def read(*args):
+        seen.append(get())
+        return orthonormalize(*args)
+
+    monkeypatch.setattr(bases, "_orthonormalize", read)
+    quad = torus_quadrature(HYP, 32)
+    bb_basis(HYP, 3, quad)
+    bb_structured(HYP, 3, quad)
+    compare_bases(HYP, ["bb"], 2, torus_sampler(HYP, 32), quad=quad, starts=2)
+    assert len(seen) == 3 and set(seen) == {1}
+    assert get() == 2
+
+
+@needs_openblas
 def test_the_caller_s_thread_count_comes_back(two_blas_threads):
     get = two_blas_threads
     compare_bases(HYP, ["monomial", "cm"], 2, torus_sampler(HYP, 16))
@@ -1082,7 +1102,7 @@ def test_searches_without_openblas_give_the_same_results(monkeypatch):
         )
 
     found = run()
-    monkeypatch.setattr(vdm, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(bases, "_openblas_threads", lambda: None)
     assert run() == found
 
 
@@ -1110,3 +1130,28 @@ def test_a_search_does_not_depend_on_the_blas_thread_count():
     ]
     assert outs[0] == outs[1]
     assert outs[0].startswith("244.906036555266")
+
+
+_CONE_BB = """
+from vdiam import load_variety, monomial_basis, torus_quadrature
+from vdiam.bases import _orthonormal
+cone, _ = load_variety("cone2d")
+print(_orthonormal(cone, monomial_basis(cone, 4), torus_quadrature(cone, 128))[1].tobytes().hex())
+"""
+
+
+def test_bb_does_not_depend_on_the_blas_thread_count():
+    # at P = 32,768 the threaded matrix-vector products of the Gram-Schmidt
+    # round differently, and with the caller's threads these coefficients
+    # differed between one and two
+    src = str(Path(vdm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _CONE_BB], env=dict(env, OPENBLAS_NUM_THREADS=str(threads)),
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for threads in (1, 2)
+    ]
+    assert outs[0] == outs[1]
+    assert len(outs[0]) == 2 * 25 * 25 * 16 + 1
