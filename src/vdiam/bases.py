@@ -111,12 +111,17 @@ class BasisFamily:
 
 
 def _trimmed(p: Polynomial) -> Polynomial:
-    """Drop floating-point dust relative to the largest coefficient."""
+    """Drop floating-point dust relative to the largest coefficient modulus:
+    every term, and every real or imaginary part, of at most 1e-12 of it."""
     if p.mode == "exact" or p.is_zero():
         return p
-    mx = max(abs(c) for _, c in p.items())
-    kept = {m: c for m, c in p.items() if abs(c) > 1e-12 * mx}
-    return Polynomial(kept, p.nx, p.nvars, "float")
+    tol = 1e-12 * max(abs(c) for _, c in p.items())
+    kept = {
+        m: complex(c.real if abs(c.real) > tol else 0.0, c.imag if abs(c.imag) > tol else 0.0)
+        for m, c in p.items()
+        if abs(c) > tol
+    }
+    return Polynomial(kept, p.nx, p.nvars, p.mode)
 
 
 def family_for(
@@ -215,7 +220,7 @@ def cm_generators(
     if pres.ny != 1:
         raise CmConstructionError("automatic construction needs exactly one y variable")
     inf = distinct_infinity_check(pres)
-    if not inf.verdict:
+    if not inf.distinct:
         raise CmConstructionError("points at infinity are not distinct; cannot build sheet generators")
     if inf.exact_roots is None:
         raise CmConstructionError("points at infinity are not expressible in the exact scalar field")
@@ -520,7 +525,7 @@ def _orthonormal(
     """Orthonormalize the monomials `monos`, in their order, in the
     quadrature inner product: the float polynomials and their coefficient
     matrix over `monos`."""
-    vals = _values([Polynomial.monomial(m, pres.M, pres.N, "float") for m in monos], quad)
+    vals = _values([Polynomial.monomial(m, pres.M, pres.N) for m in monos], quad)
     c = _orthonormalize(vals, quad.weights)
     polys = tuple(
         Polynomial({m: complex(cc) for m, cc in zip(monos, row) if cc != 0}, pres.M, pres.N, "float")

@@ -141,7 +141,7 @@ def _cmd_validate(args, out) -> int:
         ]
         for i, (xm, y) in enumerate(inf.points, start=1):
             pairs.append((f"point_{i}", f"[0 : {_fmt(xm)} : {_fmt(y)}]"))
-        verdict = verdict and inf.verdict
+        verdict = verdict and inf.distinct
     _emit_pairs(pairs, args.format, out)
     return 0 if verdict else 3
 
@@ -318,7 +318,7 @@ def reproduce_example(n: int = 4096, seed: int = 0) -> tuple[bool, list[str]]:
     check("noether", rep.valid and rep.d == 2, f"valid={rep.valid}, d={rep.d}")
     inf = distinct_infinity_check(pres)
     roots_ok = inf.exact_roots == (Exact(1), Exact(-1))
-    check("infinity", inf.verdict and roots_ok, "roots at infinity are +1, -1" if roots_ok else f"roots {inf.exact_roots}")
+    check("infinity", inf.distinct and roots_ok, "roots at infinity are +1, -1" if roots_ok else f"roots {inf.exact_roots}")
 
     gens = cm_generators(pres, extras.get("v_polys"))
     v1_expect = parse_polynomial("(y1 - x1)/sqrt2", 1, 2)
@@ -341,7 +341,7 @@ def reproduce_example(n: int = 4096, seed: int = 0) -> tuple[bool, list[str]]:
     )
 
     quad = torus_quadrature(pres, n)
-    y = Polynomial.variable(1, 1, 2, "float")
+    y = Polynomial.variable(1, 1, 2)
     yy = inner_product(y, y, quad).real
     err_yy = abs(yy - 4.0 / math.pi)
     check("moment_y", err_yy <= 1e-6, f"<y,y> = {_fmt(yy)}, |err| = {_fmt(err_yy)} at n={n}")

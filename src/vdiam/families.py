@@ -41,19 +41,16 @@ def _scalar_same(a: Scalar, b: Scalar, tol: float = _TOL) -> bool:
     return abs(ca - cb) <= tol * max(1.0, abs(cb))
 
 
-def _modulus_side(a: Scalar) -> int:
-    """Sign of |a| - 1: exact for an Exact a, 0 within the tolerance for a complex one."""
-    if isinstance(a, Exact):
-        return (a.modulus_squared() - Exact(1)).real_sign()
-    d = abs(a) - 1.0
-    return 0 if abs(d) <= _TOL else (1 if d > 0 else -1)
+def _modulus_side(a: Exact) -> int:
+    """Sign of |a| - 1."""
+    return (a.modulus_squared() - Exact(1)).real_sign()
 
 
 def _poly_same(p: Polynomial, q: Polynomial, tol: float = _TOL) -> bool:
     if p.mode == "exact" and q.mode == "exact":
         return p == q
-    pf = _trimmed(p.to_float() if p.mode == "exact" else p)
-    qf = _trimmed(q.to_float() if q.mode == "exact" else q)
+    pf = _trimmed(p.to_float())
+    qf = _trimmed(q.to_float())
     monos = set(pf.monomials()) | set(qf.monomials())
     scale = max(
         [abs(c) for _, c in pf.items()] + [abs(c) for _, c in qf.items()] + [1.0]
@@ -64,8 +61,8 @@ def _poly_same(p: Polynomial, q: Polynomial, tol: float = _TOL) -> bool:
 def _poly_ratio(p: Polynomial, q: Polynomial) -> Optional[tuple[Scalar, tuple[int, ...]]]:
     """Find (c, delta) with p == c * x^delta * q, delta integer (maybe negative)."""
     exact = p.mode == "exact" and q.mode == "exact"
-    pf = p if exact else _trimmed(p.to_float() if p.mode == "exact" else p)
-    qf = q if exact else _trimmed(q.to_float() if q.mode == "exact" else q)
+    pf = p if exact else _trimmed(p.to_float())
+    qf = q if exact else _trimmed(q.to_float())
     if pf.is_zero() or qf.is_zero() or pf.num_terms() != qf.num_terms():
         return None
     lp, lq = pf.leading_term(), qf.leading_term()
@@ -315,7 +312,7 @@ def parse_family(pres: VarietyPresentation, doc: dict) -> BasisFamily:
     for cd in _list_of(doc, "cosets", dict, "objects"):
         if not isinstance(cd.get("multiplier"), str):
             raise ValueError("family field 'multiplier' must be a polynomial string in every coset")
-        mult = parse_polynomial(cd["multiplier"], pres.M, pres.N, "exact")
+        mult = parse_polynomial(cd["multiplier"], pres.M, pres.N)
         vs = frozenset(_var_index(nm, pres) for nm in _list_of(cd, "variables", str, "variable names"))
         if any(v >= pres.M for v in vs):
             raise ValueError("coset variables must be x variables")
@@ -325,12 +322,12 @@ def parse_family(pres: VarietyPresentation, doc: dict) -> BasisFamily:
         scales: list[tuple[int, Exact]] = []
         for nm, sval in scale_doc.items():
             v = _var_index(nm, pres)
-            sp = parse_polynomial(str(sval), pres.M, pres.N, "exact")
+            sp = parse_polynomial(str(sval), pres.M, pres.N)
             if sp.degree() > 0 or sp.is_zero():
                 raise ValueError(f"scale for {nm} must be a nonzero constant, got {sval!r}")
             scales.append((v, sp.coefficient((0,) * pres.N)))
         cosets.append(Coset(mult, vs, tuple(sorted(scales, key=lambda p: p[0]))))
     finite = tuple(
-        parse_polynomial(s, pres.M, pres.N, "exact") for s in _list_of(doc, "finite", str, "polynomial strings")
+        parse_polynomial(s, pres.M, pres.N) for s in _list_of(doc, "finite", str, "polynomial strings")
     )
     return BasisFamily(tuple(cosets), finite)

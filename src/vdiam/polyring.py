@@ -8,7 +8,11 @@ set, the induced star product on the quotient ring, and an S-polynomial
 check that guards normal-form uniqueness.
 
 Coefficients run in one of two modes: "exact" (scalars.Exact — Gaussian
-rationals extended by sqrt2) or "float" (complex doubles).
+rationals extended by sqrt2) or "float" (complex doubles), which only the
+bb construction in `bases` makes.  Parsed polynomials are exact: the
+grammar of `parse_polynomial` has integer literals, + - *, / by nonzero
+constants, ^ by nonnegative integers, parentheses, the variables x1..xM and
+y1..y(N-M), and the constants sqrt2 and i; a decimal literal is refused.
 """
 
 from __future__ import annotations
@@ -117,10 +121,6 @@ class Polynomial:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, nx: int, nvars: int, mode: str = "exact") -> "Polynomial":
-        return cls({}, nx, nvars, mode)
-
-    @classmethod
     def constant(cls, value, nx: int, nvars: int, mode: str = "exact") -> "Polynomial":
         return cls({(0,) * nvars: value}, nx, nvars, mode)
 
@@ -212,10 +212,7 @@ class Polynomial:
         return self.__mul__(other)
 
     def __truediv__(self, scalar):
-        if self.mode == "exact":
-            inv = _coerce_exact(scalar).inverse() if not isinstance(scalar, Exact) else scalar.inverse()
-            return self * inv
-        return self * (1.0 / complex(scalar))
+        return self * _coerce_exact(scalar).inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -358,10 +355,10 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, nx: int, nvars: int, mode: str):
+    def __init__(self, text: str, nx: int, nvars: int):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.nx, self.nvars, self.mode = nx, nvars, mode
+        self.nx, self.nvars = nx, nvars
         self.text = text
 
     def peek(self):
@@ -378,7 +375,7 @@ class _Parser:
             raise PolyParseError(f"expected {op!r} in {self.text!r}")
 
     def const(self, value) -> Polynomial:
-        return Polynomial.constant(value, self.nx, self.nvars, self.mode)
+        return Polynomial.constant(value, self.nx, self.nvars)
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -432,24 +429,22 @@ class _Parser:
     def atom(self) -> Polynomial:
         kind, val = self.take()
         if kind == "num":
-            if val.isdigit():
-                return self.const(int(val))
-            if self.mode == "exact":
-                raise PolyParseError(f"decimal literal {val!r} needs float mode")
-            return self.const(float(val))
+            if not val.isdigit():
+                raise PolyParseError(f"decimal literal {val!r} is not exact; write it as a ratio of integers")
+            return self.const(int(val))
         if kind == "name":
             if val == "sqrt2":
-                return self.const(Exact(0, 1)) if self.mode == "exact" else self.const(2 ** 0.5)
+                return self.const(Exact(0, 1))
             if val == "i":
-                return self.const(Exact(0, 0, 1)) if self.mode == "exact" else self.const(1j)
+                return self.const(Exact(0, 0, 1))
             m = _VAR.match(val)
             if m:
                 fam, idx = m.group(1), int(m.group(2))
                 ny = self.nvars - self.nx
                 if fam == "x" and idx <= self.nx:
-                    return Polynomial.variable(idx - 1, self.nx, self.nvars, self.mode)
+                    return Polynomial.variable(idx - 1, self.nx, self.nvars)
                 if fam == "y" and idx <= ny:
-                    return Polynomial.variable(self.nx + idx - 1, self.nx, self.nvars, self.mode)
+                    return Polynomial.variable(self.nx + idx - 1, self.nx, self.nvars)
                 raise PolyParseError(
                     f"variable {val!r} outside ring (x1..x{self.nx}, y1..y{ny})"
                 )
@@ -461,10 +456,12 @@ class _Parser:
         raise PolyParseError(f"unexpected token {val!r} in {self.text!r}")
 
 
-def parse_polynomial(text: str, nx: int, nvars: int, mode: str = "exact") -> Polynomial:
-    """Parse grammar: + - * / ^ ( ), integer/rational/decimal literals,
-    variables x1..xM / y1..y(N-M), literals sqrt2 and i."""
-    return _Parser(text, nx, nvars, mode).parse()
+def parse_polynomial(text: str, nx: int, nvars: int) -> Polynomial:
+    """Parse an exact polynomial. Grammar: + - * / ^ ( ), integer literals
+    (a rational is a quotient such as 1/2; a decimal literal is refused),
+    variables x1..xM / y1..y(N-M), the constants sqrt2 and i. Division is
+    by nonzero constants only, and exponents are nonnegative integers."""
+    return _Parser(text, nx, nvars).parse()
 
 
 # ---------------------------------------------------------------------------

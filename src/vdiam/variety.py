@@ -79,11 +79,12 @@ def validate_noether(pres: VarietyPresentation) -> NoetherReport:
         ys = [(j - pres.M, e) for j, e in enumerate(mono) if e and j >= pres.M]
         xs = [j for j, e in enumerate(mono) if e and j < pres.M]
         if xs or len(ys) != 1:
-            problems.append(f"generator {gi} leading term {Polynomial.monomial(mono, g.nx, g.nvars, g.mode)} is not a pure y power")
+            problems.append(f"generator {gi} leading term {Polynomial.monomial(mono, g.nx, g.nvars)} is not a pure y power")
             continue
         yj, m = ys[0]
-        monic = (coef == Exact(1)) if g.mode == "exact" else abs(coef - 1) < 1e-12
-        if not monic:
+        if not isinstance(coef, Exact):
+            problems.append(f"generator {gi} has float coefficients; presentations are exact")
+        elif coef != Exact(1):
             problems.append(f"generator {gi} leading coefficient is not 1")
         if yj in covered:
             problems.append(f"y{yj + 1} is covered by more than one leading term")
@@ -95,10 +96,9 @@ def validate_noether(pres: VarietyPresentation) -> NoetherReport:
     structural_ok = not problems
     spoly_ok: Optional[bool] = None
     if structural_ok and pres.generators:
-        if all(g.mode == "exact" for g in pres.generators):
-            spoly_ok = s_poly_check(pres.generators)
-            if not spoly_ok:
-                problems.append("an S-polynomial of a generator pair does not reduce to zero")
+        spoly_ok = s_poly_check(pres.generators)
+        if not spoly_ok:
+            problems.append("an S-polynomial of a generator pair does not reduce to zero")
     d = pres.d if structural_ok else None
     return NoetherReport(not problems, tuple(problems), m_degrees, d, spoly_ok)
 
@@ -239,15 +239,10 @@ def asymptotic_ratios(pres: VarietyPresentation, k: int) -> tuple[float, float]:
 @dataclass(frozen=True)
 class InfinityReport:
     points: tuple[tuple[complex, complex], ...]  # (x_M, y) homogeneous pairs
-    distinct: bool
+    distinct: bool  # d points, all with x_M != 0, pairwise distinct
     xM_nonzero: bool
-    d: int
     min_chordal: float
     exact_roots: Optional[tuple[Exact, ...]]
-
-    @property
-    def verdict(self) -> bool:
-        return self.distinct and self.xM_nonzero and len(self.points) == self.d
 
 
 def _chordal(u: complex, v: complex) -> float:
@@ -327,21 +322,17 @@ def distinct_infinity_check(pres: VarietyPresentation) -> InfinityReport:
     if restricted.is_zero():
         raise ValueError("top form vanishes identically on the x_M line")
     xM, yv = pres.M - 1, pres.M
-    coeffs_exact: list[Exact] = []
-    coeffs_float = np.zeros(D + 1, dtype=complex)
+    coeffs = [Exact(0)] * (D + 1)
     for mono, c in restricted.items():
         if any(e and j not in (xM, yv) for j, e in enumerate(mono)):
             raise ValueError("restricted top form involves more than one y variable")
-        e = mono[yv]
-        coeffs_float[e] = complex(c)
-    if g.mode == "exact":
-        coeffs_exact = [Exact(0)] * (D + 1)
-        for mono, c in restricted.items():
-            coeffs_exact[mono[pres.M]] = c
-    xM_nonzero = coeffs_float[D] != 0
+        if not isinstance(c, Exact):
+            raise ValueError("the generator has float coefficients; presentations are exact")
+        coeffs[mono[yv]] = c
+    xM_nonzero = not coeffs[D].is_zero()
     exact_roots = None
-    if g.mode == "exact" and xM_nonzero:
-        got = _exact_poly_roots(list(coeffs_exact))
+    if xM_nonzero:
+        got = _exact_poly_roots(coeffs)
         if got is not None and len(got) == D:
             exact_roots = tuple(sorted(got, key=lambda r: (-float(r.a) - float(r.b) * 2 ** 0.5, -float(r.c))))
     if exact_roots is not None:
@@ -353,7 +344,7 @@ def distinct_infinity_check(pres: VarietyPresentation) -> InfinityReport:
         )
     else:
         # roots of p(mu) = sum_e c_e mu^e, highest power first for np.roots
-        mus = np.roots(coeffs_float[::-1]) if D >= 1 else np.array([])
+        mus = np.roots([c.to_complex() for c in reversed(coeffs)]) if D >= 1 else np.array([])
         pairwise_distinct = True
     points = tuple((1 + 0j, complex(mu)) for mu in mus)
     if not xM_nonzero:
@@ -371,8 +362,7 @@ def distinct_infinity_check(pres: VarietyPresentation) -> InfinityReport:
     return InfinityReport(
         points=points,
         distinct=distinct,
-        xM_nonzero=bool(xM_nonzero),
-        d=pres.d,
+        xM_nonzero=xM_nonzero,
         min_chordal=min_ch if min_ch < math.inf else math.nan,
         exact_roots=exact_roots,
     )
@@ -424,7 +414,7 @@ def load_variety(source) -> tuple[VarietyPresentation, dict]:
         gen_strs = _polynomial_strings(doc, "generators")
     except KeyError as e:
         raise ValueError(f"variety file is missing field {e.args[0]!r}") from None
-    gens = tuple(parse_polynomial(s, M, N, "exact") for s in gen_strs)
+    gens = tuple(parse_polynomial(s, M, N) for s in gen_strs)
     pres = VarietyPresentation(M=M, N=N, generators=gens)
     if doc.get("d") is not None:
         d = _integer(doc, "d")
@@ -439,7 +429,7 @@ def load_variety(source) -> tuple[VarietyPresentation, dict]:
         raise ValueError("variety field 'families' must map family names to objects")
     extras = {
         "name": doc.get("name"),
-        "v_polys": [parse_polynomial(s, M, N, "exact") for s in _polynomial_strings(doc, "v_polys")]
+        "v_polys": [parse_polynomial(s, M, N) for s in _polynomial_strings(doc, "v_polys")]
         if doc.get("v_polys")
         else None,
         "families": families,

@@ -178,6 +178,15 @@ def test_cm_generators_refuse_two_y_variables():
         cm_generators(pres)
 
 
+def test_cm_generators_refuse_roots_outside_the_field():
+    # y^4 - x^4 - 1: the points at infinity 1, i, -1, -i are distinct and in
+    # the field, but the exact root finder reaches only rational roots above
+    # degree 2
+    pres, _ = load_variety({"M": 1, "N": 2, "generators": ["y1^4 - x1^4 - 1"]})
+    with pytest.raises(CmConstructionError, match="not expressible"):
+        cm_generators(pres)
+
+
 def test_cm_generator_file_count_mismatch():
     with pytest.raises(CmConstructionError):
         cm_generators(HYP, v_polys=[P("y1")])

@@ -69,6 +69,13 @@ def test_basis_cm_with_zero_normalizer_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: the sheet generator for the root 0 at infinity")
 
 
+def test_basis_cm_with_roots_outside_the_field_exits_2(tmp_path, capsys):
+    f = tmp_path / "quartic.var"
+    f.write_text(json.dumps({"M": 1, "N": 2, "generators": ["y1^4 - x1^4 - 1"]}))
+    assert run(["basis", "--kind", "cm", "--variety", str(f)]) == 2
+    assert capsys.readouterr().err == "error: points at infinity are not expressible in the exact scalar field\n"
+
+
 def test_compare_drops_cm_with_zero_normalizer(tmp_path, capsys):
     f = tmp_path / "cubic.var"
     f.write_text(json.dumps(ZERO_NORMALIZER))
@@ -169,6 +176,18 @@ def test_compliance_of_bb_against_the_scaled_family_gives_a_verdict(capsys, left
     assert rows["compliant"] == "false"
     assert "(0.886249170545*y1) * monomials in {x1}" in rows.values()
     assert "(y1) * monomials in {x1} with scalings x1->2" in rows.values()
+
+
+@pytest.mark.parametrize(
+    "left, right, field",
+    [("monomial", "bb", "right_minus_left_coset_1"), ("bb", "monomial", "left_minus_right_coset_1")],
+)
+def test_compliance_prints_bb_coefficients_without_rounding_dust(capsys, left, right, field):
+    # the constant's imaginary part is rounding (about 2e-17), so it is not printed
+    argv = ["compliance", "--variety", "nondistinct", "--left", left, "--right", right, "--format", "csv"]
+    assert run(argv) == 0
+    rows = dict(line.split(",", 1) for line in out_of(capsys).splitlines()[1:])
+    assert rows[field] == "(0.666666666667*y1 + 0.333333333333) * monomials in {x1}"
 
 
 def test_compliance_unknown_family_exits_1(capsys):
@@ -297,6 +316,14 @@ def test_fekete_file_sampler_rejects_nan_row(tmp_path, capsys):
     f.write_text("[[NaN, 1.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.4142135623730951]]")
     assert run(["fekete", "--k", "1", "--sampler", f"file:{f}"]) == 1
     assert "leave the variety" in capsys.readouterr().err
+
+
+def test_fekete_file_sampler_of_repeated_nodes_exits_2(tmp_path, capsys):
+    # the two points over x = 1, three times each: rank 2 for the 3 monomials
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps([[1.0, 2**0.5], [1.0, -(2**0.5)]] * 3))
+    assert run(["fekete", "--k", "1", "--sampler", f"file:{f}"]) == 2
+    assert "does not span" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

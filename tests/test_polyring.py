@@ -22,8 +22,8 @@ from vdiam import (
 from vdiam.polyring import s_polynomial
 
 
-def P(text, nx=1, nvars=2, mode="exact"):
-    return parse_polynomial(text, nx, nvars, mode)
+def P(text, nx=1, nvars=2):
+    return parse_polynomial(text, nx, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +125,9 @@ def test_parse_rejects_garbage():
             P(bad)
 
 
-def test_float_mode_parse():
-    p = P("0.5*x1 - y1", mode="float")
-    assert p.mode == "float"
-    assert p.coefficient((1, 0)) == 0.5
+def test_decimal_literal_is_refused():
+    with pytest.raises(PolyParseError, match="decimal literal '0.5'"):
+        P("0.5*x1 - y1")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from vdiam import (
     distinct_infinity_check,
     load_variety,
     monomial_basis,
+    Polynomial,
     parse_polynomial,
     sandwich_check,
     asymptotic_ratios,
@@ -107,6 +108,21 @@ def test_non_monic_leading_coefficient():
     assert not validate_noether(pres).valid
 
 
+def test_a_float_presentation_is_invalid():
+    # presentations are exact: float generators are a problem, not a mode
+    exact = parse_polynomial("y1^2 - x1^2 - 1", 1, 2)
+    gen = Polynomial({m: complex(c) for m, c in exact.items()}, 1, 2, "float")
+    pres = VarietyPresentation(M=1, N=2, generators=(gen,))
+    rep = validate_noether(pres)
+    assert not rep.valid
+    assert rep.problems == ("generator 1 has float coefficients; presentations are exact",)
+    assert rep.spoly_ok is None
+    with pytest.raises(ValueError, match="float coefficients"):
+        decompose_A(pres)
+    with pytest.raises(ValueError, match="float coefficients"):
+        distinct_infinity_check(pres)
+
+
 def test_leading_term_not_pure_power():
     pres = mk(1, 2, "x1*y1 + x1")
     assert not validate_noether(pres).valid
@@ -193,7 +209,6 @@ def test_asymptotic_ratio_tends_to_two():
 def test_hyperbola_infinity_roots_exact():
     pres, _ = load_variety("hyperbola")
     rep = distinct_infinity_check(pres)
-    assert rep.verdict
     assert rep.distinct and rep.xM_nonzero
     assert rep.exact_roots is not None
     assert set(rep.exact_roots) == {Exact(1), Exact(-1)}
@@ -202,7 +217,6 @@ def test_hyperbola_infinity_roots_exact():
 def test_double_root_at_infinity_is_rejected():
     pres, _ = load_variety("nondistinct")
     rep = distinct_infinity_check(pres)
-    assert not rep.verdict
     assert not rep.distinct
     # the double root is exactly repeated, not merely close
     assert rep.min_chordal == 0.0
@@ -213,13 +227,13 @@ def test_rational_roots_at_infinity_of_a_cubic():
     # finds all three roots, sorted by decreasing real part
     rep = distinct_infinity_check(mk(1, 2, "y1^3 - x1^2*y1 - 1"))
     assert rep.exact_roots == (Exact(1), Exact(0), Exact(-1))
-    assert rep.verdict
+    assert rep.distinct
 
 
 def test_cone2d_infinity():
     pres, _ = load_variety("cone2d")
     rep = distinct_infinity_check(pres)
-    assert rep.verdict
+    assert rep.distinct
     assert rep.exact_roots == (Exact(1), Exact(-1))
 
 
@@ -238,4 +252,4 @@ def test_infinity_with_vanishing_pure_y_coefficient():
     rep = distinct_infinity_check(pres)
     assert not rep.xM_nonzero
     assert (0j, 1 + 0j) in rep.points
-    assert not rep.verdict
+    assert not rep.distinct

@@ -84,6 +84,12 @@ def test_segment_sampler_is_real():
     assert on_variety(HYP, s.points)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2,), (1, 2, 2)])
+def test_points_sampler_refuses_a_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"shape \(P, 2\)"):
+        points_sampler(HYP, np.zeros(shape, dtype=complex))
+
+
 def test_points_sampler_validates():
     good = np.array([[0.0, 1.0], [0.0, -1.0]], dtype=complex)
     s = points_sampler(HYP, good)
@@ -283,6 +289,30 @@ def test_fekete_needs_enough_candidates():
     b = monomial_graded_basis(HYP, 3)  # N = 7
     with pytest.raises(FeketeError):
         fekete_maximize(b, torus_sampler(HYP, 2))
+
+
+# the two points over x = 1, three times each: 6 candidates of rank 2
+REPEATED = points_sampler(HYP, np.repeat(torus_sampler(HYP, 1).points, 3, axis=0))
+
+
+def test_fekete_refuses_a_rank_deficient_candidate_set():
+    with pytest.raises(FeketeError, match="does not span"):
+        fekete_maximize(monomial_graded_basis(HYP, 1), REPEATED)
+
+
+def test_brute_force_refuses_when_every_tuple_is_singular():
+    with pytest.raises(FeketeError, match="all tuples are singular"):
+        brute_force_max(monomial_graded_basis(HYP, 1), REPEATED)
+
+
+def test_fekete_refuses_a_search_basis_of_another_length():
+    with pytest.raises(ValueError, match="search basis has 3 elements, the basis 5"):
+        fekete_maximize(monomial_graded_basis(HYP, 2), torus_sampler(HYP, 8), search=monomial_graded_basis(HYP, 1))
+
+
+def test_log_abs_vdm_needs_a_square_matrix():
+    with pytest.raises(ValueError, match=r"need a square matrix, got \(8, 3\)"):
+        log_abs_vdm(monomial_graded_basis(HYP, 1), torus_sampler(HYP, 4).points)
 
 
 # ---------------------------------------------------------------------------
