@@ -53,8 +53,6 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GradedBasis:
-    kind: str
-    k: int
     elements: tuple[Polynomial, ...]
     degrees: tuple[int, ...]
 
@@ -166,7 +164,7 @@ def family_for(
     raise ValueError(f"unknown basis kind {kind!r}; expected monomial, cm, or bb")
 
 
-def _expand(family: BasisFamily, k: int, kind: str) -> GradedBasis:
+def _expand(family: BasisFamily, k: int) -> GradedBasis:
     """The family's elements of degree <= k: each coset's multiplier times
     every x-monomial in the coset's variables, a finite element being a coset
     over no variables.  Ordered by degree, then by the grevlex key of the
@@ -181,8 +179,6 @@ def _expand(family: BasisFamily, k: int, kind: str) -> GradedBasis:
                 items.append(((grevlex_key(monomial_mul(lead, beta)), idx), coset.element(beta)))
     items.sort(key=lambda it: it[0])
     return GradedBasis(
-        kind=kind,
-        k=k,
         elements=tuple(poly for _, poly in items),
         # a grevlex key leads with the degree
         degrees=tuple(key[0] for (key, _), _ in items),
@@ -190,7 +186,7 @@ def _expand(family: BasisFamily, k: int, kind: str) -> GradedBasis:
 
 
 def monomial_graded_basis(pres: VarietyPresentation, k: int) -> GradedBasis:
-    return _expand(family_for(pres, "monomial"), k, "monomial")
+    return _expand(family_for(pres, "monomial"), k)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +287,7 @@ def cm_basis(pres: VarietyPresentation, k: int, gens: Optional[CmGenerators] = N
     """The cm family to degree k: low-order monomials x_M^l y^alpha with
     l + |alpha| < t, multiplied by monomials in x_1..x_{M-1}, together with
     x^beta x_M^l v_i for every sheet index i."""
-    basis = _expand(family_for(pres, "cm", gens=gens), k, "cm")
+    basis = _expand(family_for(pres, "cm", gens=gens), k)
     per_degree = Counter(basis.degrees)
     for deg in sorted(per_degree):
         want = count(pres, deg).N_eq
@@ -540,8 +536,6 @@ def bb_basis(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedB
     monos = monomial_basis(pres, k)
     elements, _ = _orthonormal(pres, monos, quad)
     return GradedBasis(
-        kind="bb",
-        k=k,
         elements=elements,
         degrees=tuple(sum(m) for m in monos),
     )
@@ -556,4 +550,4 @@ def bb_y_block(pres: VarietyPresentation, quad: QuadratureSpec) -> tuple[tuple[P
 def bb_structured(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedBasis:
     """The bb family to degree k: x^beta times the orthonormalized pure-y
     block; finitely describable but only orthonormal in the y directions."""
-    return _expand(family_for(pres, "bb", quad=quad), k, "bb_structured")
+    return _expand(family_for(pres, "bb", quad=quad), k)

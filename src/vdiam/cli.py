@@ -224,7 +224,7 @@ def _cmd_gram(args, out) -> int:
     eye = np.eye(g.shape[0])
     off = g - np.diag(np.diag(g))
     pairs = [
-        ("kind", basis.kind),
+        ("kind", args.kind),
         ("k", args.k),
         ("n", n),
         ("size", g.shape[0]),
@@ -245,7 +245,7 @@ def _cmd_fekete(args, out) -> int:
     res = fekete_maximize(basis, sampler, search=search, seed=args.seed, starts=args.starts)
     rec = count(pres, args.k)
     pairs: list[tuple[str, object]] = [
-        ("kind", basis.kind),
+        ("kind", args.kind),
         ("k", args.k),
         ("candidates", len(sampler)),
         ("tuple_size", len(basis)),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -96,7 +96,7 @@ def file_sampler(pres: VarietyPresentation, path) -> CompactSetSampler:
         vals = []
         for entry in row:
             pair = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
-            if not all(isinstance(v, (int, float)) for v in pair):
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
                 raise ValueError(f"point file {path}: an entry must be a number or an [re, im] pair, got {entry!r}")
             try:
                 vals.append(complex(pair[0], pair[1]))
@@ -267,7 +267,7 @@ class _KeptInverse:
         self._measure()
 
 
-def _sweep_to_convergence(E: np.ndarray, sel: list[int], max_sweeps: int) -> tuple[list[int], float, int]:
+def _sweep_to_convergence(E: np.ndarray, sel: list[int]) -> tuple[list[int], float, int]:
     """Coordinate exchange from the tuple `sel`: (tuple, log|det|, sweeps);
     no sweep when E[sel] is singular. Slot s takes the candidate c with the
     largest ratio |E[c] @ A^-1[:, s]| = |det| after / |det| before
@@ -292,7 +292,7 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int], max_sweeps: int) -> tup
     N = len(sel)
     row2 = np.einsum("ij,ij->i", E, E.conj()).real
     sweeps, swapped, singular = 0, False, False
-    while sweeps < max_sweeps:
+    while sweeps < _MAX_SWEEPS:
         sweeps += 1
         gain = 0.0  # the fresh logs of this sweep's swaps
         certified_gain = False  # a certified swap alone exceeds 1e-12
@@ -379,44 +379,28 @@ def _initial_tuples(E: np.ndarray, *, seed: int, starts: int, exhaustive: bool =
     return inits
 
 
-def _fekete_result(E: np.ndarray, runs: Sequence[tuple[list[int], float, int]]) -> FeketeResult:
-    """The best start's tuple, sorted, with log|det| evaluated on the sorted
-    rows, so the value does not depend on the order the slots were filled
-    in."""
-    best: Optional[tuple[list[int], float, int]] = None
-    for run in runs:
-        if best is None or run[1] > best[1]:
-            best = run
-    assert best is not None
-    sel, log_abs, sweeps = best
-    indices = tuple(sorted(sel))
-    if math.isfinite(log_abs):
-        log_abs = _slogabs(E[list(indices)])
-    return FeketeResult(
-        indices=indices,
-        log_abs=log_abs,
-        sweeps=sweeps,
-        starts=len(runs),
-        start_logs=tuple(run[1] for run in runs),
-    )
-
-
-def _searched(E_search: np.ndarray, inits: Sequence[list[int]], max_sweeps: int) -> list[tuple[list[int], float, int]]:
+def _searched(E_search: np.ndarray, inits: Sequence[list[int]]) -> list[tuple[list[int], float, int]]:
     """The exchange in E_search from each start; a repeated start reuses
     its first run."""
     runs: dict[tuple[int, ...], tuple[list[int], float, int]] = {}
     for init in inits:
         if tuple(init) not in runs:
-            runs[tuple(init)] = _sweep_to_convergence(E_search, list(init), max_sweeps)
+            runs[tuple(init)] = _sweep_to_convergence(E_search, list(init))
     return [runs[tuple(init)] for init in inits]
 
 
 def _scored(E: np.ndarray, runs: Sequence[tuple[list[int], float, int]]) -> FeketeResult:
     """The best of `runs` by log|det| of E on each final tuple as the
-    exchange left it; a run from a singular start scores -inf."""
-    return _fekete_result(
-        E, [(sel, _slogabs(E[sel]) if math.isfinite(log_abs) else -math.inf, sweeps) for sel, log_abs, sweeps in runs]
-    )
+    exchange left it, the first on a tie; a run from a singular start scores
+    -inf. The best tuple comes sorted, with log|det| evaluated on the sorted
+    rows, so the value does not depend on the order the slots were filled
+    in."""
+    logs = [_slogabs(E[sel]) if math.isfinite(log_abs) else -math.inf for sel, log_abs, _ in runs]
+    best = max(range(len(runs)), key=logs.__getitem__)
+    sel, _, sweeps = runs[best]
+    indices = tuple(sorted(sel))
+    log_abs = _slogabs(E[list(indices)]) if math.isfinite(logs[best]) else logs[best]
+    return FeketeResult(indices=indices, log_abs=log_abs, sweeps=sweeps, starts=len(runs), start_logs=tuple(logs))
 
 
 @_one_blas_thread
@@ -445,7 +429,7 @@ def fekete_maximize(
         if len(search) != len(basis):
             raise ValueError(f"search basis has {len(search)} elements, the basis {len(basis)}")
         E_search = vdm_matrix(search, sampler.points)
-    return _scored(E, _searched(E_search, inits, _MAX_SWEEPS))
+    return _scored(E, _searched(E_search, inits))
 
 
 def brute_force_max(basis: GradedBasis, sampler: CompactSetSampler) -> VdmEvaluation:
@@ -499,8 +483,6 @@ def build_basis(
 def _prefix(basis: GradedBasis, k: int) -> GradedBasis:
     keep = [i for i, d in enumerate(basis.degrees) if d <= k]
     return GradedBasis(
-        kind=basis.kind,
-        k=k,
         elements=tuple(basis.elements[i] for i in keep),
         degrees=tuple(basis.degrees[i] for i in keep),
     )
@@ -528,70 +510,8 @@ def _grow(E: Optional[np.ndarray], basis: GradedBasis, k: int, points: np.ndarra
     hi = sum(1 for deg in basis.degrees if deg <= k)
     if hi == lo:
         return E
-    new = vdm_matrix(replace(basis, elements=basis.elements[lo:hi], degrees=basis.degrees[lo:hi]), points)
+    new = vdm_matrix(GradedBasis(basis.elements[lo:hi], basis.degrees[lo:hi]), points)
     return new if E is None else np.concatenate([E, new], axis=1)
-
-
-@_one_blas_thread
-def _sequences(
-    pres: VarietyPresentation,
-    kinds: Sequence[str],
-    k_max: int,
-    sampler: CompactSetSampler,
-    *,
-    gens: Optional[CmGenerators],
-    quad: Optional[QuadratureSpec],
-    seed: int,
-    starts: int,
-) -> dict[str, list[DiameterEstimate]]:
-    """Each basis's diameter sequence over one candidate set, with one
-    search for all: at each k, the monomial basis (built here when it is
-    not among `kinds`) and every basis draw their starts as
-    `fekete_maximize` would, every distinct start runs once through the
-    exchange on the monomial matrix, and each basis reports the best of its
-    own log|det| over all the final tuples (`_scored`). So on bases whose
-    change of basis has |det| 1 the estimates agree to rounding. The
-    elements come in ascending degree, so each k's matrix is the last one
-    with the columns of the new elements appended: every element is
-    evaluated once, and only one matrix per basis is held. An error is
-    raised as running the sequences one kind after another would meet it:
-    the first kind's first."""
-    kinds = list(dict.fromkeys(kinds))
-    fulls: dict[str, GradedBasis] = {}
-    errors: dict[str, Exception] = {}
-    for kind in kinds:
-        try:
-            fulls[kind] = build_basis(pres, kind, k_max, gens=gens, quad=quad)
-        except Exception as e:  # raised once the kinds before it have run
-            errors[kind] = e
-            break
-    bases = dict(fulls)
-    if fulls and "monomial" not in fulls:
-        bases = {"monomial": monomial_graded_basis(pres, k_max), **fulls}
-    out: dict[str, list[DiameterEstimate]] = {kind: [] for kind in fulls}
-    Es: dict[str, np.ndarray] = {}
-    for k in range(1, k_max + 1):
-        live = [kind for kind in fulls if kind not in errors]
-        if not live:
-            break
-        rec = count(pres, k)
-        inits: list[list[int]] = []  # every basis's starts, scored by every basis
-        # the search basis's starts come first, whether or not it is a kind
-        for kind in dict.fromkeys(["monomial", *live]):
-            Es[kind] = _grow(Es.get(kind), bases[kind], k, sampler.points)
-            try:
-                inits += _initial_tuples(Es[kind], seed=seed, starts=starts)
-            except FeketeError as e:
-                if kind in fulls:
-                    errors.setdefault(kind, e)
-        runs = _searched(Es["monomial"], list(dict.fromkeys(map(tuple, inits))), _MAX_SWEEPS)
-        for kind in live:
-            if kind not in errors:
-                out[kind].append(_estimate(kind, k, rec, _scored(Es[kind], runs)))
-    for kind in kinds:
-        if kind in errors:
-            raise errors[kind]
-    return out
 
 
 @_one_blas_thread
@@ -622,6 +542,7 @@ class CompareReport:
     nonincreasing: bool
 
 
+@_one_blas_thread
 def compare_bases(
     pres: VarietyPresentation,
     kinds: Sequence[str],
@@ -633,22 +554,48 @@ def compare_bases(
     seed: int = 0,
     starts: int = 1,
 ) -> CompareReport:
-    """Diameter estimates for several bases over one shared candidate set.
-    Every search runs in the monomial basis, whether or not it is among
-    `kinds`, so bases whose matrices differ by a graded change of basis
-    share their exchanges; see `_sequences`."""
-    seqs = _sequences(pres, kinds, k_max, sampler, gens=gens, quad=quad, seed=seed, starts=starts)
-    spreads = []
-    for i in range(k_max):
-        vals = [seqs[kind][i].est_lk for kind in kinds]
-        spreads.append(max(abs(a - b) for a in vals for b in vals))
-    noninc = all(spreads[i + 1] <= spreads[i] + 1e-12 for i in range(len(spreads) - 1))
+    """Diameter estimates for several bases over one candidate set, with one
+    search for all: at each k, the monomial basis (built here when it is not
+    among `kinds`) and every basis draw their starts as `fekete_maximize`
+    would, every distinct start runs once through the exchange on the
+    monomial matrix, and each basis reports the best of its own log|det|
+    over all the final tuples (`_scored`). So bases whose matrices differ by
+    a graded change of basis share their exchanges, and where its |det| is 1
+    their estimates agree to rounding. The elements come in ascending
+    degree, so each k's matrix is the last one with the columns of the new
+    elements appended: every element is evaluated once, and only one matrix
+    per basis is held.
+
+    Every basis is built before any search, in the order of `kinds`. At
+    each k the monomial basis draws its starts first, then the kinds in
+    order, and the first `FeketeError` of a kind is raised; when the
+    monomial basis is not a kind, a failed draw of its starts only leaves
+    them out."""
+    estimates: dict[str, list[DiameterEstimate]] = {kind: [] for kind in kinds}
+    built = {kind: build_basis(pres, kind, k_max, gens=gens, quad=quad) for kind in estimates}
+    # the search basis comes first, whether or not it is a kind
+    bases = {"monomial": built["monomial"] if "monomial" in built else monomial_graded_basis(pres, k_max), **built}
+    Es: dict[str, np.ndarray] = {}
+    for k in range(1, k_max + 1):
+        rec = count(pres, k)
+        inits: list[list[int]] = []  # every basis's starts, scored by every basis
+        for kind, basis in bases.items():
+            Es[kind] = _grow(Es.get(kind), basis, k, sampler.points)
+            try:
+                inits += _initial_tuples(Es[kind], seed=seed, starts=starts)
+            except FeketeError:
+                if kind in estimates:
+                    raise
+        runs = _searched(Es["monomial"], list(dict.fromkeys(map(tuple, inits))))
+        for kind, seq in estimates.items():
+            seq.append(_estimate(kind, k, rec, _scored(Es[kind], runs)))
+    spreads = [max(abs(a.est_lk - b.est_lk) for a in col for b in col) for col in zip(*estimates.values())]
     return CompareReport(
         kinds=tuple(kinds),
         k_values=tuple(range(1, k_max + 1)),
-        estimates=seqs,
+        estimates=estimates,
         spreads=tuple(spreads),
-        nonincreasing=noninc,
+        nonincreasing=all(spreads[i + 1] <= spreads[i] + 1e-12 for i in range(len(spreads) - 1)),
     )
 
 

@@ -263,7 +263,6 @@ def test_cm_basis_matches_the_reference_element_for_element(pres, gens, k_max):
         ref_elements, ref_degrees = _ref_cm_basis(pres, k, gens)
         assert [list(e.items()) for e in got.elements] == [list(e.items()) for e in ref_elements]
         assert got.degrees == ref_degrees
-        assert (got.kind, got.k) == ("cm", k)
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,9 @@ def test_fekete_file_sampler_of_repeated_nodes_exits_2(tmp_path, capsys):
         # integers too large for a float
         pytest.param("[[1" + "0" * 400 + ", 1.0]]", id="huge-number"),
         pytest.param("[[[1.0, -1" + "0" * 400 + "], 1.0]]", id="huge-pair"),
+        # JSON booleans are not numbers, though Python reads them as 1 and 0
+        pytest.param("[[true, 1.4142135623730951], [true, -1.4142135623730951], [0, 1], [0, -1]]", id="bool-entry"),
+        pytest.param("[[[1.0, false], 1.4142135623730951], [1, -1.4142135623730951], [0, 1], [0, -1]]", id="bool-pair-part"),
     ],
 )
 def test_fekete_file_sampler_rejects_malformed_rows(text, tmp_path, capsys):

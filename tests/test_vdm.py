@@ -169,27 +169,27 @@ def _vdm_cases():
             basis = build_basis(pres, kind, k, quad=quad)
             assert basis.elements[0].degree() == 0  # a constant element
             for name, points in samplers.items():
-                yield pres, basis, name, points
+                yield pres, kind, basis, name, points
             if pres is HYP:
-                yield pres, basis, "zeros", ZEROS
+                yield pres, kind, basis, "zeros", ZEROS
             else:
-                yield pres, basis, "zeros", np.hstack([ZEROS[:, :1], ZEROS[::-1, :1], ZEROS[:, 1:]])
+                yield pres, kind, basis, "zeros", np.hstack([ZEROS[:, :1], ZEROS[::-1, :1], ZEROS[:, 1:]])
 
 
 def test_vdm_matrix_equals_the_column_stack_bit_for_bit():
     cases = 0
-    for pres, basis, name, points in _vdm_cases():
+    for pres, kind, basis, name, points in _vdm_cases():
         E, ref = vdm_matrix(basis, points), _ref_vdm_matrix(basis, points)
-        assert E.flags.c_contiguous and E.shape == ref.shape, (pres.M, basis.kind, name)
-        assert E.tobytes() == ref.tobytes(), (pres.M, basis.kind, name)
+        assert E.flags.c_contiguous and E.shape == ref.shape, (pres.M, kind, name)
+        assert E.tobytes() == ref.tobytes(), (pres.M, kind, name)
         cases += 1
     assert cases == 2 * 4 * 4
 
 
 def test_evaluate_without_a_table_is_the_term_by_term_loop():
-    for pres, basis, name, points in _vdm_cases():
+    for pres, kind, basis, name, points in _vdm_cases():
         for e in basis.elements:
-            assert e.evaluate(points).tobytes() == _ref_evaluate(e, points).tobytes(), (basis.kind, name)
+            assert e.evaluate(points).tobytes() == _ref_evaluate(e, points).tobytes(), (kind, name)
 
 
 def _vdm_peak(basis, points):
@@ -226,7 +226,7 @@ def test_vdm_matrix_refuses_a_wrong_coordinate_count():
 
 def test_vdm_matrix_of_an_empty_basis_has_no_columns():
     pts = torus_sampler(HYP, 8).points
-    E = vdm_matrix(GradedBasis(kind="monomial", k=0, elements=(), degrees=()), pts)
+    E = vdm_matrix(GradedBasis(elements=(), degrees=()), pts)
     assert E.shape == (16, 0) and E.dtype == complex
 
 
@@ -604,7 +604,7 @@ def test_sparse_pivots_on_random_graded_change(case):
         )
         for row in t
     )
-    bb = GradedBasis("random", mb.k, elements, mb.degrees)
+    bb = GradedBasis(elements, mb.degrees)
     pivots = sparse_pivots(bb, mb)
     assert pivots == dense_pivots(bb, mb)
     assert abs(math.prod(p.as_fraction() for p in pivots)) == abs(det)
@@ -628,7 +628,7 @@ def test_scale_bound_closed_form_at_k50():
 def _hyp_basis(*texts):
     elements = tuple(parse_polynomial(s, 1, 2) for s in texts)
     degrees = tuple(e.degree() for e in elements)
-    return GradedBasis("test", max(degrees), elements, degrees)
+    return GradedBasis(elements, degrees)
 
 
 @pytest.mark.parametrize(
@@ -648,7 +648,7 @@ def test_scale_bound_exact_errors(b, c, message):
 # the certified rank-one exchange against the fresh-solve loop
 
 
-def _fresh_solve_sweep(E, sel, max_sweeps):
+def _fresh_solve_sweep(E, sel):
     """The exchange loop that `_sweep_to_convergence` must match bit for
     bit: a fresh LU solve at every slot and a slogdet after every swap."""
     N = len(sel)
@@ -657,7 +657,7 @@ def _fresh_solve_sweep(E, sel, max_sweeps):
         return sel, -math.inf, 0
     log_abs = float(log_abs)
     sweeps = 0
-    while sweeps < max_sweeps:
+    while sweeps < 200:
         sweeps += 1
         gain = 0.0
         for s in range(N):
@@ -685,8 +685,8 @@ def _with_sweep(monkeypatch, kernel, run):
     each loop's (sel, log_abs, sweeps)."""
     calls = []
 
-    def recorded(E, sel, max_sweeps):
-        out = kernel(E, sel, max_sweeps)
+    def recorded(E, sel):
+        out = kernel(E, sel)
         calls.append((list(out[0]), out[1], out[2]))
         return out
 
@@ -699,6 +699,36 @@ def assert_matches_fresh_solves(monkeypatch, run):
     want = _with_sweep(monkeypatch, _fresh_solve_sweep, run)
     assert got[1] == want[1]
     assert got[0] == want[0]
+
+
+def _best_of(E, scored):
+    """The result `_scored` must give for runs (tuple, score, sweeps) scored
+    in E: the first run of the highest score, its tuple sorted and, unless
+    its score is -inf, scored again on the sorted rows."""
+    best = scored[0]
+    for run in scored[1:]:
+        if run[1] > best[1]:
+            best = run
+    sel, log_abs, sweeps = best
+    indices = tuple(sorted(sel))
+    if math.isfinite(log_abs):
+        sign, log_abs = np.linalg.slogdet(E[list(indices)])
+        log_abs = float(log_abs) if sign != 0 else -math.inf
+    return vdm.FeketeResult(indices, log_abs, sweeps, len(scored), tuple(run[1] for run in scored))
+
+
+def test_scored_keeps_the_first_best_run_and_every_start_s_score():
+    # runs as (final tuple, log|det| in the search basis, sweeps): the
+    # first ends nonsingular in E but started singular, so it scores -inf;
+    # the next two tie exactly at log|det| 0, and the first of them wins;
+    # the last is singular in E, whatever it read in the search basis
+    E = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 0.5]], dtype=complex)
+    runs = [([2, 3], -math.inf, 0), ([1, 0], 0.0, 3), ([0, 1], 0.0, 5), ([0, 2], 1.0, 1)]
+    res = vdm._scored(E, runs)
+    assert res == vdm.FeketeResult((0, 1), 0.0, 3, 4, (-math.inf, 0.0, 0.0, -math.inf))
+    # with every run singular the first one is reported, sorted, at -inf
+    res = vdm._scored(E, [([3, 2], -math.inf, 0), ([0, 1], -math.inf, 0)])
+    assert res == vdm.FeketeResult((2, 3), -math.inf, 0, 2, (-math.inf, -math.inf))
 
 
 # (sampler, k, seeds) per variety, chosen so that near-ties make ratios
@@ -761,7 +791,7 @@ def test_the_kept_inverse_decides_most_slots(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted)
     visits = 0
     for init in inits:
-        sel, _, sweeps = _sweep_to_convergence(E, list(init), 200)
+        sel, _, sweeps = _sweep_to_convergence(E, list(init))
         visits += len(sel) * sweeps
     assert visits > 0
     assert len(solves) < visits / 4
@@ -783,7 +813,7 @@ def test_a_singular_fresh_solve_ends_the_exchange(monkeypatch, at):
     E = vdm_matrix(monomial_graded_basis(HYP, 2), torus_sampler(HYP, 16).points)
     start = [0, 16, 1, 17, 24]
     monkeypatch.setattr(vdm, "_KeptInverse", _NoKeptInverse)
-    assert _sweep_to_convergence(E, list(start), 200)[2] == 3
+    assert _sweep_to_convergence(E, list(start))[2] == 3
     solve, calls = np.linalg.solve, []
 
     def failing(*args):
@@ -793,7 +823,7 @@ def test_a_singular_fresh_solve_ends_the_exchange(monkeypatch, at):
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "solve", failing)
-    sel, log_abs, sweeps = _sweep_to_convergence(E, list(start), 200)
+    sel, log_abs, sweeps = _sweep_to_convergence(E, list(start))
     assert len(calls) == at
     assert sweeps == (at - 1) // len(start) + 1
     assert log_abs == vdm._slogabs(E[sel])
@@ -837,7 +867,7 @@ def test_a_graded_change_of_basis_keeps_the_exchange_fixed_point(case, seed):
     E_mono = vdm_matrix(mb, points)
     E_b = E_mono @ T.T
     start = vdm._initial_tuples(E_mono, seed=seed, starts=2)[1]
-    sel, log_mono, _ = _sweep_to_convergence(E_mono, list(start), 200)
+    sel, log_mono, _ = _sweep_to_convergence(E_mono, list(start))
     N = len(sel)
     A = E_b[sel]
     outside = np.ones(len(points), dtype=bool)
@@ -883,10 +913,10 @@ def test_follower_certificate_covers_the_discrepancy(sampler, t_scale, d_scale):
     eps = np.finfo(float).eps
     for seed in range(3):
         inits = vdm._initial_tuples(E, seed=seed, starts=4)
-        runs = vdm._searched(E, inits, 200)
-        assert runs == [_fresh_solve_sweep(E, list(init), 200) for init in inits]
+        runs = vdm._searched(E, inits)
+        assert runs == [_fresh_solve_sweep(E, list(init)) for init in inits]
         scored = [(sel, float(np.linalg.slogdet(E_b[sel])[1]), sweeps) for sel, _, sweeps in runs]
-        assert vdm._scored(E_b, runs) == vdm._fekete_result(E_b, scored)
+        assert vdm._scored(E_b, runs) == _best_of(E_b, scored)
         for (sel, log_abs, _), (_, log_b, _) in zip(runs, scored):
             A = E[sel]
             q = np.linalg.norm(np.linalg.solve(A, D_t[sel]), 2)
@@ -942,13 +972,13 @@ def _monomial_searches(pres, kinds, k_max, samp, *, quad, seed, starts):
     for k in range(1, k_max + 1):
         Es = {kind: vdm_matrix(vdm._prefix(b, k), samp.points) for kind, b in fulls.items()}
         inits = [tuple(t) for E in Es.values() for t in vdm._initial_tuples(E, seed=seed, starts=starts)]
-        runs = [_fresh_solve_sweep(Es["monomial"], list(t), 200) for t in dict.fromkeys(inits)]
+        runs = [_fresh_solve_sweep(Es["monomial"], list(t)) for t in dict.fromkeys(inits)]
         for kind in kinds:
             scored = []
             for sel, log_abs, sweeps in runs:
                 sign, log_b = np.linalg.slogdet(Es[kind][sel])
                 scored.append((sel, float(log_b) if sign != 0 and math.isfinite(log_abs) else -math.inf, sweeps))
-            out[kind].append(vdm._estimate(kind, k, count(pres, k), vdm._fekete_result(Es[kind], scored)))
+            out[kind].append(vdm._estimate(kind, k, count(pres, k), _best_of(Es[kind], scored)))
     return out
 
 
@@ -992,14 +1022,15 @@ def test_compare_bases_equals_each_fresh_diameter_sequence(name, sampler, starts
 @pytest.mark.parametrize(
     "kinds, error, message",
     [
-        (("monomial", "bb"), FeketeError, "need at least 9 candidates, got 8"),
+        (("monomial", "cm"), FeketeError, "need at least 9 candidates, got 8"),
         (("bb", "monomial"), QuadratureError, "numerically dependent"),
+        (("monomial", "bb"), QuadratureError, "numerically dependent"),
     ],
 )
 def test_compare_bases_raises_the_first_kinds_error(kinds, error, message):
-    # bb cannot be built from 8 quadrature points at k = 30, and the 8
-    # candidates stop spanning the monomials at k = 4: the error raised is
-    # the one the kinds meet first when their sequences run one after another
+    # bb cannot be built from 8 quadrature points at k = 30, and every basis
+    # is built before any search; the 8 candidates stop spanning the
+    # monomials at k = 4, where the monomial basis draws its starts first
     samp = torus_sampler(HYP, 4)
     with pytest.raises(error, match=message):
         compare_bases(HYP, kinds, 30, samp, quad=torus_quadrature(HYP, 4))
