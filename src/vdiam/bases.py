@@ -8,10 +8,11 @@ monomial, cm and bb families are written down, and `monomial_graded_basis`,
 cm construction builds degree-one generators v_i = (y - lambda_i x_M)/c_i
 from the points at infinity and normalizes them so the product table in the
 quotient ring has unit diagonal in the top x_M coefficient.  The bb basis is
-Gram-Schmidt against a torus-lifted quadrature measure, a numerical basis
-with no family; the bb family multiplies the orthonormalized pure-y block by
-x monomials, which keeps its description finite.  It carries that block as
-`bb_y_block` returns it and trims rounding dust only to print or compare.
+`monomial_graded_basis` orthonormalized against a torus-lifted quadrature
+measure, a numerical basis with no family; the bb family multiplies the
+orthonormalized pure-y block (the monomial family's multipliers) by x
+monomials, which keeps its description finite.  It carries that block as
+Gram-Schmidt returns it and trims rounding dust only to print or compare.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .variety import (
     count,
     decompose_A,
     distinct_infinity_check,
-    monomial_basis,
     x_monomials,
 )
 
@@ -159,7 +159,8 @@ def family_for(
     if kind == "bb":
         if quad is None:
             raise ValueError("bb family needs a quadrature")
-        yhats, _ = bb_y_block(pres, quad)
+        ys = [c.multiplier for c in family_for(pres, "monomial").cosets]
+        yhats, _ = _orthonormal(pres, ys, quad)
         return BasisFamily(tuple(Coset(yh, all_x) for yh in yhats))
     raise ValueError(f"unknown basis kind {kind!r}; expected monomial, cm, or bb")
 
@@ -237,8 +238,6 @@ def cm_generators(
             raise CmConstructionError(
                 f"normalizer sqrt({c2}) does not exist in the exact scalar field"
             ) from None
-        if c.real_sign() <= 0:
-            c = -c
         vs.append(w * c.inverse())
     return CmGenerators(t=t, vs=tuple(vs), lambdas=tuple(inf.exact_roots))
 
@@ -486,8 +485,8 @@ def _orthonormalize(q: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Classical Gram-Schmidt with one reorthogonalization pass, row by row.
     Rows of `q` (complex, C-contiguous) are the input vectors sampled at the
     quadrature points; row j of the result holds the coefficients of the j-th
-    orthonormal vector over the inputs.  Works in place: on return `q`
-    holds the orthonormal vectors."""
+    orthonormal vector over the inputs; it is lower triangular with diagonal
+    1/|q_j| > 0.  Works in place: on return `q` holds the orthonormal vectors."""
     m = q.shape[0]
     c = np.eye(m, dtype=complex)
     v = np.empty(q.shape[1], dtype=complex)
@@ -505,26 +504,20 @@ def _orthonormalize(q: np.ndarray, weights: np.ndarray) -> np.ndarray:
             raise QuadratureError(f"vector {j} is numerically dependent (norm {norm:.3e})")
         q[j] /= norm
         c[j] /= norm
-        # phase: make the grevlex-leading coefficient real and positive
-        big = [idx for idx in range(c.shape[1]) if abs(c[j, idx]) > 1e-10]
-        lead = big[-1] if big else int(np.argmax(np.abs(c[j])))
-        ph = c[j, lead] / abs(c[j, lead])
-        q[j] /= ph
-        c[j] /= ph
     return c
 
 
 @_one_blas_thread
 def _orthonormal(
-    pres: VarietyPresentation, monos: Sequence[tuple], quad: QuadratureSpec
+    pres: VarietyPresentation, monomials: Sequence[Polynomial], quad: QuadratureSpec
 ) -> tuple[tuple[Polynomial, ...], np.ndarray]:
-    """Orthonormalize the monomials `monos`, in their order, in the
-    quadrature inner product: the float polynomials and their coefficient
-    matrix over `monos`."""
-    vals = _values([Polynomial.monomial(m, pres.M, pres.N) for m in monos], quad)
-    c = _orthonormalize(vals, quad.weights)
+    """Orthonormalize the monomial polynomials `monomials`, in their order, in
+    the quadrature inner product: the float polynomials and their
+    coefficient matrix over `monomials`."""
+    c = _orthonormalize(_values(monomials, quad), quad.weights)
+    keys = [m.leading_monomial() for m in monomials]
     polys = tuple(
-        Polynomial({m: complex(cc) for m, cc in zip(monos, row) if cc != 0}, pres.M, pres.N, "float")
+        Polynomial({m: complex(cc) for m, cc in zip(keys, row) if cc != 0}, pres.M, pres.N, "float")
         for row in c
     )
     return polys, c
@@ -532,19 +525,10 @@ def _orthonormal(
 
 def bb_basis(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedBasis:
     """Gram-Schmidt orthonormalization of the monomial basis in the quadrature
-    inner product, in grevlex order, with leading coefficients real positive."""
-    monos = monomial_basis(pres, k)
-    elements, _ = _orthonormal(pres, monos, quad)
-    return GradedBasis(
-        elements=elements,
-        degrees=tuple(sum(m) for m in monos),
-    )
-
-
-def bb_y_block(pres: VarietyPresentation, quad: QuadratureSpec) -> tuple[tuple[Polynomial, ...], np.ndarray]:
-    """Orthonormalize the pure-y monomials y^alpha, alpha in A, returning the
-    resulting polynomials and their coefficient matrix over that block."""
-    return _orthonormal(pres, decompose_A(pres).A, quad)
+    inner product, in grevlex order."""
+    mono = monomial_graded_basis(pres, k)
+    elements, _ = _orthonormal(pres, mono.elements, quad)
+    return GradedBasis(elements=elements, degrees=mono.degrees)
 
 
 def bb_structured(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedBasis:

@@ -461,7 +461,10 @@ def parse_polynomial(text: str, nx: int, nvars: int) -> Polynomial:
     (a rational is a quotient such as 1/2; a decimal literal is refused),
     variables x1..xM / y1..y(N-M), the constants sqrt2 and i. Division is
     by nonzero constants only, and exponents are nonnegative integers."""
-    return _Parser(text, nx, nvars).parse()
+    try:
+        return _Parser(text, nx, nvars).parse()
+    except RecursionError:
+        raise PolyParseError("parentheses nest too deeply to parse") from None
 
 
 # ---------------------------------------------------------------------------

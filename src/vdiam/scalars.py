@@ -272,7 +272,7 @@ def _fraction_sqrt(q: Fraction):
 
 
 def exact_sqrt(v: Exact) -> Exact:
-    """Square root of a nonnegative real scalar, staying inside Q(sqrt2).
+    """The nonnegative square root of a nonnegative real scalar, in Q(sqrt2).
 
     Handles values of the form p^2, 2*p^2, and (p + q*sqrt2)^2; anything
     else raises ExactSqrtError.

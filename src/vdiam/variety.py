@@ -2,11 +2,11 @@
 
 A presentation fixes the split z = (x_1..x_M, y_1..y_{N-M}) together with
 generators whose leading terms are pure powers y_i^{m_i}, one per y
-variable.  On top of that this module provides the standard monomial
-basis of the coordinate ring, the direct-sum decomposition over the
-finite exponent set A, dimension counts with their asymptotics, and the
-distinctness check for the intersection points with the hyperplane at
-infinity (used to build sheet polynomials).
+variable.  On top of that this module provides the direct-sum
+decomposition over the finite exponent set A, whose cosets x^beta y^alpha
+`bases.family_for` expands to the monomial basis, dimension counts with
+their asymptotics, and the distinctness check for the intersection points
+with the hyperplane at infinity (used to build sheet polynomials).
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def validate_noether(pres: VarietyPresentation) -> NoetherReport:
 
 
 # ---------------------------------------------------------------------------
-# decomposition and monomial basis
+# decomposition
 
 
 @dataclass(frozen=True)
@@ -144,20 +144,6 @@ def x_monomials(M: int, nvars: int, max_degree: int) -> list[Monomial]:
             for j in combo:
                 beta[j] += 1
             out.append(tuple(beta))
-    out.sort(key=grevlex_key)
-    return out
-
-
-def monomial_basis(pres: VarietyPresentation, k: int) -> list[Monomial]:
-    """Monomials of degree <= k outside the leading-term ideal, ascending."""
-    dec = decompose_A(pres)
-    out: list[Monomial] = []
-    for alpha in dec.A:
-        da = sum(alpha)
-        if da > k:
-            continue
-        for beta in x_monomials(pres.M, pres.N, k - da):
-            out.append(tuple(b + a for b, a in zip(beta, alpha)))
     out.sort(key=grevlex_key)
     return out
 

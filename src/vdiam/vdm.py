@@ -571,6 +571,8 @@ def compare_bases(
     order, and the first `FeketeError` of a kind is raised; when the
     monomial basis is not a kind, a failed draw of its starts only leaves
     them out."""
+    if not kinds:
+        raise ValueError("compare_bases needs at least one basis kind")
     estimates: dict[str, list[DiameterEstimate]] = {kind: [] for kind in kinds}
     built = {kind: build_basis(pres, kind, k_max, gens=gens, quad=quad) for kind in estimates}
     # the search basis comes first, whether or not it is a kind

@@ -1,5 +1,6 @@
 """Graded bases (monomial / cm / bb) and the torus quadrature."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +16,6 @@ from vdiam import (
     VarietyPresentation,
     bb_basis,
     bb_structured,
-    bb_y_block,
     cm_basis,
     cm_generators,
     count,
@@ -27,7 +27,6 @@ from vdiam import (
     inner_product,
     load_variety,
     star,
-    monomial_basis,
     monomial_graded_basis,
     parse_polynomial,
     Polynomial,
@@ -37,6 +36,7 @@ from vdiam import (
 )
 from vdiam import bases
 from vdiam.bases import _orthonormal
+from vdiam.polyring import monomial_divides
 from vdiam.variety import x_monomials
 
 HYP, HYP_EXTRAS = load_variety("hyperbola")
@@ -51,6 +51,22 @@ def P(text, pres=HYP):
 # monomial basis
 
 
+def _standard_monomials(pres, k):
+    """Exponent vectors of degree <= k divisible by no generator's leading
+    monomial, in grevlex order, by brute force over the box [0, k]^N."""
+    leads = [g.leading_monomial() for g in pres.generators]
+    return sorted(
+        (m for m in itertools.product(range(k + 1), repeat=pres.N)
+         if sum(m) <= k and not any(monomial_divides(lead, m) for lead in leads)),
+        key=grevlex_key,
+    )
+
+
+def _y_block(pres, quad):
+    """The orthonormalized pure-y block the bb family multiplies by x monomials."""
+    return _orthonormal(pres, [c.multiplier for c in family_for(pres, "monomial").cosets], quad)
+
+
 def test_monomial_basis_hyperbola_k2():
     b = monomial_graded_basis(HYP, 2)
     assert [str(e) for e in b.elements] == ["1", "x1", "y1", "x1^2", "x1*y1"]
@@ -63,7 +79,7 @@ def test_monomial_basis_hyperbola_k2():
 def test_monomial_basis_is_the_monomials_outside_the_ideal(pres, k_max):
     for k in range(k_max + 1):
         b = monomial_graded_basis(pres, k)
-        assert [e.leading_monomial() for e in b.elements] == monomial_basis(pres, k)
+        assert [e.leading_monomial() for e in b.elements] == _standard_monomials(pres, k)
         assert all(list(e.items()) == [(e.leading_monomial(), Exact(1))] for e in b.elements)
 
 
@@ -358,9 +374,38 @@ def test_bb_leading_coefficients_real_positive():
         assert abs(top.imag) < 1e-12 and top.real > 0
 
 
+def _toeplitz_y_block(k):
+    """The Gram matrix of y, x y, ..., x^(k-1) y on the hyperbola's unit
+    torus in the continuum: |y|^2 = |x^2 + 1| = 2|cos theta|, whose Fourier
+    coefficients are (4/pi)(-1)^(j+1)/(4j^2 - 1) at index 2j and 0 at odd
+    index."""
+
+    def c(m):
+        j = abs(m) // 2
+        return 0.0 if m % 2 else (4 / math.pi) * (-1) ** (j + 1) / (4 * j * j - 1)
+
+    return np.array([[c(a - b) for b in range(k)] for a in range(k)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+def test_bb_leading_coefficients_give_the_toeplitz_log_determinant(k):
+    # the x monomials are orthonormal and orthogonal to the y block, so
+    # det G_k = det T_k up to the O(n^-2) error of the equal-weight rule;
+    # bb's leading coefficients are 1/|q_j|, whose squares multiply to 1/det G_k
+    quad = torus_quadrature(HYP, 4096)
+    mono = monomial_graded_basis(HYP, k).elements
+    l = count(HYP, k).l
+    want = 0.5 * np.linalg.slogdet(_toeplitz_y_block(k))[1] / l
+    sign, logdet = np.linalg.slogdet(gram(mono, quad))
+    assert abs(sign - 1) < 1e-12 and abs(0.5 * logdet / l - want) <= 1e-7
+    leads = [e.coefficient(m.leading_monomial()) for e, m in zip(bb_basis(HYP, k, quad).elements, mono)]
+    assert all(c.imag == 0 and c.real > 0 for c in leads)
+    assert abs(-sum(math.log(c.real) for c in leads) / l - 0.5 * logdet / l) <= 1e-13
+
+
 def test_bb_y_block_shapes():
     q = torus_quadrature(HYP, 128)
-    yhats, coef = bb_y_block(HYP, q)
+    yhats, coef = _y_block(HYP, q)
     assert len(yhats) == 2  # one per A-element: 1 and y
     assert coef.shape == (2, 2)
     assert yhats[0] == P("1").to_float()
@@ -386,7 +431,10 @@ def test_bb_structured_aliasing_coupling():
 # Row-by-row classical Gram-Schmidt with one reorthogonalization, written as
 # plainly as it reads, is the reference the builders are pinned to bit for
 # bit.  Modified Gram-Schmidt with one reorthogonalization, which the builders
-# ran before, is kept as an accuracy oracle: the two agree to rounding.
+# ran before, is kept as an accuracy oracle: the two agree to rounding.  Both
+# keep the phase step the builders no longer take (each row's leading
+# coefficient is already 1/|q_j| > 0), so the pins show that on these cases
+# it divided by exactly 1.
 
 
 def _ref_normalize(q, c, j, weights):
@@ -469,12 +517,12 @@ BB_IDS = [f"hyperbola-k{k}" for k in (1, 4, 16)] + [f"cone2d-k{k}" for k in (1, 
 @pytest.mark.parametrize("pres, n, k", BB_CASES, ids=BB_IDS)
 def test_bb_builders_match_the_reference_bit_for_bit(pres, n, k):
     quad = torus_quadrature(pres, n)
-    monos = monomial_basis(pres, k)
+    monos = _standard_monomials(pres, k)
     ref_full, ref_c = _ref_orthonormal(pres, monos, quad)
-    assert _orthonormal(pres, monos, quad)[1].tobytes() == ref_c.tobytes()
+    assert _orthonormal(pres, monomial_graded_basis(pres, k).elements, quad)[1].tobytes() == ref_c.tobytes()
     assert _coefficient_bytes(bb_basis(pres, k, quad).elements) == _coefficient_bytes(ref_full)
     ref_y, ref_yc = _ref_orthonormal(pres, decompose_A(pres).A, quad)
-    yhats, yc = bb_y_block(pres, quad)
+    yhats, yc = _y_block(pres, quad)
     assert yc.tobytes() == ref_yc.tobytes()
     assert _coefficient_bytes(yhats) == _coefficient_bytes(ref_y)
     got = bb_structured(pres, k, quad).elements
@@ -485,7 +533,7 @@ def test_bb_builders_match_the_reference_bit_for_bit(pres, n, k):
 def test_bb_family_carries_the_y_block_untrimmed(pres, n):
     quad = torus_quadrature(pres, n)
     fam = family_for(pres, "bb", quad=quad)
-    yhats, _ = bb_y_block(pres, quad)
+    yhats, _ = _y_block(pres, quad)
     assert _coefficient_bytes(c.multiplier for c in fam.cosets) == _coefficient_bytes(yhats)
     assert all(c.variables == frozenset(range(pres.M)) for c in fam.cosets) and not fam.finite
 
@@ -510,16 +558,16 @@ def test_bb_builders_match_the_reference_where_the_weights_round(pres, n, k):
     def unchanged():
         return quad.points.tobytes() == points and quad.weights.tobytes() == weights
 
-    monos = monomial_basis(pres, k)
+    monos = _standard_monomials(pres, k)
     ref_full, ref_c = _ref_orthonormal(pres, monos, quad)
     ref_y, ref_yc = _ref_orthonormal(pres, decompose_A(pres).A, quad)
     ref_st = _ref_bb_structured(pres, k, quad)
     assert unchanged()
-    assert _orthonormal(pres, monos, quad)[1].tobytes() == ref_c.tobytes()
+    assert _orthonormal(pres, monomial_graded_basis(pres, k).elements, quad)[1].tobytes() == ref_c.tobytes()
     assert unchanged()
     assert _coefficient_bytes(bb_basis(pres, k, quad).elements) == _coefficient_bytes(ref_full)
     assert unchanged()
-    yhats, yc = bb_y_block(pres, quad)
+    yhats, yc = _y_block(pres, quad)
     assert unchanged()
     assert yc.tobytes() == ref_yc.tobytes()
     assert _coefficient_bytes(yhats) == _coefficient_bytes(ref_y)
@@ -534,10 +582,10 @@ def test_bb_is_modified_gram_schmidt_to_rounding(pres, n, k):
     # coefficient, and by sqrt(P) more: every inner product is a P-term sum,
     # whose rounding grows like sqrt(P) * eps, in a different order in each
     quad = torus_quadrature(pres, n)
-    monos = monomial_basis(pres, k)
+    monos = _standard_monomials(pres, k)
     vals = _monomial_values(pres, monos, quad)
     _, mgs = _mgs_orthonormalize(vals, quad.weights, np.eye(len(monos)))
-    elements, c = _orthonormal(pres, monos, quad)
+    elements, c = _orthonormal(pres, monomial_graded_basis(pres, k).elements, quad)
     cond = np.linalg.cond(vals * np.sqrt(quad.weights))
     bound = len(monos) * math.sqrt(len(quad)) * np.finfo(float).eps * cond * np.abs(c).max()
     assert np.abs(c - mgs).max() <= bound
@@ -578,7 +626,7 @@ def _traced_peak(fn):
 
 def test_bb_basis_holds_one_value_matrix():
     quad = torus_quadrature(CONE, 64)
-    matrix = len(monomial_basis(CONE, 4)) * len(quad) * 16
+    matrix = len(monomial_graded_basis(CONE, 4)) * len(quad) * 16
     assert _traced_peak(lambda: bb_basis(CONE, 4, quad)) <= 1.25 * matrix
 
 

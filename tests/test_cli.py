@@ -370,6 +370,15 @@ def test_validate_malformed_variety_file_exits_1(doc, field, tmp_path, capsys):
     assert err.startswith("error: ") and field in err
 
 
+def test_validate_deeply_nested_generator_exits_1(tmp_path, capsys):
+    f = tmp_path / "deep.var"
+    f.write_text(json.dumps({"M": 1, "N": 2, "generators": ["(" * 3000 + "y1^2 - x1^2 - 1" + ")" * 3000]}))
+    assert run(["validate", "--variety", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parentheses nest too deeply to parse\n"
+
+
 HYPERBOLA_DOC = {"M": 1, "N": 2, "generators": ["y1^2 - x1^2 - 1"]}
 
 

@@ -396,6 +396,9 @@ def test_exact_sqrt_of_squares_matches_the_reference(p, two):
     # (a + b*sqrt2)^2 and 2*(a + b*sqrt2)^2 reach every branch of exact_sqrt
     x, r = pair(p)
     assert_same(outcome(new.exact_sqrt, x * x * two), outcome(exact_sqrt, r * r * two))
+    # the root is positive: cm_generators divides by it as it comes
+    if x:
+        assert new.exact_sqrt(x * x * two).real_sign() > 0
 
 
 def test_edge_scalars_match_the_reference():

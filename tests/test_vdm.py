@@ -26,6 +26,7 @@ from vdiam import (
     diameter_sequence,
     fekete_maximize,
     file_sampler,
+    gram,
     load_variety,
     log_abs_vdm,
     monomial_graded_basis,
@@ -1036,6 +1037,38 @@ def test_compare_bases_raises_the_first_kinds_error(kinds, error, message):
         compare_bases(HYP, kinds, 30, samp, quad=torus_quadrature(HYP, 4))
 
 
+def test_compare_bases_refuses_no_kinds_before_building_or_searching(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return run
+
+    for name in ("_sweep_to_convergence", "build_basis", "monomial_graded_basis"):
+        monkeypatch.setattr(vdm, name, counted(name, getattr(vdm, name)))
+    with pytest.raises(ValueError, match="at least one basis kind"):
+        compare_bases(HYP, [], 4, torus_sampler(HYP, 64))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "pres, k_max, nodes, n", [(HYP, 8, 64, 256), (CONE, 3, 16, 64)], ids=["hyperbola", "cone2d"]
+)
+def test_compare_bases_monomial_bb_spread_is_half_the_log_gram_determinant(pres, k_max, nodes, n):
+    # bb is the monomial basis times a lower-triangular C with diagonal
+    # 1/|q_j|, and prod |q_j|^2 = det G, so on every shared tuple
+    # log|VDM_bb| = log|VDM_mono| - log det G / 2
+    quad = torus_quadrature(pres, n)
+    est = compare_bases(pres, ["monomial", "bb"], k_max, torus_sampler(pres, nodes), quad=quad).estimates
+    for mono, bb in zip(est["monomial"], est["bb"]):
+        sign, logdet = np.linalg.slogdet(gram(monomial_graded_basis(pres, mono.k).elements, quad))
+        assert abs(sign - 1) < 1e-12
+        assert abs((mono.est_lk - bb.est_lk) - 0.5 * logdet / mono.l) <= 1e-13
+
+
 def test_compare_bases_splits_where_the_searches_diverge():
     # at this seed the monomial and cm bases' own searches end at different
     # maxima at k = 3 (cm at 0.590444826876); run in one basis they share
@@ -1194,10 +1227,11 @@ def test_a_search_does_not_depend_on_the_blas_thread_count():
 
 
 _CONE_BB = """
-from vdiam import load_variety, monomial_basis, torus_quadrature
+from vdiam import load_variety, monomial_graded_basis, torus_quadrature
 from vdiam.bases import _orthonormal
 cone, _ = load_variety("cone2d")
-print(_orthonormal(cone, monomial_basis(cone, 4), torus_quadrature(cone, 128))[1].tobytes().hex())
+monos = monomial_graded_basis(cone, 4).elements
+print(_orthonormal(cone, monos, torus_quadrature(cone, 128))[1].tobytes().hex())
 """
 
 
