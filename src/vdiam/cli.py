@@ -480,7 +480,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (UnsupportedFamilyShape, QuadratureError, FeketeError, CmConstructionError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (PolyParseError, FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (PolyParseError, OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     finally:

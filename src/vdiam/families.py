@@ -307,12 +307,15 @@ def _list_of(doc: dict, field: str, kind: type, what: str) -> list:
 
 def parse_family(pres: VarietyPresentation, doc: dict) -> BasisFamily:
     """Family from its JSON description: cosets with multiplier/variables/scales
-    plus optional finite extras.  Coset variables must be x variables."""
+    plus optional finite extras.  Coset variables must be x variables, scales
+    may fall only on them, and multipliers and finite extras are nonzero."""
     cosets: list[Coset] = []
     for cd in _list_of(doc, "cosets", dict, "objects"):
         if not isinstance(cd.get("multiplier"), str):
             raise ValueError("family field 'multiplier' must be a polynomial string in every coset")
         mult = parse_polynomial(cd["multiplier"], pres.M, pres.N)
+        if mult.is_zero():
+            raise ValueError("family field 'multiplier' must be nonzero in every coset")
         vs = frozenset(_var_index(nm, pres) for nm in _list_of(cd, "variables", str, "variable names"))
         if any(v >= pres.M for v in vs):
             raise ValueError("coset variables must be x variables")
@@ -322,6 +325,8 @@ def parse_family(pres: VarietyPresentation, doc: dict) -> BasisFamily:
         scales: list[tuple[int, Exact]] = []
         for nm, sval in scale_doc.items():
             v = _var_index(nm, pres)
+            if v not in vs:
+                raise ValueError(f"family field 'scales' names {nm}, which is not among its coset's variables")
             sp = parse_polynomial(str(sval), pres.M, pres.N)
             if sp.degree() > 0 or sp.is_zero():
                 raise ValueError(f"scale for {nm} must be a nonzero constant, got {sval!r}")
@@ -330,4 +335,6 @@ def parse_family(pres: VarietyPresentation, doc: dict) -> BasisFamily:
     finite = tuple(
         parse_polynomial(s, pres.M, pres.N) for s in _list_of(doc, "finite", str, "polynomial strings")
     )
+    if any(f.is_zero() for f in finite):
+        raise ValueError("family field 'finite' must hold nonzero polynomials")
     return BasisFamily(tuple(cosets), finite)

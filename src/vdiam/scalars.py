@@ -297,14 +297,10 @@ def exact_sqrt(v: Exact) -> Exact:
     if disc is not None:
         for p2 in ((a + disc) / 2, (a - disc) / 2):
             p = _fraction_sqrt(p2)
-            if p and p != 0:
-                q = b / (2 * p)
-                cand = Exact(p, q)
-                if (cand * cand) == v and cand.real_sign() > 0:
-                    return cand
-                cand = -cand
-                if (cand * cand) == v and cand.real_sign() > 0:
-                    return cand
+            if p:
+                cand = Exact(p, b / (2 * p))
+                if cand * cand == v:
+                    return cand if cand.real_sign() > 0 else -cand
     raise ExactSqrtError(f"sqrt({v!r}) is not in Q(sqrt2)")
 
 

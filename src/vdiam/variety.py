@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -237,7 +237,8 @@ def _chordal(u: complex, v: complex) -> float:
 
 
 def _exact_poly_roots(coeffs: list[Exact]) -> Optional[list[Exact]]:
-    """Roots of sum c_e mu^e inside Q(sqrt2), or None when not expressible."""
+    """Roots of sum c_e mu^e inside Q(sqrt2), or None: closed forms up to
+    degree 2; above it every root rational, each resolved in double precision."""
     while coeffs and coeffs[-1].is_zero():
         coeffs = coeffs[:-1]
     if len(coeffs) <= 1:
@@ -253,49 +254,33 @@ def _exact_poly_roots(coeffs: list[Exact]) -> Optional[list[Exact]]:
         except ExactSqrtError:
             return None
         return [(-b + r) / (2 * a), (-b - r) / (2 * a)]
-    # rational-root scan for higher degree with rational coefficients
     if not all(co.is_rational() for co in coeffs):
         return None
-    fracs = [co.as_fraction() for co in coeffs]
-    den = math.lcm(*[f.denominator for f in fracs])
-    ints = [int(f * den) for f in fracs]
+    # q is monic, so q(nu/den) * den^deg is a monic integer polynomial in nu
+    # and each rational root of q is nu/den with nu an integer.  A root of
+    # multiplicity m is a simple root of q^(m-1), so den times the numeric
+    # roots of q and its derivatives round to the nu.  Each candidate is
+    # divided out exactly for as long as it leaves no remainder; the quotient
+    # gives the next round's candidates, until it is a constant or a round
+    # finds no root.
+    q = [co / coeffs[-1] for co in reversed(coeffs)]
     roots: list[Exact] = []
-    while len(ints) > 2:
-        a0, an = ints[0], ints[-1]
-        if a0 == 0:
-            roots.append(Exact(0))
-            ints = ints[1:]
-            continue
-        found = None
-        for p in _divisors(abs(a0)):
-            for q in _divisors(abs(an)):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if sum(co * cand ** e for e, co in enumerate(ints)) == 0:
-                        found = cand
-                        break
-                if found is not None:
+    while len(q) > 1:
+        den = math.lcm(*(co.as_fraction().denominator for co in q))
+        p = np.array([co.to_complex().real for co in q])
+        nus = {round(z.real * den) for j in range(len(q) - 1) for z in np.roots(np.polyder(p, j))}
+        found = len(roots)
+        for nu in sorted(nus):
+            r = Exact(Fraction(nu, den))
+            while len(q) > 1:
+                *quotient, remainder = accumulate(q, lambda acc, co: co + r * acc)
+                if remainder:
                     break
-            if found is not None:
-                break
-        if found is None:
+                q = quotient
+                roots.append(r)
+        if len(roots) == found:
             return None
-        roots.append(Exact(found))
-        # synthetic division by (mu - cand)
-        new = [Fraction(0)] * (len(ints) - 1)
-        carry = Fraction(0)
-        for e in range(len(ints) - 1, 0, -1):
-            carry = Fraction(ints[e]) + carry * found
-            new[e - 1] = carry
-        den2 = math.lcm(*[f.denominator for f in new])
-        ints = [int(f * den2) for f in new]
-    if len(ints) == 2:
-        roots.append(Exact(Fraction(-ints[0], ints[1])))
     return roots
-
-
-def _divisors(n: int) -> list[int]:
-    out = [i for i in range(1, int(math.isqrt(n)) + 1) if n % i == 0]
-    return sorted(set(out + [n // i for i in out]))
 
 
 def distinct_infinity_check(pres: VarietyPresentation) -> InfinityReport:
@@ -316,35 +301,22 @@ def distinct_infinity_check(pres: VarietyPresentation) -> InfinityReport:
             raise ValueError("the generator has float coefficients; presentations are exact")
         coeffs[mono[yv]] = c
     xM_nonzero = not coeffs[D].is_zero()
-    exact_roots = None
-    if xM_nonzero:
-        got = _exact_poly_roots(coeffs)
-        if got is not None and len(got) == D:
-            exact_roots = tuple(sorted(got, key=lambda r: (-float(r.a) - float(r.b) * 2 ** 0.5, -float(r.c))))
+    got = _exact_poly_roots(coeffs) if xM_nonzero else None
+    exact_roots = None if got is None else tuple(
+        sorted(got, key=lambda r: (-float(r.a) - float(r.b) * 2 ** 0.5, -float(r.c)))
+    )
     if exact_roots is not None:
         mus = np.array([r.to_complex() for r in exact_roots])
-        pairwise_distinct = all(
-            exact_roots[i] != exact_roots[j]
-            for i in range(len(exact_roots))
-            for j in range(i + 1, len(exact_roots))
-        )
+        pairwise_distinct = len(set(exact_roots)) == len(exact_roots)
     else:
         # roots of p(mu) = sum_e c_e mu^e, highest power first for np.roots
-        mus = np.roots([c.to_complex() for c in reversed(coeffs)]) if D >= 1 else np.array([])
+        mus = np.roots([c.to_complex() for c in reversed(coeffs)])
         pairwise_distinct = True
     points = tuple((1 + 0j, complex(mu)) for mu in mus)
     if not xM_nonzero:
         points = points + ((0j, 1 + 0j),)
-    min_ch = math.inf
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            min_ch = min(min_ch, _chordal(mus[i], mus[j]))
-    distinct = (
-        len(points) == pres.d
-        and xM_nonzero
-        and (len(mus) < 2 or min_ch > 1e-8)
-        and pairwise_distinct
-    )
+    min_ch = min((_chordal(u, v) for u, v in combinations(mus, 2)), default=math.inf)
+    distinct = len(points) == pres.d and xM_nonzero and min_ch > 1e-8 and pairwise_distinct
     return InfinityReport(
         points=points,
         distinct=distinct,

@@ -38,6 +38,19 @@ def test_validate_missing_file_exits_1(capsys):
     assert run(["validate", "--variety", "/nowhere/else.var"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "--variety", "{dir}"], ["fekete", "--sampler", "file:{dir}", "--k", "1"], ["counts", "--out", "{dir}"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_directory_for_a_file_exits_1(argv, tmp_path, capsys):
+    # IsADirectoryError is an OSError, not a FileNotFoundError
+    assert run([a.format(dir=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run(["frobnicate"]) == 1
 
@@ -74,6 +87,36 @@ def test_basis_cm_with_roots_outside_the_field_exits_2(tmp_path, capsys):
     f.write_text(json.dumps({"M": 1, "N": 2, "generators": ["y1^4 - x1^4 - 1"]}))
     assert run(["basis", "--kind", "cm", "--variety", str(f)]) == 2
     assert capsys.readouterr().err == "error: points at infinity are not expressible in the exact scalar field\n"
+
+
+# sha256 of `validate` stdout on the two files above, recorded when roots at
+# infinity above degree 2 were still found by a scan over divisors
+VALIDATE_SHA256 = {
+    "cubic": ("y1^3 - x1^2*y1 - 1", "a4ea5623f89aebf46652e70598943f34e36b0d1147ea7390cad7d8ae369bae04"),
+    "quartic": ("y1^4 - x1^4 - 1", "c46cad2a9deeddefe1cda461e46d62bc526dd302fd897f7208abebcca10481cb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_SHA256))
+def test_validate_of_higher_degree_files_is_byte_identical(name, tmp_path, capsys):
+    generator, digest = VALIDATE_SHA256[name]
+    f = tmp_path / f"{name}.var"
+    f.write_text(json.dumps({"M": 1, "N": 2, "generators": [generator]}))
+    assert run(["validate", "--variety", str(f)]) == 0
+    assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("power, code", [(18, 0), (30, 3)], ids=["10^18", "10^30"])
+def test_validate_with_a_large_constant_at_infinity(power, code, tmp_path, capsys):
+    # mu^3 = 10^power has one rational root; the three points at infinity
+    # lie at chordal distance sqrt3 * 10^(-power/3), below the 1e-8 guard at
+    # power 30, so that file is refused as not distinct
+    f = tmp_path / "large.var"
+    f.write_text(json.dumps({"M": 1, "N": 2, "generators": [f"y1^3 - {10 ** power}*x1^3 - 1"]}))
+    assert run(["validate", "--variety", str(f), "--format", "csv"]) == code
+    rows = dict(line.split(",", 1) for line in out_of(capsys).splitlines()[1:])
+    assert rows["infinity_points"] == "3"
+    assert float(rows["min_chordal"]) == pytest.approx(3 ** 0.5 * 10 ** (-power / 3), rel=1e-6)
 
 
 def test_compare_drops_cm_with_zero_normalizer(tmp_path, capsys):
@@ -412,6 +455,29 @@ def test_compliance_malformed_family_exits_1(families, field, tmp_path, capsys):
     assert run(["compliance", "--variety", str(f), "--right", "family:f"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"field {field}" in err
+
+
+# fields that change no element of the family are refused, where they used
+# to flip a verdict (a scale on y1 made the family "scaled") or give one for
+# a family holding the zero polynomial
+@pytest.mark.parametrize(
+    "family, field",
+    [
+        ({"cosets": [{"multiplier": "1", "variables": ["x1"], "scales": {"y1": "2"}}, {"multiplier": "y1", "variables": ["x1"]}]}, "'scales'"),
+        ({"cosets": [{"multiplier": "1", "variables": ["x1"]}, {"multiplier": "y1", "variables": ["x1"]}, {"multiplier": "0", "variables": ["x1"]}]}, "'multiplier'"),
+        ({"cosets": [{"multiplier": "1", "variables": ["x1"]}, {"multiplier": "y1", "variables": ["x1"]}], "finite": ["0"]}, "'finite'"),
+    ],
+    ids=["scale-off-the-coset", "zero-multiplier", "zero-finite"],
+)
+@pytest.mark.parametrize("right", ["family:y", "monomial"])
+def test_compliance_family_with_a_field_that_changes_nothing_exits_1(family, field, right, tmp_path, capsys):
+    f = tmp_path / "hyperbola.var"
+    families = {"f": family, "y": {"cosets": [{"multiplier": "y1", "variables": ["x1"]}]}}
+    f.write_text(json.dumps({**HYPERBOLA_DOC, "families": families}))
+    assert run(["compliance", "--variety", str(f), "--left", "family:f", "--right", right]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: family field {field} ")
 
 
 @pytest.mark.parametrize(

@@ -255,6 +255,24 @@ def test_parse_family_rejects_zero_scale():
         parse_family(HYP, doc)
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        # Coset.element scales only the coset's own variables, so this scale
+        # would mark the coset scaled without changing any element
+        ({"cosets": [{"multiplier": "1", "variables": ["x1"], "scales": {"y1": "2"}}]}, "'scales'"),
+        ({"cosets": [{"multiplier": "x1", "variables": [], "scales": {"x1": "2"}}]}, "'scales'"),
+        ({"cosets": [{"multiplier": "0", "variables": ["x1"]}]}, "'multiplier'"),
+        ({"cosets": [{"multiplier": "y1 - y1", "variables": ["x1"]}]}, "'multiplier'"),
+        ({"cosets": [], "finite": ["1", "0"]}, "'finite'"),
+    ],
+    ids=["scale-on-y1", "scale-on-a-point", "zero-multiplier", "cancelling-multiplier", "zero-finite"],
+)
+def test_parse_family_rejects_fields_that_change_no_element(doc, field):
+    with pytest.raises(ValueError, match=f"family field {field}"):
+        parse_family(HYP, doc)
+
+
 # ---------------------------------------------------------------------------
 # closed forms for shifted cosets
 

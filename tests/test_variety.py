@@ -1,10 +1,12 @@
 """Presentation validation, dimension counts, and points at infinity."""
 
+import functools
 import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vdiam import (
     Exact,
@@ -21,6 +23,7 @@ from vdiam import (
     validate_noether,
 )
 from vdiam.polyring import monomial_divides
+from vdiam.variety import _exact_poly_roots
 
 
 def mk(M, N, *gen_texts):
@@ -259,3 +262,91 @@ def test_infinity_with_vanishing_pure_y_coefficient():
     assert not rep.xM_nonzero
     assert (0j, 1 + 0j) in rep.points
     assert not rep.distinct
+
+
+# ---------------------------------------------------------------------------
+# exact roots above degree 2
+
+
+def _times(a, b):
+    """Product of two ascending coefficient lists."""
+    return [
+        sum((a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)), Exact(0))
+        for k in range(len(a) + len(b) - 1)
+    ]
+
+
+def _expanded(roots, lead):
+    """Ascending coefficients of lead * prod (mu - r), multiplied out exactly."""
+    return functools.reduce(_times, [[Exact(-r), Exact(1)] for r in roots], [Exact(lead)])
+
+
+IRREDUCIBLE = {"mu^2 + 1": [1, 0, 1], "mu^2 - 2": [-2, 0, 1], "mu^3 - 2": [-2, 0, 0, 1]}
+# up to 6 rational roots n/d with |n| <= 10^10 and d <= 7, each of
+# multiplicity up to 6
+DRAWN_ROOTS = st.lists(
+    st.tuples(st.integers(-10**10, 10**10), st.integers(1, 7), st.integers(1, 6)), min_size=1, max_size=6
+)
+LEADS = st.builds(Fraction, st.integers(1, 7), st.integers(1, 7))
+
+
+def _multiset(draws):
+    return sorted(Fraction(n, d) for n, d, m in draws for _ in range(m))
+
+
+def _found(coeffs):
+    got = _exact_poly_roots(coeffs)
+    return None if got is None else sorted(r.as_fraction() for r in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(DRAWN_ROOTS, LEADS, st.sampled_from(sorted(IRREDUCIBLE)))
+# six-fold roots 1000, 1059, 7837 and 8324 are beyond double precision:
+# every root is rational, yet a round rounds to none of them and gives None
+@example([(1000, 1, 6), (1059, 1, 6), (7837, 1, 6), (8324, 1, 6), (-17736, 1, 2), (-65535, 1, 1)], 1, "mu^2 + 1")
+def test_exact_roots_are_the_drawn_roots_or_none(draws, lead, irreducible):
+    # every root returned is checked exactly, so a wrong root is impossible;
+    # a factor without rational roots always gives None
+    coeffs = _expanded(_multiset(draws), lead)
+    assert _found(coeffs) in (None, _multiset(draws))
+    assert _found(_times(coeffs, [Exact(c) for c in IRREDUCIBLE[irreducible]])) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1000, 1000), st.just(1), st.integers(1, 6)), min_size=1, max_size=6), LEADS)
+def test_repeated_integer_roots_are_all_found(draws, lead):
+    assert _found(_expanded(_multiset(draws), lead)) == _multiset(draws)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10**10, 10**10), st.integers(1, 7), st.just(1)), min_size=1, max_size=6), LEADS)
+def test_simple_rational_roots_are_all_found(draws, lead):
+    assert _found(_expanded(_multiset(draws), lead)) == _multiset(draws)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [1000] * 5,
+        [12345] * 6,
+        [Fraction(7, 3)] * 4,
+        [10**10, 2 * 10**10, 3 * 10**10, -7],
+        [0, 0, 0, Fraction(-1, 2)],
+    ],
+    ids=["5-fold 1000", "6-fold 12345", "4-fold 7/3", "three large and -7", "triple zero"],
+)
+def test_repeated_and_large_rational_roots(roots):
+    assert _found(_expanded(roots, 3)) == sorted(map(Fraction, roots))
+
+
+@pytest.mark.parametrize("power, distinct", [(18, True), (30, False)])
+def test_large_constant_at_infinity_is_answered_numerically(power, distinct):
+    # mu^3 = 10^power: the rational root 10^(power/3) divides out, the
+    # quadratic left has no rational root, so the points come from np.roots;
+    # they lie at chordal distance sqrt3 * 10^(-power/3), under the 1e-8
+    # guard at power 30
+    rep = distinct_infinity_check(mk(1, 2, f"y1^3 - {10 ** power}*x1^3 - 1"))
+    assert rep.exact_roots is None
+    assert len(rep.points) == 3 and rep.xM_nonzero
+    assert rep.min_chordal == pytest.approx(3 ** 0.5 * 10 ** (-power / 3), rel=1e-6)
+    assert rep.distinct == distinct
