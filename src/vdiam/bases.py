@@ -12,7 +12,7 @@ quotient ring has unit diagonal in the top x_M coefficient.  The bb basis is
 measure, a numerical basis with no family; the bb family multiplies the
 orthonormalized pure-y block (the monomial family's multipliers) by x
 monomials, which keeps its description finite.  It carries that block as
-Gram-Schmidt returns it and trims rounding dust only to print or compare.
+the Cholesky build returns it and trims rounding dust only to print or compare.
 """
 
 from __future__ import annotations
@@ -405,23 +405,6 @@ def inner_product(f: Polynomial, g: Polynomial, quad: QuadratureSpec) -> complex
     return complex(np.sum(quad.weights * fv * np.conj(gv)))
 
 
-def _values(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndarray:
-    """The elements sampled at the quadrature points, one row each, written
-    into one matrix as they are evaluated."""
-    vals = np.empty((len(elements), len(quad)), dtype=complex)
-    for row, e in zip(vals, elements):
-        row[:] = e.evaluate(quad.points)
-    return vals
-
-
-def gram(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndarray:
-    vals = _values(elements, quad)
-    wv = vals * quad.weights
-    # conj(vals).T is laid out as np.conj(vals.T) was, so BLAS gives the same bits
-    np.conjugate(vals, out=vals)
-    return wv @ vals.T
-
-
 # ---------------------------------------------------------------------------
 # bb bases
 
@@ -456,7 +439,7 @@ def _one_blas_thread(fn):
     back when it returns or raises; a nested call keeps one thread until the
     outermost returns.
 
-    The Fekete exchange and the bb Gram-Schmidt are serial loops of small
+    The Fekete exchange and the Gram accumulation are serial loops of small
     matrix-vector products (P x N with N up to a few dozen). Threaded, each
     is split across the cores, whose workers then spin between calls: the
     CPU time doubles on two cores and the wall time does not fall. The split
@@ -481,29 +464,61 @@ def _one_blas_thread(fn):
     return run
 
 
-def _orthonormalize(q: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Classical Gram-Schmidt with one reorthogonalization pass, row by row.
-    Rows of `q` (complex, C-contiguous) are the input vectors sampled at the
-    quadrature points; row j of the result holds the coefficients of the j-th
-    orthonormal vector over the inputs; it is lower triangular with diagonal
-    1/|q_j| > 0.  Works in place: on return `q` holds the orthonormal vectors."""
-    m = q.shape[0]
-    c = np.eye(m, dtype=complex)
-    v = np.empty(q.shape[1], dtype=complex)
+# quadrature points per block of the Gram accumulation: the block's values
+# take m * 32 KiB, so neither bb nor `gram` holds an m x P matrix
+_GRAM_BLOCK = 2048
+
+# a row whose squared residual d_j is at most this share of G_jj is dependent:
+# Cholesky QR loses orthogonality like eps * cond(G) (Fukaya et al., 2014),
+# and m * eps / _DEPENDENT is under the 1e-10 Gram bar up to m = 450
+_DEPENDENT = 1e-3
+
+
+@_one_blas_thread
+def _gram_upper(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndarray:
+    """The upper triangle of the Gram matrix G_ij = <e_i, e_j>, summed over
+    blocks of quadrature points.  In each block column j gains one product
+    v[:j+1] @ conj(w v[j]), so it depends only on the elements up to j."""
+    m = len(elements)
+    g = np.zeros((m, m), dtype=complex)
+    block = np.empty((m, min(_GRAM_BLOCK, len(quad))), dtype=complex)
+    buf = np.empty(block.shape[1], dtype=complex)
+    for start in range(0, len(quad), _GRAM_BLOCK):
+        points = quad.points[start : start + _GRAM_BLOCK]
+        weights = quad.weights[start : start + _GRAM_BLOCK]
+        v, wv = block[:, : len(points)], buf[: len(points)]
+        for row, e in zip(v, elements):
+            row[:] = e.evaluate(points)
+        for j in range(m):
+            np.multiply(weights, v[j], out=wv)
+            g[: j + 1, j] += v[: j + 1] @ np.conjugate(wv, out=wv)
+    return g
+
+
+def gram(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndarray:
+    """G_ij = <e_i, e_j> in the quadrature inner product: `_gram_upper` with
+    its strict upper triangle mirrored below the diagonal."""
+    g = _gram_upper(elements, quad)
+    return g + np.conjugate(np.triu(g, 1)).T
+
+
+def _inverse_cholesky(g: np.ndarray) -> np.ndarray:
+    """C = L^-1 for the Cholesky factor G = L L^H of the Gram matrix whose
+    upper triangle is `g`, built row by row: row j of L solves
+    L[:j, :j] conj(L[j, :j]) = g[:j, j] through the rows of C before it, and
+    row j of C follows from L C = I.  So row j depends only on g[:j+1, :j+1],
+    and the diagonal 1/L_jj is real and positive."""
+    m = g.shape[0]
+    c = np.zeros((m, m), dtype=complex)
     for j in range(m):
-        for _ in range(2):
-            # r[i] = <q[j], q[i]> for all i < j at once, conjugating the one
-            # row v rather than the j rows before it
-            np.multiply(weights, q[j], out=v)
-            np.conjugate(v, out=v)
-            r = np.conjugate(q[:j] @ v)
-            q[j] -= np.matmul(r, q[:j], out=v)
-            c[j] -= r @ c[:j]
-        norm = math.sqrt(float(np.sum(weights * np.abs(q[j]) ** 2).real))
-        if not norm >= 1e-13:  # NaN fails this too
-            raise QuadratureError(f"vector {j} is numerically dependent (norm {norm:.3e})")
-        q[j] /= norm
-        c[j] /= norm
+        lj = np.conjugate(c[:j, :j] @ g[:j, j])
+        gjj = g[j, j].real
+        d = gjj - np.vdot(lj, lj).real
+        if not d > _DEPENDENT * gjj:  # NaN fails this too
+            raise QuadratureError(f"vector {j} is numerically dependent (squared residual {d:.3e} of {gjj:.3e})")
+        ljj = math.sqrt(d)
+        c[j, :j] = -(lj @ c[:j, :j]) / ljj
+        c[j, j] = 1 / ljj
     return c
 
 
@@ -514,7 +529,7 @@ def _orthonormal(
     """Orthonormalize the monomial polynomials `monomials`, in their order, in
     the quadrature inner product: the float polynomials and their
     coefficient matrix over `monomials`."""
-    c = _orthonormalize(_values(monomials, quad), quad.weights)
+    c = _inverse_cholesky(_gram_upper(monomials, quad))
     keys = [m.leading_monomial() for m in monomials]
     polys = tuple(
         Polynomial({m: complex(cc) for m, cc in zip(keys, row) if cc != 0}, pres.M, pres.N, "float")
@@ -524,8 +539,9 @@ def _orthonormal(
 
 
 def bb_basis(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedBasis:
-    """Gram-Schmidt orthonormalization of the monomial basis in the quadrature
-    inner product, in grevlex order."""
+    """The monomial basis orthonormalized in the quadrature inner product, in
+    grevlex order: element j is row j of C = L^-1 over the monomials, for the
+    Cholesky factor L of their Gram matrix."""
     mono = monomial_graded_basis(pres, k)
     elements, _ = _orthonormal(pres, mono.elements, quad)
     return GradedBasis(elements=elements, degrees=mono.degrees)

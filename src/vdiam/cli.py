@@ -345,7 +345,7 @@ def reproduce_example(n: int = 4096, seed: int = 0) -> tuple[bool, list[str]]:
     yy = inner_product(y, y, quad).real
     err_yy = abs(yy - 4.0 / math.pi)
     check("moment_y", err_yy <= 1e-6, f"<y,y> = {_fmt(yy)}, |err| = {_fmt(err_yy)} at n={n}")
-    # Gram-Schmidt is left-looking, so bb at k = 1 is the degree <= 1 prefix of bb at k = 3
+    # the Cholesky build is row by row, so bb at k = 1 is the degree <= 1 prefix of bb at k = 3
     bb3 = bb_basis(pres, 3, quad)
     coef = abs(complex(bb3.elements[2].coefficient((0, 1))))
     target = math.sqrt(math.pi) / 2.0

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -236,9 +236,23 @@ def _chordal(u: complex, v: complex) -> float:
     return num / math.sqrt((1 + abs(u) ** 2) * (1 + abs(v) ** 2))
 
 
+def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of two polynomials, highest power first; the
+    remainder has no leading zeros, so it is empty when b divides a."""
+    quotient, rest = [], list(a)
+    while len(rest) >= len(b):
+        f = rest[0] / b[0]
+        quotient.append(f)
+        rest = [x - f * y for x, y in zip(rest[1:], b[1:] + [0] * (len(rest) - len(b)))]
+    while rest and not rest[0]:
+        del rest[0]
+    return quotient, rest
+
+
 def _exact_poly_roots(coeffs: list[Exact]) -> Optional[list[Exact]]:
     """Roots of sum c_e mu^e inside Q(sqrt2), or None: closed forms up to
-    degree 2; above it every root rational, each resolved in double precision."""
+    degree 2; above it every root rational, each a simple root of the exact
+    square-free part that double precision resolves."""
     while coeffs and coeffs[-1].is_zero():
         coeffs = coeffs[:-1]
     if len(coeffs) <= 1:
@@ -257,27 +271,34 @@ def _exact_poly_roots(coeffs: list[Exact]) -> Optional[list[Exact]]:
     if not all(co.is_rational() for co in coeffs):
         return None
     # q is monic, so q(nu/den) * den^deg is a monic integer polynomial in nu
-    # and each rational root of q is nu/den with nu an integer.  A root of
-    # multiplicity m is a simple root of q^(m-1), so den times the numeric
-    # roots of q and its derivatives round to the nu.  Each candidate is
-    # divided out exactly for as long as it leaves no remainder; the quotient
-    # gives the next round's candidates, until it is a constant or a round
-    # finds no root.
-    q = [co / coeffs[-1] for co in reversed(coeffs)]
+    # and each rational root of q is nu/den with nu an integer.  The rational
+    # roots are those of the square-free part s = q / gcd(q, q'), where each
+    # is simple, so den times the numeric roots of s round to the nu.  Each
+    # candidate that divides s exactly is divided out of q for its full
+    # multiplicity; the quotient of s gives the next round's candidates,
+    # until s is a constant or a round finds no root.
+    q = [co.as_fraction() / coeffs[-1].as_fraction() for co in reversed(coeffs)]
+    g, h = q, [co * (deg - i) for i, co in enumerate(q[:-1])]
+    while h:
+        g, h = h, _divmod(g, h)[1]
+    s = _divmod(q, [co / g[0] for co in g])[0]
     roots: list[Exact] = []
-    while len(q) > 1:
-        den = math.lcm(*(co.as_fraction().denominator for co in q))
-        p = np.array([co.to_complex().real for co in q])
-        nus = {round(z.real * den) for j in range(len(q) - 1) for z in np.roots(np.polyder(p, j))}
+    while len(s) > 1:
+        den = math.lcm(*(co.denominator for co in s))
+        nus = {round(z.real * den) for z in np.roots([float(co) for co in s])}
         found = len(roots)
         for nu in sorted(nus):
-            r = Exact(Fraction(nu, den))
-            while len(q) > 1:
-                *quotient, remainder = accumulate(q, lambda acc, co: co + r * acc)
+            root = Fraction(nu, den)
+            quotient, remainder = _divmod(s, [1, -root])
+            if remainder:
+                continue
+            s = quotient
+            while True:
+                quotient, remainder = _divmod(q, [1, -root])
                 if remainder:
                     break
                 q = quotient
-                roots.append(r)
+                roots.append(Exact(root))
         if len(roots) == found:
             return None
     return roots
@@ -301,22 +322,26 @@ def distinct_infinity_check(pres: VarietyPresentation) -> InfinityReport:
             raise ValueError("the generator has float coefficients; presentations are exact")
         coeffs[mono[yv]] = c
     xM_nonzero = not coeffs[D].is_zero()
-    got = _exact_poly_roots(coeffs) if xM_nonzero else None
-    exact_roots = None if got is None else tuple(
-        sorted(got, key=lambda r: (-float(r.a) - float(r.b) * 2 ** 0.5, -float(r.c)))
-    )
-    if exact_roots is not None:
-        mus = np.array([r.to_complex() for r in exact_roots])
-        pairwise_distinct = len(set(exact_roots)) == len(exact_roots)
-    else:
-        # roots of p(mu) = sum_e c_e mu^e, highest power first for np.roots
-        mus = np.roots([c.to_complex() for c in reversed(coeffs)])
-        pairwise_distinct = True
+    try:
+        got = _exact_poly_roots(coeffs) if xM_nonzero else None
+        exact_roots = None if got is None else tuple(
+            sorted(got, key=lambda r: (-float(r.a) - float(r.b) * 2 ** 0.5, -float(r.c)))
+        )
+        if exact_roots is not None:
+            mus = np.array([r.to_complex() for r in exact_roots])
+            pairwise_distinct = len(set(exact_roots)) == len(exact_roots)
+        else:
+            # roots of p(mu) = sum_e c_e mu^e, highest power first for np.roots
+            mus = np.roots([c.to_complex() for c in reversed(coeffs)])
+            pairwise_distinct = True
+    except OverflowError:
+        raise ValueError("the top form's coefficients or roots at infinity lie beyond the float range") from None
     points = tuple((1 + 0j, complex(mu)) for mu in mus)
     if not xM_nonzero:
         points = points + ((0j, 1 + 0j),)
     min_ch = min((_chordal(u, v) for u, v in combinations(mus, 2)), default=math.inf)
-    distinct = len(points) == pres.d and xM_nonzero and min_ch > 1e-8 and pairwise_distinct
+    # a bool, not numpy's: the chordal distance is a numpy float
+    distinct = bool(len(points) == pres.d and xM_nonzero and min_ch > 1e-8 and pairwise_distinct)
     return InfinityReport(
         points=points,
         distinct=distinct,

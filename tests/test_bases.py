@@ -428,13 +428,13 @@ def test_bb_structured_aliasing_coupling():
 # ---------------------------------------------------------------------------
 # the shared orthonormalizer against loop references
 
-# Row-by-row classical Gram-Schmidt with one reorthogonalization, written as
-# plainly as it reads, is the reference the builders are pinned to bit for
-# bit.  Modified Gram-Schmidt with one reorthogonalization, which the builders
-# ran before, is kept as an accuracy oracle: the two agree to rounding.  Both
-# keep the phase step the builders no longer take (each row's leading
-# coefficient is already 1/|q_j| > 0), so the pins show that on these cases
-# it divided by exactly 1.
+# The Gram matrix summed block by block over the full value matrix, its
+# Cholesky factor row by row and the inverse by forward recursion, written
+# out step by step, are the reference the builders are pinned to bit for bit.
+# Modified Gram-Schmidt with one reorthogonalization, which the builders once
+# ran, is kept as an accuracy oracle: the two agree to rounding.  It keeps the
+# phase step the builders no longer take (each row's leading coefficient is
+# 1/L_jj > 0 by construction).
 
 
 def _ref_normalize(q, c, j, weights):
@@ -448,17 +448,32 @@ def _ref_normalize(q, c, j, weights):
     c[j] /= ph
 
 
-def _ref_orthonormalize(vals, weights, coefs):
-    q = vals.astype(complex).copy()
-    c = coefs.astype(complex).copy()
-    for j in range(q.shape[0]):
-        for _ in range(2):
-            v = np.conj(weights * q[j])
-            r = np.conj(q[:j] @ v)
-            q[j] -= r @ q[:j]
-            c[j] -= r @ c[:j]
-        _ref_normalize(q, c, j, weights)
-    return q, c
+def _ref_gram_upper(vals, weights):
+    """Column j of the upper triangle gains v[:j+1] @ conj(w v[j]) from each
+    block of `bases._GRAM_BLOCK` points."""
+    m, n_points = vals.shape
+    g = np.zeros((m, m), dtype=complex)
+    for start in range(0, n_points, bases._GRAM_BLOCK):
+        v = vals[:, start : start + bases._GRAM_BLOCK]
+        w = weights[start : start + bases._GRAM_BLOCK]
+        for j in range(m):
+            g[: j + 1, j] += v[: j + 1] @ np.conj(w * v[j])
+    return g
+
+
+def _ref_cholesky_inverse(g):
+    """C = L^-1 for G = L L^H, with L and C built row by row side by side:
+    row j of L is conj(C[:j, :j] g[:j, j]), and row j of C solves L C = I."""
+    m = g.shape[0]
+    L = np.zeros((m, m), dtype=complex)
+    C = np.zeros((m, m), dtype=complex)
+    for j in range(m):
+        L[j, :j] = np.conj(C[:j, :j] @ g[:j, j])
+        ljj = math.sqrt(g[j, j].real - np.vdot(L[j, :j], L[j, :j]).real)
+        L[j, j] = ljj
+        C[j, :j] = -(L[j, :j] @ C[:j, :j]) / ljj
+        C[j, j] = 1 / ljj
+    return C
 
 
 def _mgs_orthonormalize(vals, weights, coefs):
@@ -485,7 +500,7 @@ def _monomial_values(pres, monos, quad):
 @bases._one_blas_thread
 def _ref_orthonormal(pres, monos, quad):
     vals = _monomial_values(pres, monos, quad)
-    _, c = _ref_orthonormalize(vals, quad.weights, np.eye(len(monos)))
+    c = _ref_cholesky_inverse(_ref_gram_upper(vals, quad.weights))
     polys = []
     for row in c:
         coefmap = {m: complex(cc) for m, cc in zip(monos, row) if cc != 0}
@@ -543,10 +558,12 @@ def test_bb_family_carries_the_y_block_untrimmed(pres, n):
 # footprint
 
 # 1/P is a power of two in BB_CASES (P = 512, 8192), so there weights * q is
-# exact and a reordered weight multiply would go unnoticed.  Here P = 200 and
-# P = 288.
-ROUNDING_CASES = [(HYP, 100, k) for k in (4, 16)] + [(CONE, 12, k) for k in (2, 4)]
-ROUNDING_IDS = [f"hyperbola-n100-k{k}" for k in (4, 16)] + [f"cone2d-n12-k{k}" for k in (2, 4)]
+# exact and a reordered weight multiply would go unnoticed.  Here P = 200,
+# P = 288 and P = 3,200, whose last block of the Gram sum is a partial one.
+ROUNDING_CASES = [(HYP, 100, k) for k in (4, 16)] + [(CONE, 12, k) for k in (2, 4)] + [(CONE, 40, 2)]
+ROUNDING_IDS = (
+    [f"hyperbola-n100-k{k}" for k in (4, 16)] + [f"cone2d-n12-k{k}" for k in (2, 4)] + ["cone2d-n40-k2"]
+)
 
 
 @pytest.mark.parametrize("pres, n, k", ROUNDING_CASES, ids=ROUNDING_IDS)
@@ -625,13 +642,25 @@ def _traced_peak(fn):
 
 
 def test_bb_basis_holds_one_value_matrix():
+    # the block of 2,048 points, not the 8,192-point value matrix
     quad = torus_quadrature(CONE, 64)
-    matrix = len(monomial_graded_basis(CONE, 4)) * len(quad) * 16
-    assert _traced_peak(lambda: bb_basis(CONE, 4, quad)) <= 1.25 * matrix
+    block = len(monomial_graded_basis(CONE, 4)) * bases._GRAM_BLOCK * 16
+    assert len(quad) >= 4 * bases._GRAM_BLOCK
+    assert _traced_peak(lambda: bb_basis(CONE, 4, quad)) <= 1.5 * block
 
 
 def test_gram_holds_two_value_matrices():
+    # one block of values, with no weighted or conjugated copy of it
     quad = torus_quadrature(CONE, 64)
     elements = bb_basis(CONE, 4, quad).elements
-    matrix = len(elements) * len(quad) * 16
-    assert _traced_peak(lambda: gram(elements, quad)) <= 2.1 * matrix
+    block = len(elements) * bases._GRAM_BLOCK * 16
+    assert _traced_peak(lambda: gram(elements, quad)) <= 1.5 * block
+
+
+def test_bb_refuses_a_nearly_dependent_row():
+    # on the 8-node torus, row 63 of the degree-7 monomials keeps a squared
+    # residual of about 7e-16 of its squared norm; an absolute norm test let
+    # it through with a leading coefficient of 3.7e7
+    with pytest.raises(QuadratureError, match="vector 63 is numerically dependent"):
+        bb_basis(CONE, 7, torus_quadrature(CONE, 8))
+    assert len(bb_basis(CONE, 6, torus_quadrature(CONE, 8))) == 49

@@ -119,6 +119,28 @@ def test_validate_with_a_large_constant_at_infinity(power, code, tmp_path, capsy
     assert float(rows["min_chordal"]) == pytest.approx(3 ** 0.5 * 10 ** (-power / 3), rel=1e-6)
 
 
+def test_validate_with_a_coefficient_beyond_the_float_range_exits_1(tmp_path, capsys):
+    # 10^400 has no float; `Exact.to_complex` raised OverflowError out of run
+    f = tmp_path / "huge.var"
+    f.write_text(json.dumps({"M": 1, "N": 2, "generators": [f"y1^3 - {10 ** 400}*x1^3 - 1"]}))
+    assert run(["validate", "--variety", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the top form's coefficients or roots at infinity lie beyond the float range\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_validate_prints_infinity_distinct_as_a_boolean(fmt, capsys):
+    # the chordal test decides nondistinct, whose numpy bool printed "False"
+    assert run(["validate", "--variety", "nondistinct", "--format", fmt]) == 3
+    text = out_of(capsys)
+    if fmt == "json":
+        rows = {r["field"]: r["value"] for r in json.loads(text)}
+        assert rows["infinity_distinct"] is False and rows["xM_nonzero"] is True
+    else:
+        assert "infinity_distinct  false\n" in text
+
+
 def test_compare_drops_cm_with_zero_normalizer(tmp_path, capsys):
     f = tmp_path / "cubic.var"
     f.write_text(json.dumps(ZERO_NORMALIZER))
@@ -184,10 +206,14 @@ PRINTED_SHA256 = {
         "63d9e61b9fc38da3f8a9f9692e9de16c8bdf362bd7f8b19f523efdc37652fc67",
     "fekete --kind bb --k 6 --sampler torus:64 --starts 4 --seed 0 --format csv":
         "fb68b5bcc66a3f23dbee205f880c1961837797660e584b98c9cadaa31a8b6b1b",
-    # re-recorded when bb became classical Gram-Schmidt twice: only the line
-    # "CHECK orthonormality: PASS (max |G - I| = ... at k=3)" moved, from
-    # 1.62620495476e-16 to 2.8778116143e-16
-    "reproduce-example --seed 0": "1e84f9cbeafaf047463c05ee86cf6612c256fc2a515e2d47972bae3e0d64293d",
+    # the benchmark's compare-cone2d pass at seed 0
+    "compare --variety cone2d --k-max 4 --sampler torus:16 --n 128 --starts 4 --seed 0 --format csv":
+        "d749cfbb21806f5d2ef3d93adc71a6435e0d44d80b43bf4c34a68a3275ae89fe",
+    # re-recorded when bb became the inverse of the Gram matrix's Cholesky
+    # factor: two lines moved, "CHECK normalized_y" (|err| 8.68907650275e-08
+    # to 8.68907652496e-08) and "CHECK orthonormality" (max |G - I|
+    # 2.8778116143e-16 to 4.4408920985e-16 at k=3)
+    "reproduce-example --seed 0": "aa3779b97aad49311e967e35abd55e60c3c81bf26b61593cc0420f1034e614bb",
 }
 
 

@@ -1159,19 +1159,24 @@ def test_every_search_runs_in_one_blas_thread(monkeypatch, two_blas_threads):
 @needs_openblas
 def test_every_bb_build_runs_in_one_blas_thread(monkeypatch, two_blas_threads):
     get = two_blas_threads
-    seen = []
-    orthonormalize = bases._orthonormalize
+    seen = {}
 
-    def read(*args):
-        seen.append(get())
-        return orthonormalize(*args)
+    def spy(name):
+        fn = getattr(bases, name)
 
-    monkeypatch.setattr(bases, "_orthonormalize", read)
+        def read(*args):
+            seen.setdefault(name, []).append(get())
+            return fn(*args)
+
+        monkeypatch.setattr(bases, name, read)
+
+    for name in ("_gram_upper", "_inverse_cholesky"):
+        spy(name)
     quad = torus_quadrature(HYP, 32)
     bb_basis(HYP, 3, quad)
     bb_structured(HYP, 3, quad)
     compare_bases(HYP, ["bb"], 2, torus_sampler(HYP, 32), quad=quad, starts=2)
-    assert len(seen) == 3 and set(seen) == {1}
+    assert seen == {"_gram_upper": [1, 1, 1], "_inverse_cholesky": [1, 1, 1]}
     assert get() == 2
 
 
@@ -1237,8 +1242,8 @@ print(_orthonormal(cone, monos, torus_quadrature(cone, 128))[1].tobytes().hex())
 
 def test_bb_does_not_depend_on_the_blas_thread_count():
     # at P = 32,768 the threaded matrix-vector products of the Gram-Schmidt
-    # round differently, and with the caller's threads these coefficients
-    # differed between one and two
+    # that built bb before rounded differently, and with the caller's threads
+    # its coefficients differed between one and two
     src = str(Path(vdm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     outs = [
