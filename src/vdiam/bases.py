@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -310,6 +310,12 @@ class QuadratureSpec:
         return self.points.shape[0]
 
 
+# points per block of the sheet lift and of the Gram accumulation: the lift
+# holds one block's partial points beside its output, and a Gram block's
+# values take m * 32 KiB, so neither bb nor `gram` holds an m x P matrix
+_GRAM_BLOCK = 2048
+
+
 def default_quadrature_n(k: int) -> int:
     n = 256
     while n < 4 * (k + 1):
@@ -319,13 +325,24 @@ def default_quadrature_n(k: int) -> int:
 
 def _lift_order(pres: VarietyPresentation) -> list[tuple[Polynomial, int, int]]:
     """(generator, the variable it is solved for, its degree in that variable),
-    in the order `lift` solves them: by the index of that variable."""
+    in the order `lift` solves them: by the index of that variable.  Raises
+    `QuadratureError` when a generator involves a variable solved after it."""
     out = []
     for g in pres.generators:
         lm = g.leading_monomial()
         yv = min(j for j, e in enumerate(lm) if e)
         out.append((g, yv, lm[yv]))
-    return sorted(out, key=lambda item: item[1])
+    out.sort(key=lambda item: item[1])
+    solved = set(range(pres.M))
+    for g, yv, _ in out:
+        for mono, _ in g.items():
+            for j, ej in enumerate(mono):
+                if ej and j != yv and j not in solved:
+                    raise QuadratureError(
+                        f"generator {g} is not triangular: needs unsolved variable index {j}"
+                    )
+        solved.add(yv)
+    return out
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -340,54 +357,85 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
         if t == m:
             continue
         rows = low_zeros == t
-        p = coeffs[rows, t:][:, ::-1]
-        comp = np.zeros((p.shape[0], m - t, m - t), dtype=complex)
+        lead = coeffs[rows, m]
+        comp = np.zeros((len(lead), m - t, m - t), dtype=complex)
         comp[:, 1:, :-1] = np.eye(m - t - 1)
-        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        for i in range(m - t):
+            # (-c) / lead, column by column: a two-dimensional divide buffers
+            # a copy of the whole top row; -(c / lead) differs in signed zeros
+            top = comp[:, 0, i]
+            np.divide(np.negative(coeffs[rows, m - 1 - i], out=top), lead, out=top)
         roots[rows, : m - t] = np.linalg.eigvals(comp)
     return roots
+
+
+def _lift_block(
+    pres: VarietyPresentation, order: list[tuple[Polynomial, int, int]], xs: np.ndarray
+) -> np.ndarray:
+    """The points of the variety over the complex x-points `xs`, x-major and
+    sheet-minor: each generator of `order` is solved for its variable at
+    every partial point at once."""
+    pts = np.concatenate([xs, np.full((len(xs), pres.ny), np.nan + 0j)], axis=1)
+    for g, yv, m in order:
+        coeffs = np.zeros((len(pts), m + 1), dtype=complex)
+        for mono, c in g.items():
+            val = complex(c)
+            for j, ej in enumerate(mono):
+                if j != yv and ej:
+                    # np.power, not **: the array ** 2 fast path rounds differently
+                    val = val * np.power(pts[:, j], ej)
+            coeffs[:, mono[yv]] += val
+        pts = np.repeat(pts, m, axis=0)
+        pts[:, yv] = _companion_roots(coeffs).ravel()
+    return pts
+
+
+def _lift_blocks(
+    pres: VarietyPresentation, count_: int, x_block: Callable[[int, int], np.ndarray]
+) -> np.ndarray:
+    """`lift` over `count_` x-points, where `x_block(start, stop)` gives the
+    (stop - start, M) complex rows start..stop-1.  The points are solved in
+    blocks of at most `_GRAM_BLOCK` lifted points into one output array;
+    every row is solved on its own, so the blocks do not move a bit."""
+    decompose_A(pres)
+    order = _lift_order(pres)
+    d = math.prod(m for _, _, m in order)
+    out = np.empty((count_ * d, pres.N), dtype=complex)
+    worst = np.zeros(len(pres.generators))
+    step = max(1, _GRAM_BLOCK // d)
+    for start in range(0, count_, step):
+        stop = min(start + step, count_)
+        pts = out[start * d : stop * d]
+        pts[:] = _lift_block(pres, order, x_block(start, stop))
+        # np.maximum, not max: a NaN residual must survive to the check
+        worst = np.maximum(worst, [np.abs(g.evaluate(pts)).max() for g in pres.generators])
+    for w in worst:
+        if not w <= 1e-9:  # NaN fails this too
+            raise QuadratureError(f"sheet solve residual {w:.3e} exceeds 1e-9")
+    return out
 
 
 def lift(pres: VarietyPresentation, xs: np.ndarray) -> np.ndarray:
     """The points of the variety over the x-points `xs` (P, M), x-major and
     sheet-minor.  Each generator is solved for its leading variable at every
-    partial point at once, so it may involve only x and the variables solved
-    before it.  Raises `ValueError` on an invalid presentation and
-    `QuadratureError` when a lifted point misses the variety by over 1e-9."""
-    decompose_A(pres)
-    pts = np.concatenate(
-        [np.asarray(xs, dtype=complex), np.full((len(xs), pres.ny), np.nan + 0j)], axis=1
-    )
-    solved = set(range(pres.M))
-    for g, yv, m in _lift_order(pres):
-        coeffs = np.zeros((len(pts), m + 1), dtype=complex)
-        for mono, c in g.items():
-            val = complex(c)
-            for j, ej in enumerate(mono):
-                if j == yv or not ej:
-                    continue
-                if j not in solved:
-                    raise QuadratureError(
-                        f"generator {g} is not triangular: needs unsolved variable index {j}"
-                    )
-                # np.power, not **: the array ** 2 fast path rounds differently
-                val = val * np.power(pts[:, j], ej)
-            coeffs[:, mono[yv]] += val
-        pts = np.repeat(pts, m, axis=0)
-        pts[:, yv] = _companion_roots(coeffs).ravel()
-        solved.add(yv)
-    for g in pres.generators:
-        worst = float(np.abs(g.evaluate(pts)).max(initial=0.0))
-        if not worst <= 1e-9:  # NaN fails this too
-            raise QuadratureError(f"sheet solve residual {worst:.3e} exceeds 1e-9")
-    return pts
+    partial point of a block at once, so it may involve only x and the
+    variables solved before it.  Raises `ValueError` on an invalid
+    presentation and `QuadratureError` when a lifted point misses the variety
+    by over 1e-9."""
+    xs = np.asarray(xs, dtype=complex)
+    return _lift_blocks(pres, len(xs), lambda start, stop: xs[start:stop])
 
 
 def lift_grid(pres: VarietyPresentation, line: np.ndarray) -> np.ndarray:
     """`lift` over the M-fold product grid of the nodes `line`, the first x
-    varying slowest."""
-    grids = np.meshgrid(*([line] * pres.M), indexing="ij")
-    return lift(pres, np.stack([g.ravel() for g in grids], axis=1))
+    varying slowest; each block's grid points come from their flat indices."""
+    line = np.asarray(line, dtype=complex)
+    shape = (len(line),) * pres.M
+
+    def x_block(start: int, stop: int) -> np.ndarray:
+        return np.stack([line[i] for i in np.unravel_index(np.arange(start, stop), shape)], axis=1)
+
+    return _lift_blocks(pres, math.prod(shape), x_block)
 
 
 def torus_quadrature(pres: VarietyPresentation, n: int) -> QuadratureSpec:
@@ -463,10 +511,6 @@ def _one_blas_thread(fn):
 
     return run
 
-
-# quadrature points per block of the Gram accumulation: the block's values
-# take m * 32 KiB, so neither bb nor `gram` holds an m x P matrix
-_GRAM_BLOCK = 2048
 
 # a row whose squared residual d_j is at most this share of G_jj is dependent:
 # Cholesky QR loses orthogonality like eps * cond(G) (Fukaya et al., 2014),

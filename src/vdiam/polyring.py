@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .scalars import Exact, ONE as EXACT_ONE, scalar_str
+from .scalars import Exact, scalar_str
 
 Monomial = tuple[int, ...]
 
@@ -304,15 +304,13 @@ class Polynomial:
         if not self._c:
             return "0"
         out = []
-        one = EXACT_ONE if self.mode == "exact" else (1 + 0j)
         for coef, mono in self.terms():
             neg, mag = self._coef_pieces(coef)
             ms = self._mono_str(mono)
             if not ms:
                 body = mag
-            elif coef == one:
-                body = ms
-            elif neg and mag == "1":
+            elif mag == "1":
+                # either sign: a float 1 + O(eps) prints as "1" too
                 body = ms
             else:
                 body = f"{mag}*{ms}"

@@ -232,8 +232,9 @@ class InfinityReport:
 
 
 def _chordal(u: complex, v: complex) -> float:
-    num = abs(u - v)
-    return num / math.sqrt((1 + abs(u) ** 2) * (1 + abs(v) ** 2))
+    # hypot and one division at a time: (1 + |u|^2)(1 + |v|^2) overflows for
+    # roots near 1e77, and a distance of 0 then reads as a double root
+    return abs(u - v) / math.hypot(1, abs(u)) / math.hypot(1, abs(v))
 
 
 def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -630,31 +629,20 @@ def test_bb_rejects_a_nan_quadrature_point():
         bb_basis(HYP, 2, bad)
 
 
-def _traced_peak(fn):
-    """Peak bytes that `fn()` allocates, numpy's arrays included."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
-def test_bb_basis_holds_one_value_matrix():
+def test_bb_basis_holds_one_value_matrix(traced_peak):
     # the block of 2,048 points, not the 8,192-point value matrix
     quad = torus_quadrature(CONE, 64)
     block = len(monomial_graded_basis(CONE, 4)) * bases._GRAM_BLOCK * 16
     assert len(quad) >= 4 * bases._GRAM_BLOCK
-    assert _traced_peak(lambda: bb_basis(CONE, 4, quad)) <= 1.5 * block
+    assert traced_peak(lambda: bb_basis(CONE, 4, quad))[1] <= 1.5 * block
 
 
-def test_gram_holds_two_value_matrices():
+def test_gram_holds_two_value_matrices(traced_peak):
     # one block of values, with no weighted or conjugated copy of it
     quad = torus_quadrature(CONE, 64)
     elements = bb_basis(CONE, 4, quad).elements
     block = len(elements) * bases._GRAM_BLOCK * 16
-    assert _traced_peak(lambda: gram(elements, quad)) <= 1.5 * block
+    assert traced_peak(lambda: gram(elements, quad))[1] <= 1.5 * block
 
 
 def test_bb_refuses_a_nearly_dependent_row():

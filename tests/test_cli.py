@@ -119,6 +119,18 @@ def test_validate_with_a_large_constant_at_infinity(power, code, tmp_path, capsy
     assert float(rows["min_chordal"]) == pytest.approx(3 ** 0.5 * 10 ** (-power / 3), rel=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("degree, chordal", [(2, "2e-150"), (3, "1.73205080757e-100")])
+def test_validate_keeps_the_chordal_distance_of_far_points_at_infinity(degree, chordal, tmp_path, capsys):
+    # mu^degree = 10^300: the points at infinity lie near 10^(300/degree),
+    # where (1 + |u|^2)(1 + |v|^2) overflowed, with a warning, to a distance 0
+    f = tmp_path / "far.var"
+    f.write_text(json.dumps({"M": 1, "N": 2, "generators": [f"y1^{degree} - {10 ** 300}*x1^{degree} - 1"]}))
+    assert run(["validate", "--variety", str(f), "--format", "csv"]) == 3
+    rows = dict(line.split(",", 1) for line in out_of(capsys).splitlines()[1:])
+    assert rows["min_chordal"] == chordal
+
+
 def test_validate_with_a_coefficient_beyond_the_float_range_exits_1(tmp_path, capsys):
     # 10^400 has no float; `Exact.to_complex` raised OverflowError out of run
     f = tmp_path / "huge.var"

@@ -2,7 +2,8 @@
 
 `reference_lift` is the per-point loop the package used before `lift`: one
 np.roots call per partial point and generator.  Every sampler and the torus
-quadrature must give the same points as that loop, bit for bit.
+quadrature must give the same points as that loop, bit for bit, whichever
+blocks `lift` cuts its x-points into.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from vdiam import (
     torus_quadrature,
     torus_sampler,
 )
+from vdiam import bases
 from vdiam.bases import lift, lift_grid
 
 HYP, _ = load_variety("hyperbola")
@@ -34,6 +36,9 @@ TWO_GEN = VarietyPresentation(
 # y (y + x) = x (x + 1): at x = -1 the constant coefficient is zero, at x = 0
 # the linear one too, so an odd segment grid meets every zero pattern
 ZEROS = VarietyPresentation(M=1, N=2, generators=(parse_polynomial("y1^2 + x1*y1 - x1^2 - x1", 1, 2),))
+# roots x + 1/x + O(1/x^3) and -1/x: from x near 1e4 the large root misses by
+# more than 1e-9, from x = 1e60 by 1, and at x = 1e200 its residual is inf - inf
+SKEW = VarietyPresentation(M=1, N=2, generators=(parse_polynomial("y1^2 - x1*y1 - 1", 1, 2),))
 CASES = {"hyperbola": HYP, "cone2d": CONE, "nondistinct": NONDISTINCT, "two_gen": TWO_GEN, "zeros": ZEROS}
 
 
@@ -148,3 +153,53 @@ def test_lift_refuses_coupled_sheets():
     pres = VarietyPresentation(M=1, N=3, generators=(g1, g2))
     with pytest.raises(QuadratureError, match="not triangular"):
         lift(pres, np.ones((3, 1)))
+
+
+# grids over several blocks with a partial last one: blocks of
+# _GRAM_BLOCK // d x-points, d = 2 on cone2d, hyperbola and zeros, 4 on two_gen
+BLOCK_EDGES = {
+    "cone2d": torus_line(40),
+    "two_gen": torus_line(1300),
+    "hyperbola": torus_line(2100),
+    "zeros": segment_line(2101),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGES))
+def test_lift_matches_per_point_roots_across_block_edges(name):
+    pres, line = CASES[name], BLOCK_EDGES[name]
+    xs = np.stack([g.ravel() for g in np.meshgrid(*([line] * pres.M), indexing="ij")], axis=1)
+    step = bases._GRAM_BLOCK // pres.d
+    assert len(xs) > step and len(xs) % step
+    want = reference_lift(pres, xs)
+    assert_same_bits(lift(pres, xs), want)
+    assert_same_bits(lift_grid(pres, line), want)
+
+
+@pytest.mark.parametrize("name", ["cone2d", "two_gen"])
+def test_lift_of_no_x_points_is_empty(name):
+    pres = CASES[name]
+    for pts in (lift(pres, np.empty((0, pres.M))), lift_grid(pres, np.empty(0))):
+        assert pts.shape == (0, pres.N) and pts.dtype == complex
+
+
+@pytest.mark.parametrize("block", [bases._GRAM_BLOCK, 2], ids=["one block", "a block per x-point"])
+def test_residual_check_raises_once_with_the_worst_residual(block, monkeypatch):
+    # the worst point of all blocks names the error, not the first block
+    # that fails, and a NaN survives the finite blocks after it
+    monkeypatch.setattr(bases, "_GRAM_BLOCK", block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError, match=r"^sheet solve residual 1\.000e\+00 exceeds 1e-9$"):
+            lift(SKEW, np.array([[1e5], [0.5], [1e100], [2.0]]))
+        with pytest.raises(QuadratureError, match=r"^sheet solve residual nan exceeds 1e-9$"):
+            lift(SKEW, np.array([[0.5], [1e200], [1e100], [2.0]]))
+
+
+def test_torus_quadrature_peaks_at_its_points_and_weights_plus_a_block(traced_peak):
+    # lifting the whole grid at once held it several times over: 7.4 MB
+    # for a 1.8 MB quadrature at n = 128
+    torus_quadrature(CONE, 4)  # numpy's lazy set-up stays outside the trace
+    quad, peak = traced_peak(lambda: torus_quadrature(CONE, 128))
+    block = bases._GRAM_BLOCK * CONE.N * 16
+    assert len(quad) >= 8 * bases._GRAM_BLOCK
+    assert peak <= quad.points.nbytes + quad.weights.nbytes + 1.5 * block

@@ -113,6 +113,14 @@ def test_parse_round_trip_spot_checks():
         assert P(str(p)) == p
 
 
+@pytest.mark.parametrize("sign, text", [(1, "x1^2 + 1"), (-1, "-x1^2 + 1")])
+def test_a_float_coefficient_printing_as_one_is_dropped(sign, text):
+    # 1 + 2^-52 prints as "1" at 12 digits, so its term prints like 1.0's
+    for c in (1.0, 1 + 2**-52):
+        p = Polynomial({(2, 0): complex(sign * c), (0, 0): 1 + 0j}, 1, 2, "float")
+        assert str(p) == text
+
+
 def test_parse_sqrt2_and_i_constants():
     p = P("sqrt2*x1 + i")
     assert p.coefficient((1, 0)) == Exact(0, 1)

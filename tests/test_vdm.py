@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -193,21 +192,14 @@ def test_evaluate_without_a_table_is_the_term_by_term_loop():
             assert e.evaluate(points).tobytes() == _ref_evaluate(e, points).tobytes(), (kind, name)
 
 
-def _vdm_peak(basis, points):
-    """Peak bytes `vdm_matrix` allocates, over the bytes of the matrix it returns."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        E = vdm_matrix(basis, points)
-        return (tracemalloc.get_traced_memory()[1] - start) / E.nbytes
-    finally:
-        tracemalloc.stop()
-
-
-def test_vdm_matrix_holds_one_matrix_and_its_power_table():
+def test_vdm_matrix_holds_one_matrix_and_its_power_table(traced_peak):
     # a column list and its stack held the matrix twice (2.04 x at k = 16)
-    hyp = _vdm_peak(monomial_graded_basis(HYP, 16), torus_sampler(HYP, 256).points)
-    cone = _vdm_peak(bb_basis(CONE, 4, torus_quadrature(CONE, 16)), torus_sampler(CONE, 16).points)
+    def peak_over_matrix(basis, points):
+        E, peak = traced_peak(lambda: vdm_matrix(basis, points))
+        return peak / E.nbytes
+
+    hyp = peak_over_matrix(monomial_graded_basis(HYP, 16), torus_sampler(HYP, 256).points)
+    cone = peak_over_matrix(bb_basis(CONE, 4, torus_quadrature(CONE, 16)), torus_sampler(CONE, 16).points)
     assert hyp <= 1.75 and cone <= 1.75
 
 
