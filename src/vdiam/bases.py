@@ -378,13 +378,17 @@ def _lift_block(
     pts = np.concatenate([xs, np.full((len(xs), pres.ny), np.nan + 0j)], axis=1)
     for g, yv, m in order:
         coeffs = np.zeros((len(pts), m + 1), dtype=complex)
-        for mono, c in g.items():
-            val = complex(c)
-            for j, ej in enumerate(mono):
-                if j != yv and ej:
-                    # np.power, not **: the array ** 2 fast path rounds differently
-                    val = val * np.power(pts[:, j], ej)
-            coeffs[:, mono[yv]] += val
+        # a non-finite x-point, or one whose powers overflow, is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for mono, c in g.items():
+                val = complex(c)
+                for j, ej in enumerate(mono):
+                    if j != yv and ej:
+                        # np.power, not **: the array ** 2 fast path rounds differently
+                        val = val * np.power(pts[:, j], ej)
+                coeffs[:, mono[yv]] += val
+        if not np.isfinite(coeffs).all():
+            raise QuadratureError(f"generator {g} has a non-finite coefficient at an x-point")
         pts = np.repeat(pts, m, axis=0)
         pts[:, yv] = _companion_roots(coeffs).ravel()
     return pts
@@ -420,8 +424,9 @@ def lift(pres: VarietyPresentation, xs: np.ndarray) -> np.ndarray:
     sheet-minor.  Each generator is solved for its leading variable at every
     partial point of a block at once, so it may involve only x and the
     variables solved before it.  Raises `ValueError` on an invalid
-    presentation and `QuadratureError` when a lifted point misses the variety
-    by over 1e-9."""
+    presentation and `QuadratureError` when a generator's coefficients at an
+    x-point are not finite or a lifted point misses the variety by over
+    1e-9."""
     xs = np.asarray(xs, dtype=complex)
     return _lift_blocks(pres, len(xs), lambda start, stop: xs[start:stop])
 

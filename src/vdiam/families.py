@@ -87,17 +87,13 @@ def _scale_prod(p: Coset, g: Coset, delta: Sequence[int]) -> Exact:
     return out
 
 
-def _restrict_scales(coset: Coset, keep: frozenset[int]) -> tuple[tuple[int, Exact], ...]:
-    return tuple((v, s) for v, s in coset.scales if v in keep)
-
-
 # ---------------------------------------------------------------------------
 # coset subtraction
 
 
 def _piece(p: Coset, shift: Sequence[int], keep: frozenset[int]) -> Coset:
     """p's sub-coset over `keep` starting at p's element at `shift`."""
-    return Coset(p.element(shift), keep, _restrict_scales(p, keep))
+    return Coset(p.element(shift), keep, tuple((v, s) for v, s in p.scales if v in keep))
 
 
 def _staircase(p: Coset, dplus: tuple[int, ...]) -> list[Coset]:
@@ -138,13 +134,16 @@ def _punctured(p: Coset, base: Sequence[int], vs: Sequence[int], points: Sequenc
     return out
 
 
-def _exponents_reaching(rhos: Sequence[Exact], c: Scalar) -> list[tuple[int, ...]]:
-    """Every beta >= 0 with prod_v rhos[v]^beta_v = c, when every |rho_v| lies
-    strictly on one side of 1: then beta_v log|rho_v| <= log|c| (signs taken
-    on that side) bounds every beta_v, and each candidate is checked exactly."""
+def _exponents_reaching(scale_prod: Exact, rhos: Sequence[Exact], c: Scalar) -> list[tuple[int, ...]]:
+    """Every beta >= 0 with scale_prod * prod_v rhos[v]^beta_v = c, when every
+    |rho_v| lies strictly on one side of 1: then beta_v log|rho_v| <=
+    log|c / scale_prod| (signs taken on that side) bounds every beta_v, and each
+    candidate is checked exactly. With no rho that is [()] or []."""
+    if not rhos:
+        return [()] if _scalar_same(c, scale_prod) else []
     side = 1.0 if abs(complex(rhos[0])) > 1 else -1.0
     logs = [side * math.log(abs(complex(r))) for r in rhos]
-    target = side * math.log(abs(complex(c)))
+    target = side * (math.log(abs(complex(c))) - math.log(abs(complex(scale_prod))))
     slack = 1e-9 * max(1.0, abs(target))
     out: list[tuple[int, ...]] = []
 
@@ -160,7 +159,7 @@ def _exponents_reaching(rhos: Sequence[Exact], c: Scalar) -> list[tuple[int, ...
             walk(beta + (e,), prod * rhos[i] ** e, rest - e * logs[i])
             e += 1
 
-    walk((), ONE, target)
+    walk((), scale_prod, target)
     return out
 
 
@@ -170,9 +169,11 @@ def _subtract_coset(p: Coset, g: Coset) -> list[Coset]:
     With g's multiplier c * x^delta * p's, p's element at beta equals g's
     element at beta - delta, so it lies in g exactly when beta >= delta+,
     delta+ lies in S_p and delta- in S_g, beta_v = delta_v off S_g, and the
-    scales balance: c = prod_v s_v^delta_v with s_v p's scale on S_p and g's
-    on S_g - S_p."""
-    nvars = p.multiplier.nvars
+    scales balance: _scale_prod(p, g, delta) * prod_v rho_v^beta_v = c, over
+    the shared variables whose ratio rho_v = s_v^p / s_v^g is not 1. With
+    every |rho_v| on one side of 1 that leaves finitely many beta on those
+    variables, each fixing a sub-coset; with no rho, one or none. A rho is
+    answered only without a shift (delta = 0)."""
     ratio = _poly_ratio(g.multiplier, p.multiplier)
     if ratio is None:
         return [p]
@@ -183,23 +184,13 @@ def _subtract_coset(p: Coset, g: Coset) -> list[Coset]:
         return [p]
     if any(e and v not in g.variables for v, e in enumerate(dminus)):
         return [p]
-    pinned = sorted(p.variables - g.variables)
-    shared = sorted(p.variables & g.variables)
-    if all(p.scale_of(v) == g.scale_of(v) for v in shared):
-        if not _scalar_same(c, _scale_prod(p, g, delta)):
-            return [p]
-        return _staircase(p, dplus) + _punctured(p, dplus, pinned, [tuple(dplus[v] for v in pinned)])
-    # differing scalings, answered only without a shift (delta = 0): p's
-    # element at beta then lies in g when beta vanishes off S_g and
-    # prod_v rho_v^beta_v = c, with rho_v = s_v^p / s_v^g; with every |rho_v|
-    # on one side of 1 that leaves finitely many beta, each fixing a sub-coset
-    if any(delta):
+    rhos = {v: p.scale_of(v) / g.scale_of(v) for v in sorted(p.variables & g.variables)}
+    sides = {v: _modulus_side(rho) for v, rho in rhos.items() if rho != ONE}
+    if sides and any(delta):
         raise UnsupportedFamilyShape(
             "cannot subtract cosets that combine differing variable scalings "
             "with a monomial shift"
         )
-    rhos = {v: p.scale_of(v) / g.scale_of(v) for v in shared}
-    sides = {v: _modulus_side(rho) for v, rho in rhos.items() if rho != ONE}
     for v, side in sides.items():
         if side == 0:
             raise UnsupportedFamilyShape(
@@ -209,13 +200,13 @@ def _subtract_coset(p: Coset, g: Coset) -> list[Coset]:
         raise UnsupportedFamilyShape(
             "variable scaling ratios lie on both sides of modulus one; the overlap is not a finite union of cosets"
         )
-    reached = _exponents_reaching([rhos[v] for v in sides], c)
+    reached = _exponents_reaching(_scale_prod(p, g, delta), [rhos[v] for v in sides], c)
     if not reached:
         return [p]
-    # each reached beta fixes the scaled variables; the pinned ones stay at 0
-    vs = sorted(pinned + list(sides))
-    points = [tuple(dict(zip(sides, beta)).get(v, 0) for v in vs) for beta in reached]
-    return _punctured(p, (0,) * nvars, vs, points)
+    # each reached beta fixes the scaled variables; the pinned ones, off S_g, stay at delta+
+    vs = sorted((p.variables - g.variables) | set(sides))
+    points = [tuple(dict(zip(sides, beta)).get(v, dplus[v]) for v in vs) for beta in reached]
+    return _staircase(p, dplus) + _punctured(p, dplus, vs, points)
 
 
 def family_difference(left: BasisFamily, right: BasisFamily) -> BasisFamily:

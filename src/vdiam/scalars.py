@@ -304,22 +304,18 @@ def exact_sqrt(v: Exact) -> Exact:
     raise ExactSqrtError(f"sqrt({v!r}) is not in Q(sqrt2)")
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _real_part_str(a: Fraction, b: Fraction) -> str:
     """Render a + b*sqrt2 (assumed not both zero) without outer parens."""
     pieces = []
     if a != 0:
-        pieces.append(_frac_str(a))
+        pieces.append(str(a))
     if b != 0:
         if b == 1:
             s = "sqrt2"
         elif b == -1:
             s = "-sqrt2"
         else:
-            s = f"{_frac_str(b)}*sqrt2"
+            s = f"{b}*sqrt2"
         if pieces and not s.startswith("-"):
             pieces.append("+" + s)
         else:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -118,19 +118,7 @@ def decompose_A(pres: VarietyPresentation) -> Decomposition:
     rep = validate_noether(pres)
     if not rep.valid:
         raise ValueError(f"invalid presentation: {'; '.join(rep.problems)}")
-    ny = pres.ny
-    ranges = [range(m) for m in rep.m_degrees] if ny else []
-    alphas: list[Monomial] = []
-
-    def rec(prefix: list[int], j: int):
-        if j == ny:
-            alphas.append((0,) * pres.M + tuple(prefix))
-            return
-        for e in ranges[j]:
-            rec(prefix + [e], j + 1)
-
-    rec([], 0)
-    alphas.sort(key=grevlex_key)
+    alphas = sorted(((0,) * pres.M + ys for ys in product(*map(range, rep.m_degrees))), key=grevlex_key)
     a = max(sum(al) for al in alphas)
     return Decomposition(tuple(alphas), a, len(alphas))
 
@@ -181,12 +169,7 @@ def count(pres: VarietyPresentation, k: int) -> CountRecord:
 
     n_k = n_of(k)
     n_eq = n_k - n_of(k - 1)
-    l_k = 0
-    prev = n_of(-1)
-    for j in range(0, k + 1):
-        cur = n_of(j)
-        l_k += j * (cur - prev)
-        prev = cur
+    l_k = sum(j * (n_of(j) - n_of(j - 1)) for j in range(1, k + 1))
     lx = sum(j * _nx_eq(M, j) for j in range(1, k + 1))
     return CountRecord(k=k, N_eq=n_eq, N=n_k, l=l_k, Nx=_nx(M, k), lx=lx)
 

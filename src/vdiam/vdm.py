@@ -26,7 +26,6 @@ from .bases import (
     bb_basis,
     bb_structured,
     cm_basis,
-    cm_generators,
     default_quadrature_n,
     lift,
     lift_grid,
@@ -469,23 +468,20 @@ def build_basis(
     gens: Optional[CmGenerators] = None,
     quad: Optional[QuadratureSpec] = None,
 ) -> GradedBasis:
+    """The basis `kind` of `pres` to degree k: "monomial", "cm" on the sheet
+    generators `gens` (by default those `cm_generators` builds), or "bb" or
+    "bb_structured" orthonormalized in `quad` (by default
+    `torus_quadrature(pres, default_quadrature_n(k))`). Every kind is graded:
+    its elements of degree <= j are its first `count(pres, j).N`."""
     if kind == "monomial":
         return monomial_graded_basis(pres, k)
     if kind == "cm":
-        return cm_basis(pres, k, gens if gens is not None else cm_generators(pres))
+        return cm_basis(pres, k, gens)
     if kind in ("bb", "bb_structured"):
         if quad is None:
             quad = torus_quadrature(pres, default_quadrature_n(k))
         return (bb_basis if kind == "bb" else bb_structured)(pres, k, quad)
     raise ValueError(f"unknown basis kind {kind!r}")
-
-
-def _prefix(basis: GradedBasis, k: int) -> GradedBasis:
-    keep = [i for i, d in enumerate(basis.degrees) if d <= k]
-    return GradedBasis(
-        elements=tuple(basis.elements[i] for i in keep),
-        degrees=tuple(basis.degrees[i] for i in keep),
-    )
 
 
 def _estimate(kind: str, k: int, rec: CountRecord, res: FeketeResult) -> DiameterEstimate:
@@ -501,16 +497,15 @@ def _estimate(kind: str, k: int, rec: CountRecord, res: FeketeResult) -> Diamete
     )
 
 
-def _grow(E: Optional[np.ndarray], basis: GradedBasis, k: int, points: np.ndarray) -> np.ndarray:
-    """The matrix of the elements of degree <= k, from E, that of a shorter
-    prefix of `basis` (None for the empty one), by appending the columns of
-    the elements it lacks; the bytes are those of `vdm_matrix` on the prefix
+def _grow(E: Optional[np.ndarray], basis: GradedBasis, n: int, points: np.ndarray) -> np.ndarray:
+    """The matrix of the first n elements of `basis`, from E, that of a
+    shorter prefix (None for the empty one), by appending the columns of the
+    elements it lacks; the bytes are those of `vdm_matrix` on the prefix
     basis."""
     lo = 0 if E is None else E.shape[1]
-    hi = sum(1 for deg in basis.degrees if deg <= k)
-    if hi == lo:
+    if n == lo:
         return E
-    new = vdm_matrix(GradedBasis(basis.elements[lo:hi], basis.degrees[lo:hi]), points)
+    new = vdm_matrix(GradedBasis(basis.elements[lo:n], basis.degrees[lo:n]), points)
     return new if E is None else np.concatenate([E, new], axis=1)
 
 
@@ -526,11 +521,18 @@ def diameter_sequence(
     seed: int = 0,
     starts: int = 1,
 ) -> list[DiameterEstimate]:
+    """Diameter estimates for k = 1..k_max in one basis: `kind` is built once
+    at k_max, and each k runs one `fekete_maximize` on its first N_k
+    elements, the degree <= k prefix. The exchange searches in that basis
+    itself, where `compare_bases` and `vdiam fekete` search in the monomial
+    basis."""
     full = build_basis(pres, kind, k_max, gens=gens, quad=quad)
-    return [
-        _estimate(kind, k, count(pres, k), fekete_maximize(_prefix(full, k), sampler, seed=seed, starts=starts))
-        for k in range(1, k_max + 1)
-    ]
+    out = []
+    for k in range(1, k_max + 1):
+        rec = count(pres, k)
+        prefix = GradedBasis(full.elements[: rec.N], full.degrees[: rec.N])
+        out.append(_estimate(kind, k, rec, fekete_maximize(prefix, sampler, seed=seed, starts=starts)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -582,7 +584,7 @@ def compare_bases(
         rec = count(pres, k)
         inits: list[list[int]] = []  # every basis's starts, scored by every basis
         for kind, basis in bases.items():
-            Es[kind] = _grow(Es.get(kind), basis, k, sampler.points)
+            Es[kind] = _grow(Es.get(kind), basis, rec.N, sampler.points)
             try:
                 inits += _initial_tuples(Es[kind], seed=seed, starts=starts)
             except FeketeError:

@@ -205,6 +205,23 @@ def test_a_scalar_factor_two_scalings_reach_removes_each_solution():
         assert expand(left, 2) - expand(diff, 2) == shared
 
 
+def test_equal_scalings_with_a_shift_balance_by_their_scale_product():
+    # 2 x1 y1 (2 x1)^a = y1 (2 x1)^(a + 1): equal scales that are not 1, a
+    # shift by x1, and c = 2, the scale product; so the unshifted coset is the
+    # shifted one plus y1
+    def scaled(mult):
+        return BasisFamily((Coset(P(mult), frozenset({0}), ((0, Exact(2)),)),), ())
+
+    low, high = scaled("y1"), scaled("2*x1*y1")
+    diff = family_difference(low, high)
+    assert diff.cosets == () and diff.finite == (P("y1"),)
+    assert family_difference(high, low).is_empty()
+    # with 3 x1 y1 the scales balance for no element: the coset stays whole
+    off = scaled("3*x1*y1")
+    assert family_difference(low, off) == low
+    assert family_difference(off, low) == off
+
+
 # ---------------------------------------------------------------------------
 # difference mechanics
 

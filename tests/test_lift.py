@@ -6,6 +6,9 @@ quadrature must give the same points as that loop, bit for bit, whichever
 blocks `lift` cuts its x-points into.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -193,6 +196,22 @@ def test_residual_check_raises_once_with_the_worst_residual(block, monkeypatch):
             lift(SKEW, np.array([[1e5], [0.5], [1e100], [2.0]]))
         with pytest.raises(QuadratureError, match=r"^sheet solve residual nan exceeds 1e-9$"):
             lift(SKEW, np.array([[0.5], [1e200], [1e100], [2.0]]))
+
+
+@pytest.mark.parametrize(
+    "name, xs",
+    [("hyperbola", [[np.nan]]), ("hyperbola", [[np.inf]]), ("hyperbola", [[1e160]]), ("cone2d", [[0.5, np.nan]])],
+    ids=["nan", "inf", "overflow", "nan-in-x2"],
+)
+def test_non_finite_coefficients_are_refused_before_the_roots(name, xs):
+    # a NaN or inf x-point, or one whose powers overflow, reached numpy's
+    # eigvals as LinAlgError, after overflow warnings
+    pres = CASES[name]
+    message = f"^generator {re.escape(str(pres.generators[0]))} has a non-finite coefficient at an x-point$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=message):
+            lift(pres, np.array(xs, dtype=complex))
 
 
 def test_torus_quadrature_peaks_at_its_points_and_weights_plus_a_block(traced_peak):

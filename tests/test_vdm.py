@@ -936,6 +936,35 @@ def test_follower_certificate_covers_the_discrepancy(sampler, t_scale, d_scale):
 # one exchange per candidate set in compare_bases
 
 
+def _degree_prefix(basis, k):
+    """The elements of `basis` of degree <= k, found by their degrees."""
+    keep = [i for i, d in enumerate(basis.degrees) if d <= k]
+    return GradedBasis(tuple(basis.elements[i] for i in keep), tuple(basis.degrees[i] for i in keep))
+
+
+def _coef_bytes(e):
+    return [(m, np.complex128(c).tobytes()) for m, c in sorted(e.items())]
+
+
+@pytest.mark.parametrize("name, k_max", [("hyperbola", 6), ("cone2d", 3)])
+def test_graded_basis_prefixes_are_the_lower_degree_bases(name, k_max):
+    # diameter_sequence and compare_bases take the first count(pres, k).N
+    # elements of the k_max basis as the basis at k
+    pres = {"hyperbola": HYP, "cone2d": CONE}[name]
+    quad = torus_quadrature(pres, 32)
+    for kind in ("monomial", "cm", "bb", "bb_structured"):
+        full = build_basis(pres, kind, k_max, quad=quad)
+        for k in range(1, k_max + 1):
+            n = count(pres, k).N
+            assert n == len(_degree_prefix(full, k))
+            alone = build_basis(pres, kind, k, quad=quad)
+            assert full.degrees[:n] == alone.degrees
+            if kind in ("monomial", "cm"):
+                assert full.elements[:n] == alone.elements
+            else:
+                assert list(map(_coef_bytes, full.elements[:n])) == list(map(_coef_bytes, alone.elements))
+
+
 @pytest.mark.parametrize("name, k_max", [("hyperbola", 6), ("cone2d", 3)])
 def test_grown_matrices_equal_the_prefix_basis_matrix(name, k_max):
     # compare_bases evaluates each element once and grows each k's matrix
@@ -948,10 +977,10 @@ def test_grown_matrices_equal_the_prefix_basis_matrix(name, k_max):
         full = build_basis(pres, kind, k_max, quad=quad)
         E = None
         for k in range(1, k_max + 1):
-            E = vdm._grow(E, full, k, points)
+            E = vdm._grow(E, full, count(pres, k).N, points)
             keep = [i for i, d in enumerate(full.degrees) if d <= k]
             assert E.flags.c_contiguous
-            assert E.tobytes() == vdm_matrix(vdm._prefix(full, k), points).tobytes()
+            assert E.tobytes() == vdm_matrix(_degree_prefix(full, k), points).tobytes()
             assert E.tobytes() == np.ascontiguousarray(vdm_matrix(full, points)[:, keep]).tobytes()
 
 
@@ -963,7 +992,7 @@ def _monomial_searches(pres, kinds, k_max, samp, *, quad, seed, starts):
     fulls = {kind: build_basis(pres, kind, k_max, quad=quad) for kind in ("monomial", *kinds)}
     out = {kind: [] for kind in kinds}
     for k in range(1, k_max + 1):
-        Es = {kind: vdm_matrix(vdm._prefix(b, k), samp.points) for kind, b in fulls.items()}
+        Es = {kind: vdm_matrix(_degree_prefix(b, k), samp.points) for kind, b in fulls.items()}
         inits = [tuple(t) for E in Es.values() for t in vdm._initial_tuples(E, seed=seed, starts=starts)]
         runs = [_fresh_solve_sweep(Es["monomial"], list(t)) for t in dict.fromkeys(inits)]
         for kind in kinds:
