@@ -5,9 +5,10 @@ A family is a finite union of cosets {multiplier * x^beta : supp(beta) in S}
 plus finitely many extra elements.  `family_for` is the one place where the
 monomial, cm and bb families are written down, and `monomial_graded_basis`,
 `cm_basis` and `bb_structured` are those families expanded to degree k.  The
-cm construction builds degree-one generators v_i = (y - lambda_i x_M)/c_i
-from the points at infinity and normalizes them so the product table in the
-quotient ring has unit diagonal in the top x_M coefficient.  The bb basis is
+cm basis takes the presentation's sheet generators, or builds degree-one
+v_i = (y - lambda_i x_M)/c_i from the points at infinity, normalized so the
+product table in the quotient ring has unit diagonal in the top x_M
+coefficient.  The bb basis is
 `monomial_graded_basis` orthonormalized against a torus-lifted quadrature
 measure, a numerical basis with no family; the bb family multiplies the
 orthonormalized pure-y block (the monomial family's multipliers) by x
@@ -126,7 +127,6 @@ def family_for(
     pres: VarietyPresentation,
     kind: str,
     *,
-    gens: Optional[CmGenerators] = None,
     quad: Optional[QuadratureSpec] = None,
 ) -> BasisFamily:
     """Family description of a named basis kind: monomial, cm, or bb (the
@@ -139,8 +139,7 @@ def family_for(
         )
         return BasisFamily(cosets)
     if kind == "cm":
-        if gens is None:
-            gens = cm_generators(pres)
+        gens = cm_generators(pres)
         prefix = frozenset(range(pres.M - 1))
         dec = decompose_A(pres)
         cosets: list[Coset] = [Coset(v, all_x) for v in gens.vs]
@@ -198,22 +197,24 @@ def monomial_graded_basis(pres: VarietyPresentation, k: int) -> GradedBasis:
 class CmGenerators:
     t: int
     vs: tuple[Polynomial, ...]
-    lambdas: Optional[tuple[Exact, ...]]
 
 
-def cm_generators(
-    pres: VarietyPresentation, v_polys: Optional[Sequence[Polynomial]] = None
-) -> CmGenerators:
+def cm_generators(pres: VarietyPresentation) -> CmGenerators:
+    """The sheet generators v_1..v_d of the cm basis: the presentation's
+    `v_polys` when present (d of them, of one degree t), otherwise the d = 2
+    construction with t = 1, v_i = (y - lambda_i x_M)/c_i over the exact
+    roots lambda_i at infinity, normalized so that star(v_i, v_i) has x_M^2
+    coefficient 1.  Raises `CmConstructionError` when neither applies."""
     decompose_A(pres)
     d = pres.d
-    if v_polys is not None:
-        vs = tuple(v_polys)
+    if pres.v_polys is not None:
+        vs = pres.v_polys
         if len(vs) != d:
             raise CmConstructionError(f"expected d={d} sheet generators, got {len(vs)}")
         degs = {v.degree() for v in vs}
         if len(degs) != 1:
             raise CmConstructionError(f"sheet generators must share one degree, got {sorted(degs)}")
-        return CmGenerators(t=degs.pop(), vs=vs, lambdas=None)
+        return CmGenerators(t=degs.pop(), vs=vs)
     if pres.ny != 1:
         raise CmConstructionError("automatic construction needs exactly one y variable")
     inf = distinct_infinity_check(pres)
@@ -239,7 +240,7 @@ def cm_generators(
                 f"normalizer sqrt({c2}) does not exist in the exact scalar field"
             ) from None
         vs.append(w * c.inverse())
-    return CmGenerators(t=t, vs=tuple(vs), lambdas=tuple(inf.exact_roots))
+    return CmGenerators(t=t, vs=tuple(vs))
 
 
 @dataclass(frozen=True)
@@ -282,11 +283,11 @@ def verify_cm_products(pres: VarietyPresentation, gens: CmGenerators) -> CmProdu
     return CmProductReport(not problems, tuple(problems), tuple(coefs), products)
 
 
-def cm_basis(pres: VarietyPresentation, k: int, gens: Optional[CmGenerators] = None) -> GradedBasis:
+def cm_basis(pres: VarietyPresentation, k: int) -> GradedBasis:
     """The cm family to degree k: low-order monomials x_M^l y^alpha with
     l + |alpha| < t, multiplied by monomials in x_1..x_{M-1}, together with
     x^beta x_M^l v_i for every sheet index i."""
-    basis = _expand(family_for(pres, "cm", gens=gens), k)
+    basis = _expand(family_for(pres, "cm"), k)
     per_degree = Counter(basis.degrees)
     for deg in sorted(per_degree):
         want = count(pres, deg).N_eq

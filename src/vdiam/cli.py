@@ -22,7 +22,6 @@ from .bases import (
     bb_basis,
     cm_basis,
     cm_generators,
-    default_quadrature_n,
     family_for,
     gram,
     inner_product,
@@ -103,8 +102,7 @@ def _sampler_from_spec(pres, spec: str):
 
 def _family_from_spec(pres, extras, spec: str, n: int):
     if spec in ("monomial", "cm"):
-        gens = cm_generators(pres, extras.get("v_polys")) if spec == "cm" else None
-        return family_for(pres, spec, gens=gens)
+        return family_for(pres, spec)
     if spec == "bb":
         return family_for(pres, "bb", quad=torus_quadrature(pres, n))
     if spec.startswith("family:"):
@@ -146,18 +144,16 @@ def _cmd_validate(args, out) -> int:
     return 0 if verdict else 3
 
 
-def _basis_from_args(pres, extras, args, quad=None):
-    """`build_basis` for `--kind` and `--k`, with the file's sheet generators
-    for cm and, unless `quad` is given, the `--n` quadrature for bb kinds."""
+def _basis_from_args(pres, args, quad=None):
+    """`build_basis` for `--kind`, `--k` and, unless `quad` is given, `--n`."""
     if quad is None and args.n and args.kind in ("bb", "bb_structured"):
         quad = torus_quadrature(pres, args.n)
-    gens = cm_generators(pres, extras.get("v_polys")) if args.kind == "cm" else None
-    return build_basis(pres, args.kind, args.k, gens=gens, quad=quad)
+    return build_basis(pres, args.kind, args.k, quad=quad)
 
 
 def _cmd_basis(args, out) -> int:
-    pres, extras = load_variety(args.variety)
-    basis = _basis_from_args(pres, extras, args)
+    pres, _ = load_variety(args.variety)
+    basis = _basis_from_args(pres, args)
     rows = [
         {"index": i, "degree": d, "element": str(_trimmed(e))}
         for i, (e, d) in enumerate(zip(basis.elements, basis.degrees), start=1)
@@ -216,10 +212,10 @@ def _cmd_compliance(args, out) -> int:
 
 
 def _cmd_gram(args, out) -> int:
-    pres, extras = load_variety(args.variety)
+    pres, _ = load_variety(args.variety)
     n = args.n or 1024
     quad = torus_quadrature(pres, n)
-    basis = _basis_from_args(pres, extras, args, quad)
+    basis = _basis_from_args(pres, args, quad)
     g = gram(basis.elements, quad)
     eye = np.eye(g.shape[0])
     off = g - np.diag(np.diag(g))
@@ -237,8 +233,8 @@ def _cmd_gram(args, out) -> int:
 
 
 def _cmd_fekete(args, out) -> int:
-    pres, extras = load_variety(args.variety)
-    basis = _basis_from_args(pres, extras, args)
+    pres, _ = load_variety(args.variety)
+    basis = _basis_from_args(pres, args)
     sampler = _sampler_from_spec(pres, args.sampler)
     # the search basis of `compare`, so both print the same estimates
     search = monomial_graded_basis(pres, args.k)
@@ -264,27 +260,17 @@ def _cmd_fekete(args, out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
-    pres, extras = load_variety(args.variety)
+    pres, _ = load_variety(args.variety)
     sampler = _sampler_from_spec(pres, args.sampler)
     kinds = ["monomial"]
-    gens = None
     try:
-        gens = cm_generators(pres, extras.get("v_polys"))
+        cm_generators(pres)
         kinds.append("cm")
     except CmConstructionError:
         pass
     kinds.append("bb")
-    quad = torus_quadrature(pres, args.n or default_quadrature_n(args.k_max))
-    rep = compare_bases(
-        pres,
-        kinds,
-        args.k_max,
-        sampler,
-        gens=gens,
-        quad=quad,
-        seed=args.seed,
-        starts=args.starts,
-    )
+    quad = torus_quadrature(pres, args.n) if args.n else None
+    rep = compare_bases(pres, kinds, args.k_max, sampler, quad=quad, seed=args.seed, starts=args.starts)
     rows = []
     for i, k in enumerate(rep.k_values):
         row = {"k": k}
@@ -313,14 +299,14 @@ def reproduce_example(n: int = 4096, seed: int = 0) -> tuple[bool, list[str]]:
         ok_all = ok_all and ok
         lines.append(f"CHECK {name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
-    pres, extras = load_variety("hyperbola")
+    pres, _ = load_variety("hyperbola")
     rep = validate_noether(pres)
     check("noether", rep.valid and rep.d == 2, f"valid={rep.valid}, d={rep.d}")
     inf = distinct_infinity_check(pres)
     roots_ok = inf.exact_roots == (Exact(1), Exact(-1))
     check("infinity", inf.distinct and roots_ok, "roots at infinity are +1, -1" if roots_ok else f"roots {inf.exact_roots}")
 
-    gens = cm_generators(pres, extras.get("v_polys"))
+    gens = cm_generators(pres)
     v1_expect = parse_polynomial("(y1 - x1)/sqrt2", 1, 2)
     v2_expect = parse_polynomial("(y1 + x1)/sqrt2", 1, 2)
     check(
@@ -355,7 +341,7 @@ def reproduce_example(n: int = 4096, seed: int = 0) -> tuple[bool, list[str]]:
     gerr = float(np.max(np.abs(g3 - np.eye(g3.shape[0]))))
     check("orthonormality", gerr <= 1e-10, f"max |G - I| = {_fmt(gerr)} at k=3")
 
-    cmb = cm_basis(pres, 6, gens)
+    cmb = cm_basis(pres, 6)
     mb = monomial_graded_basis(pres, 6)
     tuples = [
         random_variety_points(pres, len(mb), seed=seed + i).points for i in range(5)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, combinations_with_replacement, product
@@ -39,6 +39,8 @@ class VarietyPresentation:
     M: int
     N: int
     generators: tuple[Polynomial, ...]
+    # the variety file's sheet generators, for `bases.cm_generators`
+    v_polys: Optional[tuple[Polynomial, ...]] = None
 
     @property
     def ny(self) -> int:
@@ -360,8 +362,9 @@ def _integer(doc: dict, field: str) -> int:
 def load_variety(source) -> tuple[VarietyPresentation, dict]:
     """Load a presentation from a dict, a path, or a bundled file name.
 
-    Returns (presentation, extras) where extras carries optional fields:
-    name, v_polys (parsed), families (raw dict for the family layer).
+    Returns (presentation, extras). The file's sheet generators `v_polys`,
+    parsed, land on the presentation; extras carries the optional fields
+    name and families (raw dict for the family layer).
     """
     if isinstance(source, dict):
         doc = source
@@ -394,11 +397,6 @@ def load_variety(source) -> tuple[VarietyPresentation, dict]:
     families = doc.get("families")
     if families is not None and not (isinstance(families, dict) and all(isinstance(f, dict) for f in families.values())):
         raise ValueError("variety field 'families' must map family names to objects")
-    extras = {
-        "name": doc.get("name"),
-        "v_polys": [parse_polynomial(s, M, N) for s in _polynomial_strings(doc, "v_polys")]
-        if doc.get("v_polys")
-        else None,
-        "families": families,
-    }
-    return pres, extras
+    if doc.get("v_polys"):
+        pres = replace(pres, v_polys=tuple(parse_polynomial(s, M, N) for s in _polynomial_strings(doc, "v_polys")))
+    return pres, {"name": doc.get("name"), "families": families}

@@ -19,7 +19,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bases import (
-    CmGenerators,
     GradedBasis,
     QuadratureSpec,
     _one_blas_thread,
@@ -465,18 +464,17 @@ def build_basis(
     kind: str,
     k: int,
     *,
-    gens: Optional[CmGenerators] = None,
     quad: Optional[QuadratureSpec] = None,
 ) -> GradedBasis:
     """The basis `kind` of `pres` to degree k: "monomial", "cm" on the sheet
-    generators `gens` (by default those `cm_generators` builds), or "bb" or
-    "bb_structured" orthonormalized in `quad` (by default
+    generators of `cm_generators(pres)`, or "bb" or "bb_structured"
+    orthonormalized in `quad` (by default
     `torus_quadrature(pres, default_quadrature_n(k))`). Every kind is graded:
     its elements of degree <= j are its first `count(pres, j).N`."""
     if kind == "monomial":
         return monomial_graded_basis(pres, k)
     if kind == "cm":
-        return cm_basis(pres, k, gens)
+        return cm_basis(pres, k)
     if kind in ("bb", "bb_structured"):
         if quad is None:
             quad = torus_quadrature(pres, default_quadrature_n(k))
@@ -516,7 +514,6 @@ def diameter_sequence(
     k_max: int,
     sampler: CompactSetSampler,
     *,
-    gens: Optional[CmGenerators] = None,
     quad: Optional[QuadratureSpec] = None,
     seed: int = 0,
     starts: int = 1,
@@ -526,7 +523,7 @@ def diameter_sequence(
     elements, the degree <= k prefix. The exchange searches in that basis
     itself, where `compare_bases` and `vdiam fekete` search in the monomial
     basis."""
-    full = build_basis(pres, kind, k_max, gens=gens, quad=quad)
+    full = build_basis(pres, kind, k_max, quad=quad)
     out = []
     for k in range(1, k_max + 1):
         rec = count(pres, k)
@@ -551,7 +548,6 @@ def compare_bases(
     k_max: int,
     sampler: CompactSetSampler,
     *,
-    gens: Optional[CmGenerators] = None,
     quad: Optional[QuadratureSpec] = None,
     seed: int = 0,
     starts: int = 1,
@@ -576,7 +572,7 @@ def compare_bases(
     if not kinds:
         raise ValueError("compare_bases needs at least one basis kind")
     estimates: dict[str, list[DiameterEstimate]] = {kind: [] for kind in kinds}
-    built = {kind: build_basis(pres, kind, k_max, gens=gens, quad=quad) for kind in estimates}
+    built = {kind: build_basis(pres, kind, k_max, quad=quad) for kind in estimates}
     # the search basis comes first, whether or not it is a kind
     bases = {"monomial": built["monomial"] if "monomial" in built else monomial_graded_basis(pres, k_max), **built}
     Es: dict[str, np.ndarray] = {}

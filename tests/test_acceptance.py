@@ -41,7 +41,7 @@ from vdiam import (
 )
 
 HYP, HYP_EXTRAS = load_variety("hyperbola")
-CONE, CONE_EXTRAS = load_variety("cone2d")
+CONE, _ = load_variety("cone2d")
 C1 = VarietyPresentation(M=1, N=1, generators=())
 C2 = VarietyPresentation(M=2, N=2, generators=())
 
@@ -101,8 +101,7 @@ def test_3_compliance_verdicts(verdict):
             and [str(f) for f in cm_fam.finite] == ["1"]):
         problems.append("cm-family core/finite set")
 
-    cone_gens = cm_generators(CONE, v_polys=CONE_EXTRAS["v_polys"])
-    if find_core(family_for(CONE, "cm", gens=cone_gens)).found:
+    if find_core(family_for(CONE, "cm")).found:
         problems.append("mixed-prefix family should have no core")
 
     v = check_compliant(family_for(HYP, "monomial"), cm_fam)
@@ -112,7 +111,7 @@ def test_3_compliance_verdicts(verdict):
         problems.append("hyperbola monomial-vs-cm differences")
 
     vc = check_compliant(family_for(CONE, "monomial"),
-                         family_for(CONE, "cm", gens=cone_gens))
+                         family_for(CONE, "cm"))
     if not (vc.compliant
             and {str(c.multiplier) for c in vc.diff_left.cosets} == {"x2", "y1"}):
         problems.append("cone monomial-vs-cm differences")
@@ -185,7 +184,7 @@ def test_5_scale_factor_identity(verdict):
     for i in range(20):
         k = 1 + i % 6
         mb = monomial_graded_basis(HYP, k)
-        cb = cm_basis(HYP, k, gens)
+        cb = cm_basis(HYP, k)
         rec = count(HYP, k)
         pts = random_variety_points(HYP, rec.N, seed=100 + i).points
         tuples_by_k.setdefault(k, []).append(pts)
@@ -198,7 +197,7 @@ def test_5_scale_factor_identity(verdict):
     det_ok = sandwich_ok = True
     m_ok = Mx_ok = True
     for k, tuples in tuples_by_k.items():
-        rep = row_scale_bound(cm_basis(HYP, k, gens),
+        rep = row_scale_bound(cm_basis(HYP, k),
                               monomial_graded_basis(HYP, k), tuples)
         det_ok = det_ok and abs(rep.log_abs_det - log_det[k]) <= 1e-12
         sandwich_ok = sandwich_ok and rep.sandwich_ok
@@ -216,11 +215,10 @@ def test_5_scale_factor_identity(verdict):
 
 
 def test_6_diameter_agreement_across_bases(verdict):
-    gens = cm_generators(HYP)
     quad = torus_quadrature(HYP, 1024)
     rep = compare_bases(HYP, ["monomial", "cm", "bb"], 8,
                         torus_sampler(HYP, 128),  # 256 shared candidates
-                        gens=gens, quad=quad, seed=0, starts=8)
+                        quad=quad, seed=0, starts=8)
     tail = rep.spreads[1:]  # k = 2..8
     monotone = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     final = rep.spreads[-1]

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from vdiam import (
     count,
     decompose_A,
     default_quadrature_n,
+    distinct_infinity_check,
     family_for,
     grevlex_key,
     gram,
@@ -39,7 +42,7 @@ from vdiam.polyring import monomial_divides
 from vdiam.variety import x_monomials
 
 HYP, HYP_EXTRAS = load_variety("hyperbola")
-CONE, CONE_EXTRAS = load_variety("cone2d")
+CONE, _ = load_variety("cone2d")
 
 
 def P(text, pres=HYP):
@@ -104,7 +107,7 @@ def test_cm_generators_hyperbola_exact():
     assert v1.coefficient((0, 1)) == half_r2
     assert v1.coefficient((1, 0)) == -half_r2
     # the root ordering puts lambda = +1 first
-    assert gens.lambdas == (Exact(1), Exact(-1))
+    assert distinct_infinity_check(HYP).exact_roots == (Exact(1), Exact(-1))
 
 
 def test_cm_product_identities():
@@ -147,9 +150,9 @@ def _ref_verify_cm_products(pres, gens):
 
 PRODUCT_CASES = [
     (HYP, cm_generators(HYP), True),
-    (CONE, cm_generators(CONE, v_polys=CONE_EXTRAS["v_polys"]), True),
+    (CONE, cm_generators(CONE), True),
     # three generators with off-identity products and an x1-degree overflow
-    (HYP, CmGenerators(t=1, vs=(P("y1"), P("x1"), P("x1^2 + y1")), lambdas=None), False),
+    (HYP, CmGenerators(t=1, vs=(P("y1"), P("x1"), P("x1^2 + y1"))), False),
 ]
 
 
@@ -173,7 +176,7 @@ def test_cm_products_star_once_per_unordered_pair(pres, gens, ok, monkeypatch):
 
 
 def test_cm_generators_from_file_polys():
-    gens = cm_generators(CONE, v_polys=CONE_EXTRAS["v_polys"])
+    gens = cm_generators(CONE)
     assert gens.t == 1
     assert len(gens.vs) == 2
     assert verify_cm_products(CONE, gens).ok
@@ -202,9 +205,23 @@ def test_cm_generators_refuse_roots_outside_the_field():
         cm_generators(pres)
 
 
+def test_cm_generators_refuse_file_generators_of_two_degrees():
+    pres, _ = load_variety({"M": 1, "N": 2, "generators": ["y1^2 - x1^2 - 1"], "v_polys": ["y1", "x1^2"]})
+    with pytest.raises(CmConstructionError, match=re.escape("must share one degree, got [1, 2]")):
+        cm_generators(pres)
+
+
+def test_cm_generators_refuse_a_normalizer_outside_the_field():
+    # roots at infinity 1 and -2: (y - x)^2 has x^2 coefficient 3 in the quotient
+    pres, _ = load_variety({"M": 1, "N": 2, "generators": ["y1^2 + x1*y1 - 2*x1^2 - 1"]})
+    assert distinct_infinity_check(pres).exact_roots == (Exact(1), Exact(-2))
+    with pytest.raises(CmConstructionError, match=re.escape("normalizer sqrt(3) does not exist")):
+        cm_generators(pres)
+
+
 def test_cm_generator_file_count_mismatch():
     with pytest.raises(CmConstructionError):
-        cm_generators(HYP, v_polys=[P("y1")])
+        cm_generators(replace(HYP, v_polys=(P("y1"),)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +230,7 @@ def test_cm_generator_file_count_mismatch():
 
 def test_cm_basis_hyperbola_k2():
     gens = cm_generators(HYP)
-    b = cm_basis(HYP, 2, gens)
+    b = cm_basis(HYP, 2)
     v1, v2 = gens.vs
     x = P("x1")
     assert list(b.elements) == [P("1"), v1, v2, x * v1, x * v2]
@@ -221,11 +238,8 @@ def test_cm_basis_hyperbola_k2():
 
 
 def test_cm_basis_per_degree_counts():
-    for pres, gens in (
-        (HYP, cm_generators(HYP)),
-        (CONE, cm_generators(CONE, v_polys=CONE_EXTRAS["v_polys"])),
-    ):
-        b = cm_basis(pres, 4, gens)
+    for pres in (HYP, CONE):
+        b = cm_basis(pres, 4)
         for j in range(5):
             assert sum(1 for d in b.degrees if d == j) == count(pres, j).N_eq
 
@@ -266,15 +280,15 @@ def _ref_cm_basis(pres, k, gens):
 
 CM_CASES = [
     (HYP, cm_generators(HYP), 16),
+    (replace(CONE, v_polys=None), cm_generators(replace(CONE, v_polys=None)), 6),
     (CONE, cm_generators(CONE), 6),
-    (CONE, cm_generators(CONE, v_polys=CONE_EXTRAS["v_polys"]), 6),
 ]
 
 
 @pytest.mark.parametrize("pres, gens, k_max", CM_CASES, ids=["hyperbola", "cone2d", "cone2d-file"])
 def test_cm_basis_matches_the_reference_element_for_element(pres, gens, k_max):
     for k in range(k_max + 1):
-        got = cm_basis(pres, k, gens)
+        got = cm_basis(pres, k)
         ref_elements, ref_degrees = _ref_cm_basis(pres, k, gens)
         assert [list(e.items()) for e in got.elements] == [list(e.items()) for e in ref_elements]
         assert got.degrees == ref_degrees

@@ -153,6 +153,36 @@ def test_validate_prints_infinity_distinct_as_a_boolean(fmt, capsys):
         assert "infinity_distinct  false\n" in text
 
 
+# cm refusals only a variety file reaches: its own sheet generators of two
+# degrees, and y^2 + x y - 2 x^2 - 1, whose sheet y - x at the root 1 at
+# infinity has the normalizer sqrt(3)
+CM_REFUSALS = {
+    "mixed-degrees": (
+        {"M": 1, "N": 2, "generators": ["y1^2 - x1^2 - 1"], "v_polys": ["y1", "x1^2"]},
+        "sheet generators must share one degree, got [1, 2]",
+    ),
+    "sqrt3-normalizer": (
+        {"M": 1, "N": 2, "generators": ["y1^2 + x1*y1 - 2*x1^2 - 1"]},
+        "normalizer sqrt(3) does not exist in the exact scalar field",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CM_REFUSALS))
+def test_cm_refusals_exit_2_and_compare_drops_cm(name, tmp_path, capsys):
+    doc, message = CM_REFUSALS[name]
+    f = tmp_path / f"{name}.var"
+    f.write_text(json.dumps(doc))
+    for argv in (["basis", "--kind", "cm"], ["compliance", "--left", "monomial", "--right", "cm"]):
+        assert run([*argv, "--variety", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    argv = ["compare", "--variety", str(f), "--k-max", "2", "--sampler", "torus:8", "--n", "16", "--format", "csv"]
+    assert run(argv) == 0
+    lines = out_of(capsys).strip().splitlines()
+    assert lines[0] == "k,est_monomial,est_bb,spread"
+    assert len(lines) == 3
+
+
 def test_compare_drops_cm_with_zero_normalizer(tmp_path, capsys):
     f = tmp_path / "cubic.var"
     f.write_text(json.dumps(ZERO_NORMALIZER))

@@ -24,8 +24,7 @@ from vdiam.polyring import Polynomial
 from vdiam.scalars import Exact
 
 HYP, HYP_EXTRAS = load_variety("hyperbola")
-CONE, CONE_EXTRAS = load_variety("cone2d")
-CONE_GENS = cm_generators(CONE, v_polys=CONE_EXTRAS["v_polys"])
+CONE, _ = load_variety("cone2d")
 
 
 def P(text, pres=HYP):
@@ -62,7 +61,7 @@ def test_cm_family_core():
 
 def test_cone_cm_family_has_no_core():
     # the low block runs over x1 only while the v-cosets run over both x's
-    fam = family_for(CONE, "cm", gens=CONE_GENS)
+    fam = family_for(CONE, "cm")
     var_sets = {c.variables for c in fam.cosets}
     assert frozenset({0}) in var_sets and frozenset({0, 1}) in var_sets
     core = find_core(fam)
@@ -90,7 +89,7 @@ def test_hyperbola_monomial_cm_compliant():
 
 def test_cone_monomial_cm_compliant():
     left = family_for(CONE, "monomial")
-    right = family_for(CONE, "cm", gens=CONE_GENS)
+    right = family_for(CONE, "cm")
     verdict = check_compliant(left, right)
     assert verdict.compliant
     # what the monomials have that cm lacks: x2 times everything, y times everything

@@ -39,7 +39,7 @@ def test_bundled_varieties_load():
 
     cone, extras = load_variety("cone2d")
     assert (cone.M, cone.N, cone.d) == (2, 3, 2)
-    assert len(extras["v_polys"]) == 2
+    assert len(cone.v_polys) == 2
 
     nd, _ = load_variety("nondistinct")
     assert (nd.M, nd.N) == (1, 2)

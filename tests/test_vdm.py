@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from vdiam import (
     bb_structured,
     brute_force_max,
     cm_basis,
-    cm_generators,
     count,
     default_quadrature_n,
     diameter_sequence,
@@ -53,8 +53,8 @@ from vdiam.vdm import (
 )
 
 HYP, _ = load_variety("hyperbola")
-CONE, _ = load_variety("cone2d")
-GENS = cm_generators(HYP)
+# cone2d with the automatic sheet generators, not its file's
+CONE = replace(load_variety("cone2d")[0], v_polys=None)
 C1 = VarietyPresentation(M=1, N=1, generators=())
 
 
@@ -227,7 +227,7 @@ def test_cm_and_monomial_determinants_agree():
     # the change of basis between them has unit determinant in every degree
     for k in (1, 2, 3, 4):
         mb = monomial_graded_basis(HYP, k)
-        cb = cm_basis(HYP, k, GENS)
+        cb = cm_basis(HYP, k)
         rec = count(HYP, k)
         for seed in range(5):
             pts = random_variety_points(HYP, rec.N, seed=seed).points
@@ -354,7 +354,7 @@ def test_build_basis_default_quadrature(kind, k):
 
 def test_scale_bound_cm_vs_monomial():
     k = 3
-    cb = cm_basis(HYP, k, GENS)
+    cb = cm_basis(HYP, k)
     mb = monomial_graded_basis(HYP, k)
     tuples = [random_variety_points(HYP, count(HYP, k).N, seed=s).points for s in range(6)]
     rep = row_scale_bound(cb, mb, tuples)
@@ -375,7 +375,7 @@ def test_scale_bound_cm_vs_monomial():
 def test_scale_bound_reports_the_worst_tuple_s_condition():
     # the tuple with the largest identity error, its larger VDM condition
     # number, from the matrices the bound already evaluated
-    cb, mb = cm_basis(HYP, 6, GENS), monomial_graded_basis(HYP, 6)
+    cb, mb = cm_basis(HYP, 6), monomial_graded_basis(HYP, 6)
     for seed in (0, 102):
         tuples = [random_variety_points(HYP, len(mb), seed=seed + i).points for i in range(5)]
         rep = row_scale_bound(cb, mb, tuples)
@@ -385,7 +385,7 @@ def test_scale_bound_reports_the_worst_tuple_s_condition():
 
 
 def test_a_singular_tuple_is_the_worst_in_either_order():
-    cb, mb = cm_basis(HYP, 2, GENS), monomial_graded_basis(HYP, 2)
+    cb, mb = cm_basis(HYP, 2), monomial_graded_basis(HYP, 2)
     good = random_variety_points(HYP, len(mb), seed=0).points
     bad = good.copy()
     bad[1] = bad[0]  # two equal points: both matrices are singular
@@ -539,7 +539,7 @@ def sparse_pivots(basis_b, basis_c):
 )
 def test_sparse_pivots_match_dense_reference(name, k, to_cm):
     pres = {"hyperbola": HYP, "cone2d": CONE}[name]
-    cb = cm_basis(pres, k, cm_generators(pres))
+    cb = cm_basis(pres, k)
     mb = monomial_graded_basis(pres, k)
     b, c = (mb, cb) if to_cm else (cb, mb)
     assert sparse_pivots(b, c) == dense_pivots(b, c)
@@ -607,7 +607,7 @@ def test_sparse_pivots_on_random_graded_change(case):
 
 def test_scale_bound_closed_form_at_k50():
     k = 50
-    cb = cm_basis(HYP, k, GENS)
+    cb = cm_basis(HYP, k)
     mb = monomial_graded_basis(HYP, k)
     # one 2x2 block [[-1/sqrt2, 1/sqrt2], [1/sqrt2, 1/sqrt2]] per degree
     assert sparse_pivots(cb, mb) == [Exact(1)] + [-SQRT2 / 2, SQRT2] * k
@@ -1107,11 +1107,10 @@ def test_compare_bases_scores_every_basis_s_starts():
     # lower than in cm's own, and cm scoring only its own starts would fall
     # from 0.559202216683 to 0.559059170801 at k = 4; bb's greedy start
     # ends higher in both
-    pres, extras = load_variety("cone2d")
-    gens = cm_generators(pres, extras.get("v_polys"))
+    pres, _ = load_variety("cone2d")
     est = compare_bases(
         pres, ["monomial", "cm", "bb"], 4, torus_sampler(pres, 16),
-        gens=gens, quad=torus_quadrature(pres, 128), seed=16, starts=4,
+        quad=torus_quadrature(pres, 128), seed=16, starts=4,
     ).estimates
     assert est["cm"][3].est_lk >= 0.559202216683
     assert abs(est["cm"][3].est_lk - est["monomial"][3].est_lk) <= 1e-12
@@ -1213,7 +1212,7 @@ def test_the_caller_s_thread_count_comes_back(two_blas_threads):
 
 def test_searches_without_openblas_give_the_same_results(monkeypatch):
     samp = torus_sampler(HYP, 64)
-    basis = cm_basis(HYP, 6, GENS)
+    basis = cm_basis(HYP, 6)
 
     def run():
         return (
