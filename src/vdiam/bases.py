@@ -1,19 +1,21 @@
 """Graded bases of the coordinate ring: monomial, sheet-normalized (cm), and
 numerically orthonormalized (bb), and the basis families they come from.
 
-A family is a finite union of cosets {multiplier * x^beta : supp(beta) in S}
-plus finitely many extra elements.  `family_for` is the one place where the
-monomial, cm and bb families are written down, and `monomial_graded_basis`,
-`cm_basis` and `bb_structured` are those families expanded to degree k.  The
-cm basis takes the presentation's sheet generators, or builds degree-one
-v_i = (y - lambda_i x_M)/c_i from the points at infinity, normalized so the
-product table in the quotient ring has unit diagonal in the top x_M
-coefficient.  The bb basis is
+A family is a finite union of cosets {multiplier * x^beta : supp(beta) in S},
+a finite element being a coset over no variables.  `family_for` is the one
+place where the monomial, cm and bb families are written down, and
+`monomial_graded_basis`, `cm_basis` and `bb_structured` are those families
+expanded to degree k.  The cm basis takes the presentation's sheet
+generators, or builds degree-one v_i = (y - lambda_i x_M)/c_i from the
+points at infinity, normalized so the product table in the quotient ring has
+unit diagonal in the top x_M coefficient.  The bb basis is
 `monomial_graded_basis` orthonormalized against a torus-lifted quadrature
 measure, a numerical basis with no family; the bb family multiplies the
 orthonormalized pure-y block (the monomial family's multipliers) by x
 monomials, which keeps its description finite.  It carries that block as
 the Cholesky build returns it and trims rounding dust only to print or compare.
+A basis is a tuple of polynomials in ascending degree, and a family a tuple
+of cosets.
 """
 
 from __future__ import annotations
@@ -52,13 +54,7 @@ class QuadratureError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class GradedBasis:
-    elements: tuple[Polynomial, ...]
-    degrees: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
+GradedBasis = tuple[Polynomial, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +96,7 @@ class Coset:
         return body
 
 
-@dataclass(frozen=True)
-class BasisFamily:
-    cosets: tuple[Coset, ...]
-    finite: tuple[Polynomial, ...] = ()
-
-    def is_empty(self) -> bool:
-        return not self.cosets and not self.finite
+BasisFamily = tuple[Coset, ...]
 
 
 def _trimmed(p: Polynomial) -> Polynomial:
@@ -133,56 +123,44 @@ def family_for(
     family of bb_structured, the finitely describable surrogate of bb)."""
     all_x = frozenset(range(pres.M))
     if kind == "monomial":
-        dec = decompose_A(pres)
-        cosets = tuple(
-            Coset(Polynomial.monomial(al, pres.M, pres.N, "exact"), all_x) for al in dec.A
+        return tuple(
+            Coset(Polynomial.monomial(al, pres.M, pres.N, "exact"), all_x) for al in decompose_A(pres)
         )
-        return BasisFamily(cosets)
     if kind == "cm":
         gens = cm_generators(pres)
+        # sheet cosets first, as `_expand` breaks ties of leading monomial by
+        # index; the low-order ones run over x_1..x_{M-1}: points when M = 1
         prefix = frozenset(range(pres.M - 1))
-        dec = decompose_A(pres)
-        cosets: list[Coset] = [Coset(v, all_x) for v in gens.vs]
-        finite: list[Polynomial] = []
-        for alpha in dec.A:
+        cosets = [Coset(v, all_x) for v in gens.vs]
+        for alpha in decompose_A(pres):
             for l in range(max(0, gens.t - sum(alpha))):
                 mono = tuple(
                     e + (l if j == pres.M - 1 else 0) for j, e in enumerate(alpha)
                 )
-                mult = Polynomial.monomial(mono, pres.M, pres.N, "exact")
-                if prefix:
-                    cosets.append(Coset(mult, prefix))
-                else:
-                    finite.append(mult)
-        return BasisFamily(tuple(cosets), tuple(finite))
+                cosets.append(Coset(Polynomial.monomial(mono, pres.M, pres.N, "exact"), prefix))
+        return tuple(cosets)
     if kind == "bb":
         if quad is None:
             raise ValueError("bb family needs a quadrature")
-        ys = [c.multiplier for c in family_for(pres, "monomial").cosets]
+        ys = [c.multiplier for c in family_for(pres, "monomial")]
         yhats, _ = _orthonormal(pres, ys, quad)
-        return BasisFamily(tuple(Coset(yh, all_x) for yh in yhats))
+        return tuple(Coset(yh, all_x) for yh in yhats)
     raise ValueError(f"unknown basis kind {kind!r}; expected monomial, cm, or bb")
 
 
 def _expand(family: BasisFamily, k: int) -> GradedBasis:
     """The family's elements of degree <= k: each coset's multiplier times
-    every x-monomial in the coset's variables, a finite element being a coset
-    over no variables.  Ordered by degree, then by the grevlex key of the
-    leading monomial, then by coset index."""
+    every x-monomial in the coset's variables.  Ordered by degree, then by
+    the grevlex key of the leading monomial, then by coset index."""
     items = []
-    cosets = family.cosets + tuple(Coset(f, frozenset()) for f in family.finite)
-    for idx, coset in enumerate(cosets):
+    for idx, coset in enumerate(family):
         m = coset.multiplier
         lead = m.leading_monomial()
         for beta in x_monomials(m.nx, m.nvars, k - m.degree()):
             if all(v in coset.variables for v, e in enumerate(beta) if e):
                 items.append(((grevlex_key(monomial_mul(lead, beta)), idx), coset.element(beta)))
     items.sort(key=lambda it: it[0])
-    return GradedBasis(
-        elements=tuple(poly for _, poly in items),
-        # a grevlex key leads with the degree
-        degrees=tuple(key[0] for (key, _), _ in items),
-    )
+    return tuple(poly for _, poly in items)
 
 
 def monomial_graded_basis(pres: VarietyPresentation, k: int) -> GradedBasis:
@@ -288,7 +266,7 @@ def cm_basis(pres: VarietyPresentation, k: int) -> GradedBasis:
     l + |alpha| < t, multiplied by monomials in x_1..x_{M-1}, together with
     x^beta x_M^l v_i for every sheet index i."""
     basis = _expand(family_for(pres, "cm"), k)
-    per_degree = Counter(basis.degrees)
+    per_degree = Counter(e.degree() for e in basis)
     for deg in sorted(per_degree):
         want = count(pres, deg).N_eq
         if per_degree[deg] != want:
@@ -592,9 +570,7 @@ def bb_basis(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedB
     """The monomial basis orthonormalized in the quadrature inner product, in
     grevlex order: element j is row j of C = L^-1 over the monomials, for the
     Cholesky factor L of their Gram matrix."""
-    mono = monomial_graded_basis(pres, k)
-    elements, _ = _orthonormal(pres, mono.elements, quad)
-    return GradedBasis(elements=elements, degrees=mono.degrees)
+    return _orthonormal(pres, monomial_graded_basis(pres, k), quad)[0]
 
 
 def bb_structured(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedBasis:

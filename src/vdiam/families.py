@@ -33,12 +33,12 @@ class UnsupportedFamilyShape(Exception):
 _TOL = 1e-9
 
 
-def _scalar_same(a: Scalar, b: Scalar, tol: float = _TOL) -> bool:
+def _scalar_same(a: Scalar, b: Scalar) -> bool:
     if isinstance(a, Exact) and isinstance(b, Exact):
         return a == b
     ca = complex(a) if not isinstance(a, Exact) else a.to_complex()
     cb = complex(b) if not isinstance(b, Exact) else b.to_complex()
-    return abs(ca - cb) <= tol * max(1.0, abs(cb))
+    return abs(ca - cb) <= _TOL * max(1.0, abs(cb))
 
 
 def _modulus_side(a: Exact) -> int:
@@ -46,7 +46,7 @@ def _modulus_side(a: Exact) -> int:
     return (a.modulus_squared() - Exact(1)).real_sign()
 
 
-def _poly_same(p: Polynomial, q: Polynomial, tol: float = _TOL) -> bool:
+def _poly_same(p: Polynomial, q: Polynomial) -> bool:
     if p.mode == "exact" and q.mode == "exact":
         return p == q
     pf = _trimmed(p.to_float())
@@ -55,7 +55,7 @@ def _poly_same(p: Polynomial, q: Polynomial, tol: float = _TOL) -> bool:
     scale = max(
         [abs(c) for _, c in pf.items()] + [abs(c) for _, c in qf.items()] + [1.0]
     )
-    return all(abs(complex(pf.coefficient(m)) - complex(qf.coefficient(m))) <= tol * scale for m in monos)
+    return all(abs(complex(pf.coefficient(m)) - complex(qf.coefficient(m))) <= _TOL * scale for m in monos)
 
 
 def _poly_ratio(p: Polynomial, q: Polynomial) -> Optional[tuple[Scalar, tuple[int, ...]]]:
@@ -210,14 +210,11 @@ def _subtract_coset(p: Coset, g: Coset) -> list[Coset]:
 
 
 def family_difference(left: BasisFamily, right: BasisFamily) -> BasisFamily:
-    """Elements of `left` not in `right`, as a family (exact set difference).
-    A finite element is the coset over no variables."""
-    work = list(left.cosets) + [Coset(f, frozenset()) for f in left.finite]
-    for g in list(right.cosets) + [Coset(q, frozenset()) for q in right.finite]:
+    """Elements of `left` not in `right`, as a family (exact set difference)."""
+    work = list(left)
+    for g in right:
         work = [piece for p in work for piece in _subtract_coset(p, g)]
-    cosets = tuple(p for p in work if p.variables)
-    finite = tuple(p.multiplier for p in work if not p.variables)
-    return BasisFamily(cosets, finite)
+    return tuple(work)
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +231,16 @@ class CoreResult:
 
 
 def find_core(fam: BasisFamily) -> CoreResult:
-    if any(c.is_scaled() for c in fam.cosets):
+    if any(c.is_scaled() for c in fam):
         return CoreResult(False, "a coset carries variable scalings")
-    t = 0
-    if fam.finite:
-        t = max(t, 1 + max(f.degree() for f in fam.finite))
-    if not fam.cosets:
+    cosets = [c for c in fam if c.variables]
+    t = max((1 + c.multiplier.degree() for c in fam if not c.variables), default=0)
+    if not cosets:
         return CoreResult(True, "no cosets; any variable set works", (), t, None)
-    var_sets = {c.variables for c in fam.cosets}
+    var_sets = {c.variables for c in cosets}
     if len(var_sets) > 1:
         return CoreResult(False, "cosets use different variable sets")
-    mults = tuple(c.multiplier for c in fam.cosets)
+    mults = tuple(c.multiplier for c in cosets)
     t = max(t, min(m.degree() for m in mults))
     return CoreResult(True, "core found", mults, t, var_sets.pop())
 
@@ -298,8 +294,9 @@ def _list_of(doc: dict, field: str, kind: type, what: str) -> list:
 
 def parse_family(pres: VarietyPresentation, doc: dict) -> BasisFamily:
     """Family from its JSON description: cosets with multiplier/variables/scales
-    plus optional finite extras.  Coset variables must be x variables, scales
-    may fall only on them, and multipliers and finite extras are nonzero."""
+    plus optional finite extras, which follow them as cosets over no
+    variables.  Coset variables must be x variables, scales may fall only on
+    them, and multipliers and finite extras are nonzero."""
     cosets: list[Coset] = []
     for cd in _list_of(doc, "cosets", dict, "objects"):
         if not isinstance(cd.get("multiplier"), str):
@@ -323,9 +320,7 @@ def parse_family(pres: VarietyPresentation, doc: dict) -> BasisFamily:
                 raise ValueError(f"scale for {nm} must be a nonzero constant, got {sval!r}")
             scales.append((v, sp.coefficient((0,) * pres.N)))
         cosets.append(Coset(mult, vs, tuple(sorted(scales, key=lambda p: p[0]))))
-    finite = tuple(
-        parse_polynomial(s, pres.M, pres.N) for s in _list_of(doc, "finite", str, "polynomial strings")
-    )
+    finite = [parse_polynomial(s, pres.M, pres.N) for s in _list_of(doc, "finite", str, "polynomial strings")]
     if any(f.is_zero() for f in finite):
         raise ValueError("family field 'finite' must hold nonzero polynomials")
-    return BasisFamily(tuple(cosets), finite)
+    return tuple(cosets) + tuple(Coset(f, frozenset()) for f in finite)

@@ -249,9 +249,6 @@ class Polynomial:
         same points, keeps each `Z[:, j] ** e` as it is first computed, so
         later terms read it instead of computing it again."""
         Z = np.asarray(points, dtype=complex)
-        single = Z.ndim == 1
-        if single:
-            Z = Z[None, :]
         if Z.shape[1] != self.nvars:
             raise ValueError(f"points have {Z.shape[1]} coordinates, ring has {self.nvars}")
         vals = np.zeros(Z.shape[0], dtype=complex)
@@ -267,7 +264,7 @@ class Polynomial:
                         pw = powers[j, e] = Z[:, j] ** e
                     t = t * pw
             vals += t
-        return vals[0] if single else vals
+        return vals
 
     # -- printing -------------------------------------------------------------
 

@@ -109,20 +109,15 @@ def validate_noether(pres: VarietyPresentation) -> NoetherReport:
 # decomposition
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    A: tuple[Monomial, ...]  # full-width exponent vectors, x-part zero
-    a: int
-    n: int
-
-
-def decompose_A(pres: VarietyPresentation) -> Decomposition:
+def decompose_A(pres: VarietyPresentation) -> tuple[Monomial, ...]:
+    """The exponent set A of the direct-sum decomposition: the y-monomials
+    y^alpha with alpha_i < m_i, as full-width exponent vectors whose x-part
+    is zero, in grevlex order.  Raises `ValueError` on an invalid
+    presentation."""
     rep = validate_noether(pres)
     if not rep.valid:
         raise ValueError(f"invalid presentation: {'; '.join(rep.problems)}")
-    alphas = sorted(((0,) * pres.M + ys for ys in product(*map(range, rep.m_degrees))), key=grevlex_key)
-    a = max(sum(al) for al in alphas)
-    return Decomposition(tuple(alphas), a, len(alphas))
+    return tuple(sorted(((0,) * pres.M + ys for ys in product(*map(range, rep.m_degrees))), key=grevlex_key))
 
 
 def x_monomials(M: int, nvars: int, max_degree: int) -> list[Monomial]:
@@ -163,11 +158,11 @@ def _nx_eq(M: int, k: int) -> int:
 
 
 def count(pres: VarietyPresentation, k: int) -> CountRecord:
-    dec = decompose_A(pres)
+    A = decompose_A(pres)
     M = pres.M
 
     def n_of(j: int) -> int:
-        return sum(_nx(M, j - sum(al)) for al in dec.A) if j >= 0 else 0
+        return sum(_nx(M, j - sum(al)) for al in A) if j >= 0 else 0
 
     n_k = n_of(k)
     n_eq = n_k - n_of(k - 1)
@@ -181,17 +176,19 @@ def count_table(pres: VarietyPresentation, k_max: int) -> list[CountRecord]:
 
 
 def sandwich_check(pres: VarietyPresentation, k: int) -> bool:
-    """n*Nx_{k-a} <= N_k <= n*Nx_k, plus the same for the degree-weighted sums."""
-    dec = decompose_A(pres)
-    if k < dec.a:
-        raise ValueError(f"need k >= a = {dec.a}, got k = {k}")
+    """n*Nx_{k-a} <= N_k <= n*Nx_k, with n = |A| and a the largest degree in
+    A, plus the same for the degree-weighted sums."""
+    A = decompose_A(pres)
+    a, n = max(map(sum, A)), len(A)
+    if k < a:
+        raise ValueError(f"need k >= a = {a}, got k = {k}")
     rec = count(pres, k)
-    lo, hi = dec.n * _nx(pres.M, k - dec.a), dec.n * rec.Nx
+    lo, hi = n * _nx(pres.M, k - a), n * rec.Nx
     if not (lo <= rec.N <= hi):
         return False
-    lx_lo = sum(j * _nx_eq(pres.M, j) for j in range(1, k - dec.a + 1))
-    l_lo = dec.n * lx_lo
-    l_hi = dec.n * (rec.lx + dec.a * rec.Nx)  # each of the n copies shifted by at most a
+    lx_lo = sum(j * _nx_eq(pres.M, j) for j in range(1, k - a + 1))
+    l_lo = n * lx_lo
+    l_hi = n * (rec.lx + a * rec.Nx)  # each of the n copies shifted by at most a
     return l_lo <= rec.l <= l_hi
 
 
@@ -397,6 +394,6 @@ def load_variety(source) -> tuple[VarietyPresentation, dict]:
     families = doc.get("families")
     if families is not None and not (isinstance(families, dict) and all(isinstance(f, dict) for f in families.values())):
         raise ValueError("variety field 'families' must map family names to objects")
-    if doc.get("v_polys"):
+    if doc.get("v_polys") is not None:
         pres = replace(pres, v_polys=tuple(parse_polynomial(s, M, N) for s in _polynomial_strings(doc, "v_polys")))
     return pres, {"name": doc.get("name"), "families": families}

@@ -132,9 +132,9 @@ def vdm_matrix(basis: GradedBasis, points: np.ndarray) -> np.ndarray:
     single = Z.ndim == 1
     if single:
         Z = Z[None, :]
-    E = np.empty((Z.shape[0], len(basis.elements)), dtype=complex)
+    E = np.empty((Z.shape[0], len(basis)), dtype=complex)
     powers: dict = {}
-    for i, e in enumerate(basis.elements):
+    for i, e in enumerate(basis):
         E[:, i] = e.evaluate(Z, powers=powers)
     return E[0] if single else E
 
@@ -501,9 +501,7 @@ def _grow(E: Optional[np.ndarray], basis: GradedBasis, n: int, points: np.ndarra
     elements it lacks; the bytes are those of `vdm_matrix` on the prefix
     basis."""
     lo = 0 if E is None else E.shape[1]
-    if n == lo:
-        return E
-    new = vdm_matrix(GradedBasis(basis.elements[lo:n], basis.degrees[lo:n]), points)
+    new = vdm_matrix(basis[lo:n], points)
     return new if E is None else np.concatenate([E, new], axis=1)
 
 
@@ -527,8 +525,7 @@ def diameter_sequence(
     out = []
     for k in range(1, k_max + 1):
         rec = count(pres, k)
-        prefix = GradedBasis(full.elements[: rec.N], full.degrees[: rec.N])
-        out.append(_estimate(kind, k, rec, fekete_maximize(prefix, sampler, seed=seed, starts=starts)))
+        out.append(_estimate(kind, k, rec, fekete_maximize(full[: rec.N], sampler, seed=seed, starts=starts)))
     return out
 
 
@@ -605,13 +602,13 @@ def compare_bases(
 
 def _monomial_columns(*bases: GradedBasis) -> dict:
     """Column of each monomial the bases use, in the graded order."""
-    monos = {m for b in bases for e in b.elements for m in e.monomials()}
+    monos = {m for b in bases for e in b for m in e.monomials()}
     return {m: j for j, m in enumerate(sorted(monos, key=grevlex_key))}
 
 
 def _coef_rows(basis: GradedBasis, cols: dict) -> list[dict]:
     """Exact coefficient rows, each a sparse {column: nonzero Exact}."""
-    return [{cols[m]: c for m, c in e.items()} for e in basis.elements]
+    return [{cols[m]: c for m, c in e.items()} for e in basis]
 
 
 def _sub_scaled(row: dict, f: Exact, other: dict) -> None:
@@ -707,7 +704,7 @@ def row_scale_bound(
     if len(basis_b) != len(basis_c):
         raise ValueError("bases must have the same length")
     n = len(basis_b)
-    if any(e.mode != "exact" for e in basis_b.elements + basis_c.elements):
+    if any(e.mode != "exact" for e in basis_b + basis_c):
         raise ValueError("row-scale bounds need exact bases")
     piv_abs = [abs(p.to_complex()) for p in _change_of_basis_pivots(basis_b, basis_c)]
     m, mx = min(piv_abs), max(piv_abs)

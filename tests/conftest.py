@@ -1,11 +1,17 @@
 """Shared fixtures: the acceptance-verdict ledger printed after the run, and
-a tracemalloc peak meter."""
+a tracemalloc peak meter; and `split_family`, which the family tests import."""
 
 import tracemalloc
 
 import pytest
 
 VERDICTS: list[str] = []
+
+
+def split_family(fam):
+    """(the cosets of `fam` over some variables, the multipliers of those over
+    none): its cosets and its finite elements."""
+    return tuple(c for c in fam if c.variables), tuple(c.multiplier for c in fam if not c.variables)
 
 
 @pytest.fixture

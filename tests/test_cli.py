@@ -161,6 +161,10 @@ CM_REFUSALS = {
         {"M": 1, "N": 2, "generators": ["y1^2 - x1^2 - 1"], "v_polys": ["y1", "x1^2"]},
         "sheet generators must share one degree, got [1, 2]",
     ),
+    "empty-v-polys": (
+        {"M": 1, "N": 2, "generators": ["y1^2 - x1^2 - 1"], "v_polys": []},
+        "expected d=2 sheet generators, got 0",
+    ),
     "sqrt3-normalizer": (
         {"M": 1, "N": 2, "generators": ["y1^2 + x1*y1 - 2*x1^2 - 1"]},
         "normalizer sqrt(3) does not exist in the exact scalar field",
@@ -305,6 +309,53 @@ def test_compliance_unknown_family_exits_1(capsys):
     assert run(["compliance", "--right", "family:nope"]) == 1
 
 
+# cone2d with one-coset families over x1 and over x2, and three malformed ones
+CONE_FAMILIES_DOC = {
+    "M": 2,
+    "N": 3,
+    "generators": ["y1^2 - x1^2 - x2^2"],
+    "families": {
+        "a": {"cosets": [{"multiplier": "1", "variables": ["x1"]}]},
+        "b": {"cosets": [{"multiplier": "1", "variables": ["x2"]}]},
+        "z": {"cosets": [{"multiplier": "1", "variables": ["z1"]}]},
+        "y": {"cosets": [{"multiplier": "1", "variables": ["y1"]}]},
+        "s": {"cosets": [{"multiplier": "1", "variables": ["x1"], "scales": [2]}]},
+    },
+}
+
+
+def test_compliance_of_cores_over_different_variables_exits_3(tmp_path, capsys):
+    f = tmp_path / "cone2d.var"
+    f.write_text(json.dumps(CONE_FAMILIES_DOC))
+    argv = ["compliance", "--variety", str(f), "--left", "family:a", "--right", "family:b", "--format", "csv"]
+    assert run(argv) == 3
+    rows = dict(line.split(",", 1) for line in out_of(capsys).strip().splitlines()[1:])
+    assert rows["compliant"] == "false"
+    assert rows["reason"] == "difference cores use different variable sets"
+    assert rows["left_minus_right_coset_1"] == "(x1) * monomials in {x1}"
+    assert rows["right_minus_left_coset_1"] == "(x2) * monomials in {x2}"
+    assert (rows["left_minus_right_core_vars"], rows["right_minus_left_core_vars"]) == ("x1", "x2")
+
+
+@pytest.mark.parametrize(
+    "left, message",
+    [
+        ("family:z", "bad variable name 'z1'"),
+        ("family:y", "coset variables must be x variables"),
+        ("family:s", "family field 'scales' must map variable names to constants"),
+        ("nope", "unknown family spec 'nope'; expected monomial, cm, bb, or family:NAME"),
+    ],
+    ids=["bad-name", "y-variable", "scales-list", "unknown-spec"],
+)
+def test_compliance_refuses_a_malformed_family_spec_exits_1(left, message, tmp_path, capsys):
+    f = tmp_path / "cone2d.var"
+    f.write_text(json.dumps(CONE_FAMILIES_DOC))
+    assert run(["compliance", "--variety", str(f), "--left", left, "--right", "monomial"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_compliance_shifted_family(tmp_path, capsys):
     # {x1 * x1^a, x1 y1 * x1^a} misses exactly the monomials 1 and y1
     doc = {
@@ -420,6 +471,21 @@ def test_fekete_too_few_candidates_exits_2(capsys):
 def test_fekete_grid_sampler_needs_a_node_exits_1(spec, capsys):
     assert run(["fekete", "--k", "3", "--sampler", spec]) == 1
     assert "need at least 1 node" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("file:", "file sampler needs a path: file:PATH"),
+        ("grid:4", "unknown sampler 'grid:4'; expected torus[:n], segment[:n], or file:PATH"),
+    ],
+    ids=["file-without-path", "unknown-kind"],
+)
+def test_fekete_refuses_a_malformed_sampler_spec_exits_1(spec, message, capsys):
+    assert run(["fekete", "--k", "1", "--sampler", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_fekete_file_sampler_rejects_nan_row(tmp_path, capsys):
