@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -289,9 +290,10 @@ class QuadratureSpec:
         return self.points.shape[0]
 
 
-# points per block of the sheet lift and of the Gram accumulation: the lift
-# holds one block's partial points beside its output, and a Gram block's
-# values take m * 32 KiB, so neither bb nor `gram` holds an m x P matrix
+# lifted points per block of the sheet lift, of `gram`'s direct sum and of
+# `torus_gram`'s symbol fill, and entries per slab of its transform: the lift
+# holds one block's partial points beside its output, and a block of `gram`
+# takes m * 32 KiB of values, so no Gram holds an m x P matrix
 _GRAM_BLOCK = 2048
 
 
@@ -422,11 +424,16 @@ def lift_grid(pres: VarietyPresentation, line: np.ndarray) -> np.ndarray:
     return _lift_blocks(pres, math.prod(shape), x_block)
 
 
+def _torus_line(n: int) -> np.ndarray:
+    """The n-th roots of unity, the nodes of every torus grid."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
 def torus_quadrature(pres: VarietyPresentation, n: int) -> QuadratureSpec:
     """Uniform n-point grids on M unit circles, lifted through the d sheets."""
     if n < 1:
         raise QuadratureError("need n >= 1")
-    points = lift_grid(pres, np.exp(2j * np.pi * np.arange(n) / n))
+    points = lift_grid(pres, _torus_line(n))
     P = points.shape[0]
     return QuadratureSpec(points=points, weights=np.full(P, 1.0 / P))
 
@@ -503,10 +510,11 @@ _DEPENDENT = 1e-3
 
 
 @_one_blas_thread
-def _gram_upper(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndarray:
-    """The upper triangle of the Gram matrix G_ij = <e_i, e_j>, summed over
-    blocks of quadrature points.  In each block column j gains one product
-    v[:j+1] @ conj(w v[j]), so it depends only on the elements up to j."""
+def gram(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndarray:
+    """G_ij = <e_i, e_j> in the quadrature inner product, summed directly over
+    blocks of quadrature points: in each block column j of the upper triangle
+    gains one product v[:j+1] @ conj(w v[j]), which is then mirrored below the
+    diagonal.  Any elements and any rule; the oracle for `torus_gram`."""
     m = len(elements)
     g = np.zeros((m, m), dtype=complex)
     block = np.empty((m, min(_GRAM_BLOCK, len(quad))), dtype=complex)
@@ -520,14 +528,88 @@ def _gram_upper(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndar
         for j in range(m):
             np.multiply(weights, v[j], out=wv)
             g[: j + 1, j] += v[: j + 1] @ np.conjugate(wv, out=wv)
-    return g
-
-
-def gram(elements: Sequence[Polynomial], quad: QuadratureSpec) -> np.ndarray:
-    """G_ij = <e_i, e_j> in the quadrature inner product: `_gram_upper` with
-    its strict upper triangle mirrored below the diagonal."""
-    g = _gram_upper(elements, quad)
     return g + np.conjugate(np.triu(g, 1)).T
+
+
+def _fill_symbol(symbol: np.ndarray, quad: QuadratureSpec, d: int, a: tuple, b: tuple) -> None:
+    """Fill the n^M grid `symbol` with F_ab on the x-grid of a torus rule: at
+    each x-node the sum over its d sheets of w y^a conj(y^b), in blocks of
+    `_GRAM_BLOCK // d` nodes."""
+    M = symbol.ndim
+    flat = symbol.reshape(-1)
+    step = max(1, _GRAM_BLOCK // d)
+    for start in range(0, flat.size, step):
+        ys = quad.points[start * d : (start + step) * d, M:]
+        val = quad.weights[start * d : (start + step) * d].astype(complex)
+        for j, (ea, eb) in enumerate(zip(a, b)):
+            if ea:
+                val *= ys[:, j] ** ea
+            if eb:
+                val *= np.conjugate(ys[:, j] ** eb)
+        node_sum = flat[start : start + step]
+        node_sum[:] = val[::d]
+        for sheet in range(1, d):
+            node_sum += val[sheet::d]
+
+
+def _fft_in_place(symbol: np.ndarray) -> None:
+    """Overwrite the n^M grid `symbol` with its DFT: `numpy.fft.fftn`'s
+    passes, last axis first, each written back in slabs of `_GRAM_BLOCK // n`
+    lines across another axis when M > 1, so the one copy is a slab's
+    transform."""
+    n, M = symbol.shape[0], symbol.ndim
+    rows = n if M == 1 else max(1, _GRAM_BLOCK // n)
+    for axis in reversed(range(M)):
+        across = 1 if axis == 0 and M > 1 else 0
+        for start in range(0, n, rows):
+            slab = (slice(None),) * across + (slice(start, start + rows),)
+            symbol[slab] = np.fft.fft(symbol[slab], axis=axis)
+
+
+def torus_gram(
+    pres: VarietyPresentation, monomials: Sequence[Polynomial], quad: QuadratureSpec
+) -> np.ndarray:
+    """The upper triangle of the Gram matrix of the monomials x^alpha y^a on a
+    torus rule, from the sheet symbols F_ab(x) = sum over the sheets above x
+    of w y^a conj(y^b).  On the grid x = omega^t, conj(x^beta) = x^-beta, so
+    G_ij = sum_t F_ab(t) omega^(t (alpha_i - alpha_j)): the M-dimensional DFT
+    of F_ab at (alpha_j - alpha_i) mod n, for the y-parts a of e_i and b of
+    e_j.  `_fill_symbol` writes F_ab and `_fft_in_place` transforms it, one
+    pair (a, b) at a time in the same n^M grid.  The rule's d n^M points fix n; raises
+    `QuadratureError` when their x-columns are not the n-node grid that
+    `torus_quadrature` lifts, x-major and sheet-minor, or a point is not
+    finite, and `ValueError` on an element that is not a monomial with
+    coefficient 1."""
+    if any(p.num_terms() != 1 or complex(p.leading_term().coefficient) != 1 for p in monomials):
+        raise ValueError("torus_gram takes monomials with coefficient 1")
+    M, d = pres.M, pres.d
+    nodes, rest = divmod(len(quad), d)
+    n = round(nodes ** (1 / M))
+    if rest or not nodes or n**M != nodes:
+        raise QuadratureError(f"{len(quad)} points are not a lift of n^{M} x-nodes through {d} sheets")
+    line = _torus_line(n)
+    for c in range(M):
+        # column c of the x-major, sheet-minor grid runs through `line` along axis c
+        axis = [1] * (M + 1)
+        axis[c] = n
+        if not (quad.points[:, c].reshape((n,) * M + (d,)) == line.reshape(axis)).all():
+            raise QuadratureError(f"column x{c + 1} of the rule is not the lifted {n}-node torus grid")
+    if not np.isfinite(quad.points[:, M:]).all():
+        raise QuadratureError("the rule has a non-finite point")
+    keys = np.array([p.leading_monomial() for p in monomials])
+    by_y: dict[tuple, list[int]] = {}  # the elements with each y-part, ascending
+    for i, key in enumerate(keys):
+        by_y.setdefault(tuple(key[M:]), []).append(i)
+    g = np.zeros((len(keys), len(keys)), dtype=complex)
+    symbol = np.empty((n,) * M, dtype=complex)
+    for (a, ia), (b, ib) in itertools.product(by_y.items(), repeat=2):
+        if ia[0] > ib[-1]:
+            continue  # every entry of the pair lies below the diagonal
+        _fill_symbol(symbol, quad, d, a, b)
+        _fft_in_place(symbol)
+        shift = (keys[ib, :M][None] - keys[ia, :M][:, None]) % n
+        g[np.ix_(ia, ib)] = symbol[tuple(np.moveaxis(shift, -1, 0))]
+    return np.triu(g)
 
 
 def _inverse_cholesky(g: np.ndarray) -> np.ndarray:
@@ -554,10 +636,11 @@ def _inverse_cholesky(g: np.ndarray) -> np.ndarray:
 def _orthonormal(
     pres: VarietyPresentation, monomials: Sequence[Polynomial], quad: QuadratureSpec
 ) -> tuple[tuple[Polynomial, ...], np.ndarray]:
-    """Orthonormalize the monomial polynomials `monomials`, in their order, in
-    the quadrature inner product: the float polynomials and their
-    coefficient matrix over `monomials`."""
-    c = _inverse_cholesky(_gram_upper(monomials, quad))
+    """Orthonormalize the monomials `monomials`, in their order, in the inner
+    product of the torus rule `quad`: the float polynomials and their
+    coefficient matrix C = L^-1 over `monomials`, for the Cholesky factor L of
+    their Gram matrix, which `torus_gram` builds from the sheet symbols."""
+    c = _inverse_cholesky(torus_gram(pres, monomials, quad))
     keys = [m.leading_monomial() for m in monomials]
     polys = tuple(
         Polynomial({m: complex(cc) for m, cc in zip(keys, row) if cc != 0}, pres.M, pres.N, "float")
@@ -567,9 +650,11 @@ def _orthonormal(
 
 
 def bb_basis(pres: VarietyPresentation, k: int, quad: QuadratureSpec) -> GradedBasis:
-    """The monomial basis orthonormalized in the quadrature inner product, in
-    grevlex order: element j is row j of C = L^-1 over the monomials, for the
-    Cholesky factor L of their Gram matrix."""
+    """The monomial basis orthonormalized in the inner product of the torus
+    rule `quad`, in grevlex order: element j is row j of C = L^-1 over the
+    monomials, for the Cholesky factor L of their Gram matrix from
+    `torus_gram`.  A rule that is not a lifted torus grid raises
+    `QuadratureError`."""
     return _orthonormal(pres, monomial_graded_basis(pres, k), quad)[0]
 
 

@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np

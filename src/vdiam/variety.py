@@ -18,7 +18,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .polyring import (
     Monomial,
     Polynomial,
     grevlex_key,
-    monomial_divides,
     parse_polynomial,
     s_poly_check,
     top_homogeneous,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .bases import (
     GradedBasis,
     QuadratureSpec,
     _one_blas_thread,
+    _torus_line,
     bb_basis,
     bb_structured,
     cm_basis,
@@ -31,7 +32,7 @@ from .bases import (
     monomial_graded_basis,
     torus_quadrature,
 )
-from .polyring import Polynomial, grevlex_key
+from .polyring import grevlex_key
 from .scalars import ONE, Exact
 from .variety import CountRecord, VarietyPresentation, count
 
@@ -56,7 +57,7 @@ def torus_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
     """Unit-circle grids in each x variable, lifted through the sheets."""
     if nodes < 1:
         raise ValueError(f"need at least 1 node per x variable, got {nodes}")
-    pts = lift_grid(pres, np.exp(2j * np.pi * np.arange(nodes) / nodes))
+    pts = lift_grid(pres, _torus_line(nodes))
     return CompactSetSampler(pts)
 
 

@@ -425,6 +425,27 @@ def test_bb_leading_coefficients_give_the_toeplitz_log_determinant(k):
     assert abs(-sum(math.log(c.real) for c in leads) / l - 0.5 * logdet / l) <= 1e-13
 
 
+@pytest.mark.parametrize("a", [0.5, 0.9])
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+def test_a_reweighted_rule_keeps_the_x_block_in_closed_form(a, k):
+    # nu = |1 + a x|^2 mu has the weight's Fourier coefficients 1 + a^2 and a
+    # on its x-block, the tridiagonal T_{k+1}(|1 + a z|^2) with determinant
+    # (1 - a^(2(k+2)))/(1 - a^2); the sheets still cancel between x^i and
+    # x^j y, and bb built in nu is orthonormal in nu by the direct sum
+    q = torus_quadrature(HYP, 256)
+    nu = QuadratureSpec(q.points, q.weights * np.abs(1 + a * q.points[:, 0]) ** 2)
+    mono = monomial_graded_basis(HYP, k)
+    upper = bases.torus_gram(HYP, mono, nu)
+    g = upper + np.conjugate(np.triu(upper, 1)).T
+    xs = [i for i, e in enumerate(mono) if not e.leading_monomial()[1]]
+    xys = [i for i, e in enumerate(mono) if e.leading_monomial()[1]]
+    want = (1 - a ** (2 * (k + 2))) / (1 - a**2)
+    assert abs(np.linalg.det(g[np.ix_(xs, xs)]) / want - 1) <= 1e-12
+    assert np.abs(g[np.ix_(xs, xys)]).max() <= 1e-14
+    bb = bb_basis(HYP, k, nu)
+    assert np.abs(gram(bb, nu) - np.eye(len(bb))).max() <= 1e-12
+
+
 def test_bb_y_block_shapes():
     q = torus_quadrature(HYP, 128)
     yhats, coef = _y_block(HYP, q)
@@ -450,13 +471,15 @@ def test_bb_structured_aliasing_coupling():
 # ---------------------------------------------------------------------------
 # the shared orthonormalizer against loop references
 
-# The Gram matrix summed block by block over the full value matrix, its
-# Cholesky factor row by row and the inverse by forward recursion, written
-# out step by step, are the reference the builders are pinned to bit for bit.
-# Modified Gram-Schmidt with one reorthogonalization, which the builders once
-# ran, is kept as an accuracy oracle: the two agree to rounding.  It keeps the
-# phase step the builders no longer take (each row's leading coefficient is
-# 1/L_jj > 0 by construction).
+# The Cholesky factor of `torus_gram`'s Gram matrix row by row and its
+# inverse by forward recursion, written out step by step, are the reference
+# the builders are pinned to bit for bit.  The Gram matrix summed block by
+# block over the full value matrix, which the builders summed before they
+# read it off the sheet symbols, is the oracle for `torus_gram` itself: the
+# two agree to rounding.  Modified Gram-Schmidt with one reorthogonalization,
+# which the builders once ran, is kept as an accuracy oracle for the whole
+# build.  It keeps the phase step the builders no longer take (each row's
+# leading coefficient is 1/L_jj > 0 by construction).
 
 
 def _ref_normalize(q, c, j, weights):
@@ -511,18 +534,25 @@ def _mgs_orthonormalize(vals, weights, coefs):
     return q, c
 
 
+def _monomials(pres, monos):
+    return [Polynomial.monomial(m, pres.M, pres.N, "float") for m in monos]
+
+
 def _monomial_values(pres, monos, quad):
-    return np.stack(
-        [Polynomial.monomial(m, pres.M, pres.N, "float").evaluate(quad.points) for m in monos]
-    )
+    return np.stack([e.evaluate(quad.points) for e in _monomials(pres, monos)])
+
+
+def _assert_the_symbols_give_the_direct_sum(pres, monos, quad):
+    got = bases.torus_gram(pres, _monomials(pres, monos), quad)
+    want = _ref_gram_upper(_monomial_values(pres, monos, quad), quad.weights)
+    assert np.abs(got - want).max() <= 1e-13
 
 
 # in one BLAS thread, as the builders run: threaded matrix-vector products
 # round differently
 @bases._one_blas_thread
 def _ref_orthonormal(pres, monos, quad):
-    vals = _monomial_values(pres, monos, quad)
-    c = _ref_cholesky_inverse(_ref_gram_upper(vals, quad.weights))
+    c = _ref_cholesky_inverse(bases.torus_gram(pres, _monomials(pres, monos), quad))
     polys = []
     for row in c:
         coefmap = {m: complex(cc) for m, cc in zip(monos, row) if cc != 0}
@@ -555,6 +585,8 @@ BB_IDS = [f"hyperbola-k{k}" for k in (1, 4, 16)] + [f"cone2d-k{k}" for k in (1, 
 def test_bb_builders_match_the_reference_bit_for_bit(pres, n, k):
     quad = torus_quadrature(pres, n)
     monos = _standard_monomials(pres, k)
+    _assert_the_symbols_give_the_direct_sum(pres, monos, quad)
+    _assert_the_symbols_give_the_direct_sum(pres, decompose_A(pres), quad)
     ref_full, ref_c = _ref_orthonormal(pres, monos, quad)
     assert _orthonormal(pres, monomial_graded_basis(pres, k), quad)[1].tobytes() == ref_c.tobytes()
     assert _coefficient_bytes(bb_basis(pres, k, quad)) == _coefficient_bytes(ref_full)
@@ -564,6 +596,34 @@ def test_bb_builders_match_the_reference_bit_for_bit(pres, n, k):
     assert _coefficient_bytes(yhats) == _coefficient_bytes(ref_y)
     got = bb_structured(pres, k, quad)
     assert _coefficient_bytes(got) == _coefficient_bytes(_ref_bb_structured(pres, k, quad))
+
+
+TWO_Y = VarietyPresentation(
+    M=1,
+    N=3,
+    generators=(parse_polynomial("y1^2 - x1^2 - 1", 1, 3), parse_polynomial("y2^2 - x1^2 - 2", 1, 3)),
+)
+
+
+@pytest.mark.parametrize(
+    "pres, n, k", [(TWO_Y, 8, 3), (TWO_Y, 600, 5), (CONE, 96, 3)], ids=["two-y-n8", "two-y-n600", "cone2d-n96"]
+)
+def test_the_symbols_give_the_direct_sum(pres, n, k):
+    # two-y: d = 4 sheets and y-parts in two variables; at n = 8 the shifts
+    # reach 3 of 8, at n = 600 the symbol is filled in blocks of 512 x-nodes
+    # and 88.  cone2d at n = 96 is transformed in slabs of 21 lines and 12
+    _assert_the_symbols_give_the_direct_sum(pres, _standard_monomials(pres, k), torus_quadrature(pres, n))
+
+
+@pytest.mark.parametrize("shape", [(8,), (700,), (96, 96), (128, 128), (48, 48, 48)])
+def test_the_transform_in_slabs_is_fftn_bit_for_bit(shape):
+    # 96, 128 and 48 nodes per circle give slabs of 21, 16 and 42 lines, the
+    # first and last with a partial last slab
+    rng = np.random.default_rng(len(shape))
+    grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.fft.fftn(grid)
+    bases._fft_in_place(grid)
+    assert grid.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("pres, n", [(HYP, 64), (CONE, 16)], ids=["hyperbola", "cone2d"])
@@ -581,7 +641,8 @@ def test_bb_family_carries_the_y_block_untrimmed(pres, n):
 
 # 1/P is a power of two in BB_CASES (P = 512, 8192), so there weights * q is
 # exact and a reordered weight multiply would go unnoticed.  Here P = 200,
-# P = 288 and P = 3,200, whose last block of the Gram sum is a partial one.
+# P = 288 and P = 3,200, whose last block of the direct Gram sum and of the
+# symbol fill (1,024 of its 1,600 x-nodes, then 576) is a partial one.
 ROUNDING_CASES = [(HYP, 100, k) for k in (4, 16)] + [(CONE, 12, k) for k in (2, 4)] + [(CONE, 40, 2)]
 ROUNDING_IDS = (
     [f"hyperbola-n100-k{k}" for k in (4, 16)] + [f"cone2d-n12-k{k}" for k in (2, 4)] + ["cone2d-n40-k2"]
@@ -598,6 +659,8 @@ def test_bb_builders_match_the_reference_where_the_weights_round(pres, n, k):
         return quad.points.tobytes() == points and quad.weights.tobytes() == weights
 
     monos = _standard_monomials(pres, k)
+    _assert_the_symbols_give_the_direct_sum(pres, monos, quad)
+    _assert_the_symbols_give_the_direct_sum(pres, decompose_A(pres), quad)
     ref_full, ref_c = _ref_orthonormal(pres, monos, quad)
     ref_y, ref_yc = _ref_orthonormal(pres, decompose_A(pres), quad)
     ref_st = _ref_bb_structured(pres, k, quad)
@@ -631,10 +694,13 @@ def test_bb_is_modified_gram_schmidt_to_rounding(pres, n, k):
     assert np.abs(gram(elements, quad) - np.eye(len(monos))).max() <= 1e-14
 
 
-@pytest.mark.parametrize("pres, n", [(HYP, 64), (CONE, 64)], ids=["hyperbola", "cone2d"])
+@pytest.mark.parametrize(
+    "pres, n", [(HYP, 64), (CONE, 64), (CONE, 128)], ids=["hyperbola", "cone2d", "cone2d-n128"]
+)
 @pytest.mark.parametrize("k", [1, 2])
 def test_bb_at_k_is_the_prefix_of_bb_at_k_plus_2(pres, n, k):
     # Gram-Schmidt is left-looking: element j depends only on elements < j,
+    # and each Gram entry is read off its own pair's symbol, whatever k is,
     # so `reproduce-example` reads bb at k = 1 off bb at k = 3
     quad = torus_quadrature(pres, n)
     small, big = bb_basis(pres, k, quad), bb_basis(pres, k + 2, quad)
@@ -645,19 +711,43 @@ def test_bb_at_k_is_the_prefix_of_bb_at_k_plus_2(pres, n, k):
 
 def test_bb_rejects_a_nan_quadrature_point():
     quad = torus_quadrature(HYP, 16)
-    points = quad.points.copy()
-    points[3, 0] = complex(math.nan, 0.0)
-    bad = QuadratureSpec(points=points, weights=quad.weights)
-    with pytest.raises(QuadratureError, match="numerically dependent"):
-        bb_basis(HYP, 2, bad)
+    for column, match in [(0, "column x1 of the rule is not the lifted 16-node torus grid"), (1, "non-finite point")]:
+        points = quad.points.copy()
+        points[3, column] = complex(math.nan, 0.0)
+        bad = QuadratureSpec(points=points, weights=quad.weights)
+        with pytest.raises(QuadratureError, match=match):
+            bb_basis(HYP, 2, bad)
+
+
+def test_bb_refuses_a_rule_off_the_torus_grid():
+    quad = torus_quadrature(CONE, 16)
+    with pytest.raises(QuadratureError, match=r"511 points are not a lift of n\^2 x-nodes through 2 sheets"):
+        bb_basis(CONE, 2, QuadratureSpec(quad.points[:-1], quad.weights[:-1]))
+    # the point count fixes n: half the rule has 128 x-nodes, no square, and
+    # a quarter has 8^2, but they are not the 8-node grid
+    with pytest.raises(QuadratureError, match=r"256 points are not a lift of n\^2 x-nodes"):
+        bb_basis(CONE, 2, QuadratureSpec(quad.points[:256], quad.weights[:256]))
+    with pytest.raises(QuadratureError, match="column x1 of the rule is not the lifted 8-node torus grid"):
+        bb_basis(CONE, 2, QuadratureSpec(quad.points[:128], quad.weights[:128]))
+    # the right size, but the sheets of one x-point swapped with the next one's
+    swapped = quad.points.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    with pytest.raises(QuadratureError, match="column x2 of the rule"):
+        bb_basis(CONE, 2, QuadratureSpec(swapped, quad.weights))
+    with pytest.raises(ValueError, match="monomials with coefficient 1"):
+        bases.torus_gram(CONE, bb_basis(CONE, 1, quad), quad)
 
 
 def test_bb_basis_holds_one_value_matrix(traced_peak):
-    # the block of 2,048 points, not the 8,192-point value matrix
-    quad = torus_quadrature(CONE, 64)
+    # one pair's n^2 symbol grid (256 KiB), well under a block of 2,048
+    # points' values, and no 32,768-point value matrix; under two grids, so
+    # the pairs' symbols are not all held at once
+    quad = torus_quadrature(CONE, 128)
     block = len(monomial_graded_basis(CONE, 4)) * bases._GRAM_BLOCK * 16
     assert len(quad) >= 4 * bases._GRAM_BLOCK
-    assert traced_peak(lambda: bb_basis(CONE, 4, quad))[1] <= 1.5 * block
+    peak = traced_peak(lambda: bb_basis(CONE, 4, quad))[1]
+    assert peak <= 1.5 * block
+    assert peak <= 2 * 128**2 * 16
 
 
 def test_gram_holds_two_value_matrices(traced_peak):

@@ -1186,13 +1186,13 @@ def test_every_bb_build_runs_in_one_blas_thread(monkeypatch, two_blas_threads):
 
         monkeypatch.setattr(bases, name, read)
 
-    for name in ("_gram_upper", "_inverse_cholesky"):
+    for name in ("torus_gram", "_inverse_cholesky"):
         spy(name)
     quad = torus_quadrature(HYP, 32)
     bb_basis(HYP, 3, quad)
     bb_structured(HYP, 3, quad)
     compare_bases(HYP, ["bb"], 2, torus_sampler(HYP, 32), quad=quad, starts=2)
-    assert seen == {"_gram_upper": [1, 1, 1], "_inverse_cholesky": [1, 1, 1]}
+    assert seen == {"torus_gram": [1, 1, 1], "_inverse_cholesky": [1, 1, 1]}
     assert get() == 2
 
 
