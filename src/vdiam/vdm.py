@@ -173,7 +173,8 @@ def _greedy_init(E: np.ndarray) -> list[int]:
     P, N = E.shape
     work = E.astype(complex)
     floor = 1e-28 * float(np.max(np.abs(work))) ** 2
-    norms = np.einsum("ij,ij->i", work, np.conj(work)).real
+    buf = np.conj(work)  # conj(work), then each projection's outer product
+    norms = np.einsum("ij,ij->i", work, buf).real
     chosen: list[int] = []
     for _ in range(N):
         norms[chosen] = -1.0
@@ -181,9 +182,11 @@ def _greedy_init(E: np.ndarray) -> list[int]:
         if norms[j] <= floor:
             break
         chosen.append(j)
+        if len(chosen) == N:
+            break  # the last projection would go unread
         q = work[j] / math.sqrt(norms[j])
-        work -= np.outer(work @ np.conj(q), q)
-        norms = np.einsum("ij,ij->i", work, np.conj(work)).real
+        work -= np.multiply((work @ np.conj(q))[:, None], q, out=buf)
+        norms = np.einsum("ij,ij->i", work, np.conjugate(work, out=buf)).real
     return chosen
 
 
@@ -203,31 +206,55 @@ _MAX_SWEEPS = 200
 
 
 class _KeptInverse:
-    """An inverse X of the tuple matrix A = E[idx], kept by rank-one
+    """An inverse X of the tuple matrix A = E[idx], inverted once per start,
+    residual re-measured every sweep, and kept by rank-one
     (Sherman-Morrison) updates, with bounds `phi` on the column norms of the
     residual F = I - A X.
 
-    `phi` starts from the residual measured after the inversion. Replacing
-    row s of A right-multiplies F by I - e_s w^T / beta, which adds
-    phi[s] |w_j / beta| to column j and divides column s by |beta|; the
-    rounding of the update adds a `slack` term to every column. `row2`
-    holds the squared row norms of E."""
+    `phi` is set from a measured residual, after the inversion and at each
+    `refresh`: the column norms of the computed F plus a `slack` term for
+    the rounding of A X. Replacing row s of A right-multiplies F by
+    I - e_s w^T / beta, which adds phi[s] |w_j / beta| to column j and
+    divides column s by |beta|; the rounding of the update adds a `slack`
+    term to every column. `row2` holds the squared row norms of E."""
 
     def __init__(self, E: np.ndarray, idx: np.ndarray, row2: np.ndarray):
         self.E, self.idx, self.row2 = E, idx, row2
+        self.a_row2 = row2[idx]  # row2 of A's rows, slot by slot
+        self.E_cols = np.asfortranarray(E)  # column-major: the ratios' product is faster
         self.slack = _CERT_SLACK * len(idx) * np.finfo(float).eps
         self.e_max = math.sqrt(float(row2.max()))
-        A = E[idx]
-        self.X = np.linalg.inv(A)
+        self._invert()
+
+    def _invert(self) -> None:
+        self.X = np.linalg.inv(self.E[self.idx])
         self._measure()
-        F = A @ self.X
-        F[np.diag_indices(len(idx))] -= 1.0
-        self.phi = np.sqrt(np.einsum("ij,ij->j", F, F.conj()).real) + self.slack * self.a_norm * self.x_norm
-        self.f_norm = math.sqrt(float(self.phi @ self.phi))
 
     def _measure(self) -> None:
-        self.a_norm = math.sqrt(float(self.row2[self.idx].sum()))
+        """`phi` from the residual of X as it is now."""
+        F = self.E[self.idx] @ self.X
+        F.flat[:: len(F) + 1] -= 1.0
+        self._norms()
+        self.phi = np.sqrt((F * F.conj()).real.sum(axis=0)) + self.slack * self.a_norm * self.x_norm
+        self._bound()
+
+    def _norms(self) -> None:
+        self.a_norm = math.sqrt(float(self.a_row2.sum()))
         self.x_norm = math.sqrt(np.vdot(self.X, self.X).real)
+
+    def _bound(self) -> None:
+        """|F| from `phi`, and the factors of `ratios`' eta that it fixes."""
+        self.f_norm = math.sqrt(float(self.phi @ self.phi))
+        self.h = self.x_norm / (1.0 - self.f_norm)
+        self.solve_err = self.slack * (self.a_norm * self.h + 1.0)
+
+    def refresh(self) -> None:
+        """Measure the residual again, and invert A afresh only when that
+        bound is not below 1/2. After a swap that met beta = 0, X still
+        inverts the old A, so F[s, s] is about -1 and A is inverted again."""
+        self._measure()
+        if not self.usable:
+            self._invert()
 
     @property
     def usable(self) -> bool:
@@ -237,20 +264,19 @@ class _KeptInverse:
     def ratios(self, s: int) -> tuple[np.ndarray, float]:
         """|E @ X[:, s]| and eta. eta bounds the ratios' distance from those
         of a fresh LU solve for A^-1[:, s]: the error of X[:, s], at most
-        |A^-1| phi[s] with |A^-1| <= |X| / (1 - |F|), plus the solve's
-        forward error, `slack` cond(A) |A^-1[:, s]|, both times the largest
-        row norm of E."""
+        |A^-1| phi[s] with |A^-1| <= h = |X| / (1 - |F|), plus the solve's
+        forward error, `slack` cond(A) |A^-1[:, s]| with cond(A) <= |A| h,
+        both times the largest row norm of E."""
         x = self.X[:, s]
-        xs = math.sqrt(np.vdot(x, x).real)
-        h = self.x_norm / (1.0 - self.f_norm)
-        err = h * self.phi[s]
-        eta = self.e_max * (err + self.slack * (self.a_norm * h + 1.0) * (xs + err))
-        return np.abs(self.E @ x), eta
+        err = self.h * float(self.phi[s])
+        eta = self.e_max * (err + self.solve_err * (math.sqrt(np.vdot(x, x).real) + err))
+        return np.abs(self.E_cols @ x), eta
 
     def swap(self, s: int, new: int) -> None:
         """Replace row s of A by E[new]."""
         w = (self.E[new] - self.E[self.idx[s]]) @ self.X
         self.idx[s] = new
+        self.a_row2[s] = self.row2[new]
         beta = 1.0 + w[s]
         if not abs(beta) > 0.0:
             self.f_norm = math.inf
@@ -262,8 +288,21 @@ class _KeptInverse:
         phi_s = self.phi[s]
         self.phi += (phi_s + t) * q + t
         self.phi[s] = phi_s / abs(beta) + t * (1.0 + q[s])
-        self.f_norm = math.sqrt(float(self.phi @ self.phi))
-        self._measure()
+        self._norms()
+        self._bound()
+
+
+def _usable(kept: Optional[_KeptInverse], E: np.ndarray, sel: list[int], row2: np.ndarray) -> Optional[_KeptInverse]:
+    """`kept` refreshed, or for None a new inverse of E[sel]; None when its
+    residual bound stays at 1/2 or more, or the inversion fails."""
+    try:
+        if kept is None:
+            kept = _KeptInverse(E, np.array(sel), row2)
+        else:
+            kept.refresh()
+    except np.linalg.LinAlgError:
+        return None
+    return kept if kept.usable else None
 
 
 def _sweep_to_convergence(E: np.ndarray, sel: list[int]) -> tuple[list[int], float, int]:
@@ -275,15 +314,18 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int]) -> tuple[list[int], flo
     the slot where a fresh solve finds A singular.
 
     A fresh solve per slot decides this. Here the ratios come from an
-    inverse, inverted once per sweep and kept by rank-one updates, and they
-    decide a slot only when its certificate shows the fresh solve would
-    decide the same: from ratios within `eta` of a fresh solve's, a slot is
-    settled when no candidate outside the tuple can reach 1 + 1e-14 (no
-    swap), or when the argmax clears every other ratio and 1 + 1e-11 by
-    2 eta (a swap whose log alone passes the 1e-12 stop test). Every other
-    slot takes the fresh solve. So the tuple, sweep count and log|det|
-    equal the fresh-solve loop's, which tests/test_vdm.py keeps as the
-    reference."""
+    inverse, inverted once per start, residual re-measured every sweep, and
+    kept by rank-one updates; they decide a slot only when its certificate
+    shows the fresh solve would decide the same: from ratios within `eta` of
+    a fresh solve's, a slot is settled when no candidate outside the tuple
+    can reach 1 + 1e-14 (no swap), or when the argmax clears every other
+    ratio and 1 + 1e-11 by 2 eta (a swap whose log alone passes the 1e-12
+    stop test). The residual is measured again, too, where its running
+    bound reaches 1/2, and A inverted again only where the measured bound
+    does; an inverse that stays there, or fails, leaves the rest of the
+    sweep to the solve. Every slot the certificate does not settle takes
+    the fresh solve. So the tuple, sweep count and log|det| equal the
+    fresh-solve loop's, which tests/test_vdm.py keeps as the reference."""
     sign, log_abs = np.linalg.slogdet(E[sel])
     if sign == 0:
         return sel, -math.inf, 0
@@ -291,17 +333,15 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int]) -> tuple[list[int], flo
     N = len(sel)
     row2 = np.einsum("ij,ij->i", E, E.conj()).real
     sweeps, swapped, singular = 0, False, False
+    kept: Optional[_KeptInverse] = None
     while sweeps < _MAX_SWEEPS:
         sweeps += 1
         gain = 0.0  # the fresh logs of this sweep's swaps
         certified_gain = False  # a certified swap alone exceeds 1e-12
-        try:
-            kept: Optional[_KeptInverse] = _KeptInverse(E, np.array(sel), row2)
-        except np.linalg.LinAlgError:
-            kept = None
+        kept = _usable(kept, E, sel, row2)
         for s in range(N):
             if kept is not None and not kept.usable:
-                kept = None
+                kept = _usable(kept, E, sel, row2)
             certified = False
             if kept is not None:
                 r, eta = kept.ratios(s)
@@ -313,10 +353,11 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int]) -> tuple[list[int], flo
                     continue
                 floor = top - 2.0 * eta
                 # the runner-up and the occupants' maximum only here, since
-                # most slots are settled by `top` alone
+                # most slots are settled by `top` alone; each read through
+                # argmax, which costs under half of max on these arrays
                 if floor > 1.0 + 1e-11:
                     r[c] = -np.inf
-                    certified = floor > r.max() and floor > occupants.max()
+                    certified = floor > r[r.argmax()] and floor > occupants[occupants.argmax()]
             if certified:
                 certified_gain = True
             else:

@@ -278,6 +278,48 @@ def test_greedy_init_ignores_power_of_two_scaling(power):
     assert _greedy_init(E * 2.0**power) == picks
 
 
+def _greedy_init_reference(E):
+    """The greedy orthogonalization that `_greedy_init` must match bit for
+    bit: a new outer product and conjugate at every step, and a projection
+    after the last choice too. Ties on symmetric grids fall to the last
+    bits of the residual norms, so any change to this arithmetic can move
+    the chosen rows."""
+    P, N = E.shape
+    work = E.astype(complex)
+    floor = 1e-28 * float(np.max(np.abs(work))) ** 2
+    norms = np.einsum("ij,ij->i", work, np.conj(work)).real
+    chosen = []
+    for _ in range(N):
+        norms[chosen] = -1.0
+        j = int(np.argmax(norms))
+        if norms[j] <= floor:
+            break
+        chosen.append(j)
+        q = work[j] / math.sqrt(norms[j])
+        work -= np.outer(work @ np.conj(q), q)
+        norms = np.einsum("ij,ij->i", work, np.conj(work)).real
+    return chosen
+
+
+@pytest.mark.parametrize("sampler", [0, 1, 2], ids=["torus", "segment", "random"])
+@pytest.mark.parametrize("name", ["hyperbola", "cone2d"])
+def test_greedy_init_picks_the_reference_rows(name, sampler):
+    pres = {"hyperbola": HYP, "cone2d": CONE}[name]
+    E = vdm_matrix(monomial_graded_basis(pres, 8), _EXCHANGE_CASES[name][sampler][0]().points)
+    for k in range(1, 9):
+        prefix = E[:, : count(pres, k).N]
+        assert _greedy_init(prefix) == _greedy_init_reference(prefix)
+
+
+@pytest.mark.parametrize("kind", ["monomial", "cm", "bb"])
+def test_greedy_init_picks_the_reference_rows_in_compare_s_bases(kind):
+    # the k = 16 matrices of the compare-hyperbola benchmark workload
+    E = vdm_matrix(build_basis(HYP, kind, 16), torus_sampler(HYP, 256).points)
+    picks = _greedy_init(E)
+    assert len(picks) == E.shape[1]
+    assert picks == _greedy_init_reference(E)
+
+
 def test_fekete_needs_enough_candidates():
     b = monomial_graded_basis(HYP, 3)  # N = 7
     with pytest.raises(FeketeError):
@@ -768,7 +810,7 @@ def test_certified_exchange_matches_fresh_solves_on_ill_conditioned_line(monkeyp
 def test_the_kept_inverse_decides_most_slots(monkeypatch):
     # the tests above compare against fresh solves, so an exchange whose
     # every slot fell back to the solve would pass them; here the kept
-    # inverse must settle at least three slots in four (97 solves over
+    # inverse must settle at least three slots in four (81 solves over
     # 1,485 slot visits when written; 1,485 with every slot falling back)
     E = vdm_matrix(monomial_graded_basis(HYP, 16), torus_sampler(HYP, 256).points)
     inits = vdm._initial_tuples(E, seed=0, starts=4)
@@ -785,6 +827,73 @@ def test_the_kept_inverse_decides_most_slots(monkeypatch):
         visits += len(sel) * sweeps
     assert visits > 0
     assert len(solves) < visits / 4
+
+
+def _counting(monkeypatch, owner, name):
+    """Calls of `owner.name` from now on: a list that grows by the
+    arguments of each."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_compare_inverts_each_tuple_once_per_exchange(monkeypatch):
+    # the kept inverse is re-measured every sweep and inverted again only
+    # where the measured residual bound reaches 1/2, which these well
+    # conditioned tuples never do (783 inversions per compare at seed 0
+    # when every sweep inverted, 87 since, one per exchange)
+    samp = torus_sampler(HYP, 256)
+    for seed in range(4):
+        with monkeypatch.context() as m:
+            inversions = _counting(m, np.linalg, "inv")
+            exchanges = _counting(m, vdm, "_sweep_to_convergence")
+            compare_bases(HYP, ["monomial", "cm", "bb"], 16, samp, seed=seed, starts=4)
+        assert 0 < len(inversions) <= len(exchanges)
+
+
+class _CorruptedKeptInverse(vdm._KeptInverse):
+    """A kept inverse whose X is tripled before each re-measurement, so the
+    residual F = 3 A X - I, about 2 I, puts the bound far above 1/2 and A
+    must be inverted again; with `failing`, that inversion fails."""
+
+    failing = False
+
+    def refresh(self):
+        self.X *= 3.0
+        if self.failing:
+            raise np.linalg.LinAlgError("singular matrix")
+        super().refresh()
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["reinverted", "solved"])
+@pytest.mark.parametrize("sampler", [0, 1], ids=["torus", "segment"])
+def test_a_kept_inverse_measured_off_is_reinverted_or_left_to_the_solve(monkeypatch, sampler, failing):
+    make, k, seeds = _EXCHANGE_CASES["hyperbola"][sampler]
+    basis, samp = monomial_graded_basis(HYP, k), make()
+    monkeypatch.setattr(_CorruptedKeptInverse, "failing", failing)
+    monkeypatch.setattr(vdm, "_KeptInverse", _CorruptedKeptInverse)
+    for seed in seeds:
+        assert_matches_fresh_solves(monkeypatch, lambda: fekete_maximize(basis, samp, seed=seed, starts=4))
+    # the exchange alone, counted
+    E = vdm_matrix(basis, samp.points)
+    inits = _counting(monkeypatch, _CorruptedKeptInverse, "__init__")
+    refreshes = _counting(monkeypatch, _CorruptedKeptInverse, "refresh")
+    inversions = _counting(monkeypatch, np.linalg, "inv")
+    solves = _counting(monkeypatch, np.linalg, "solve")
+    for init in vdm._initial_tuples(E, seed=0, starts=4):
+        _sweep_to_convergence(E, list(init))
+    assert refreshes
+    if failing:
+        # a failed refresh hands at least its own slot to the solve
+        assert len(inversions) == len(inits)
+        assert len(solves) >= len(refreshes)
+    else:
+        assert len(inversions) == len(inits) + len(refreshes)
 
 
 class _NoKeptInverse:
