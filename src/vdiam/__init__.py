@@ -3,7 +3,6 @@
 from .bases import (
     BasisFamily,
     CmConstructionError,
-    CmGenerators,
     Coset,
     GradedBasis,
     QuadratureError,
@@ -33,7 +32,6 @@ from .polyring import (
     Monomial,
     PolyParseError,
     Polynomial,
-    cmp_grevlex,
     grevlex_key,
     normal_form,
     parse_polynomial,
@@ -57,7 +55,6 @@ from .variety import (
     validate_noether,
 )
 from .vdm import (
-    CompactSetSampler,
     CompareReport,
     DiameterEstimate,
     FeketeError,

@@ -132,9 +132,9 @@ def family_for(
         # sheet cosets first, as `_expand` breaks ties of leading monomial by
         # index; the low-order ones run over x_1..x_{M-1}: points when M = 1
         prefix = frozenset(range(pres.M - 1))
-        cosets = [Coset(v, all_x) for v in gens.vs]
+        cosets = [Coset(v, all_x) for v in gens]
         for alpha in decompose_A(pres):
-            for l in range(max(0, gens.t - sum(alpha))):
+            for l in range(max(0, gens[0].degree() - sum(alpha))):
                 mono = tuple(
                     e + (l if j == pres.M - 1 else 0) for j, e in enumerate(alpha)
                 )
@@ -172,28 +172,22 @@ def monomial_graded_basis(pres: VarietyPresentation, k: int) -> GradedBasis:
 # cm generators
 
 
-@dataclass(frozen=True)
-class CmGenerators:
-    t: int
-    vs: tuple[Polynomial, ...]
-
-
-def cm_generators(pres: VarietyPresentation) -> CmGenerators:
+def cm_generators(pres: VarietyPresentation) -> tuple[Polynomial, ...]:
     """The sheet generators v_1..v_d of the cm basis: the presentation's
     `v_polys` when present (d of them, of one degree t), otherwise the d = 2
     construction with t = 1, v_i = (y - lambda_i x_M)/c_i over the exact
     roots lambda_i at infinity, normalized so that star(v_i, v_i) has x_M^2
-    coefficient 1.  Raises `CmConstructionError` when neither applies."""
+    coefficient 1: c_i = sqrt(c_i^2), or i sqrt(-c_i^2) where c_i^2 < 0.
+    Raises `CmConstructionError` when neither applies."""
     decompose_A(pres)
-    d = pres.d
     if pres.v_polys is not None:
         vs = pres.v_polys
-        if len(vs) != d:
-            raise CmConstructionError(f"expected d={d} sheet generators, got {len(vs)}")
+        if len(vs) != pres.d:
+            raise CmConstructionError(f"expected d={pres.d} sheet generators, got {len(vs)}")
         degs = {v.degree() for v in vs}
         if len(degs) != 1:
             raise CmConstructionError(f"sheet generators must share one degree, got {sorted(degs)}")
-        return CmGenerators(t=degs.pop(), vs=vs)
+        return vs
     if pres.ny != 1:
         raise CmConstructionError("automatic construction needs exactly one y variable")
     inf = distinct_infinity_check(pres)
@@ -202,24 +196,23 @@ def cm_generators(pres: VarietyPresentation) -> CmGenerators:
     if inf.exact_roots is None:
         raise CmConstructionError("points at infinity are not expressible in the exact scalar field")
     xM, yv = pres.M - 1, pres.M
-    t = 1
     x_poly = Polynomial.variable(xM, pres.M, pres.N, "exact")
     y_poly = Polynomial.variable(yv, pres.M, pres.N, "exact")
-    top_mono = tuple(2 * t if j == xM else 0 for j in range(pres.N))
+    top_mono = tuple(2 if j == xM else 0 for j in range(pres.N))
     vs = []
     for lam in inf.exact_roots:
         w = y_poly - x_poly * lam
         c2 = star(w, w, pres.generators).coefficient(top_mono)
         if c2.is_zero():
             raise CmConstructionError(f"the sheet generator for the root {lam} at infinity has normalizer zero")
+        if not c2.is_real():
+            raise CmConstructionError(f"normalizer sqrt of {c2}: root not found in the exact scalar field")
         try:
-            c = exact_sqrt(c2)
+            c = exact_sqrt(c2) if c2.real_sign() > 0 else Exact(0, 0, 1) * exact_sqrt(-c2)
         except ExactSqrtError:
-            raise CmConstructionError(
-                f"normalizer sqrt({c2}) does not exist in the exact scalar field"
-            ) from None
+            raise CmConstructionError(f"normalizer sqrt({c2}) does not exist in the exact scalar field") from None
         vs.append(w * c.inverse())
-    return CmGenerators(t=t, vs=tuple(vs))
+    return tuple(vs)
 
 
 @dataclass(frozen=True)
@@ -230,16 +223,19 @@ class CmProductReport:
     products: dict
 
 
-def verify_cm_products(pres: VarietyPresentation, gens: CmGenerators) -> CmProductReport:
-    """Check star(v_i, v_j) has x_M^{2t} coefficient delta_ij and bounded x_M degree."""
-    t = gens.t
+def verify_cm_products(pres: VarietyPresentation, gens: Sequence[Polynomial]) -> CmProductReport:
+    """Check star(v_i, v_j) has x_M^{2t} coefficient delta_ij and bounded x_M
+    degree, for t the degree of v_1; generators of mixed degrees are a
+    problem too."""
+    t = gens[0].degree()
+    degs = sorted({v.degree() for v in gens})
     xM = pres.M - 1
     top_mono = tuple(2 * t if j == xM else 0 for j in range(pres.N))
-    n = len(gens.vs)
+    n = len(gens)
     # star is commutative: one product per unordered pair
-    once = {(i, j): star(gens.vs[i], gens.vs[j], pres.generators) for i in range(n) for j in range(i, n)}
+    once = {(i, j): star(gens[i], gens[j], pres.generators) for i in range(n) for j in range(i, n)}
     products = {(i, j): once[min(i, j), max(i, j)] for i in range(n) for j in range(n)}
-    problems: list[str] = []
+    problems = [f"sheet generators have mixed degrees {degs}"] if len(degs) > 1 else []
     coefs: list[tuple[Exact, ...]] = []
     one, zero = Exact(1), Exact(0)
     for i in range(n):
@@ -288,6 +284,12 @@ class QuadratureSpec:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+
+def _equal_weight(points: np.ndarray) -> QuadratureSpec:
+    """The rule on `points` with every weight 1/P (none for no points)."""
+    P = points.shape[0]
+    return QuadratureSpec(points=points, weights=np.full(P, 1.0 / max(P, 1)))
 
 
 # lifted points per block of the sheet lift, of `gram`'s direct sum and of
@@ -433,9 +435,7 @@ def torus_quadrature(pres: VarietyPresentation, n: int) -> QuadratureSpec:
     """Uniform n-point grids on M unit circles, lifted through the d sheets."""
     if n < 1:
         raise QuadratureError("need n >= 1")
-    points = lift_grid(pres, _torus_line(n))
-    P = points.shape[0]
-    return QuadratureSpec(points=points, weights=np.full(P, 1.0 / P))
+    return _equal_weight(lift_grid(pres, _torus_line(n)))
 
 
 def inner_product(f: Polynomial, g: Polynomial, quad: QuadratureSpec) -> complex:

@@ -313,8 +313,8 @@ def reproduce_example(n: Optional[int] = None, seed: int = 0) -> tuple[bool, lis
     v2_expect = parse_polynomial("(y1 + x1)/sqrt2", 1, 2)
     check(
         "sheet_generators",
-        gens.vs == (v1_expect, v2_expect),
-        f"v1 = {gens.vs[0]}, v2 = {gens.vs[1]}",
+        gens == (v1_expect, v2_expect),
+        f"v1 = {gens[0]}, v2 = {gens[1]}",
     )
     verify = verify_cm_products(pres, gens)
     check("product_table", verify.ok, "x1^2 coefficients of star(v_i, v_j) form the identity")

@@ -41,16 +41,6 @@ def grevlex_key(mono: Monomial):
     return (sum(mono), tuple(reversed(mono)))
 
 
-def cmp_grevlex(a: Monomial, b: Monomial) -> int:
-    """-1, 0, or 1 as a < b, a == b, a > b in the graded order."""
-    if len(a) != len(b):
-        raise ValueError(f"monomial length mismatch: {len(a)} vs {len(b)}")
-    ka, kb = grevlex_key(a), grevlex_key(b)
-    if ka < kb:
-        return -1
-    return 0 if ka == kb else 1
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(i + j for i, j in zip(a, b))
 

@@ -21,8 +21,8 @@ import numpy as np
 from .bases import (
     GradedBasis,
     QuadratureSpec,
+    _equal_weight,
     _one_blas_thread,
-    _torus_line,
     bb_basis,
     bb_structured,
     cm_basis,
@@ -42,34 +42,25 @@ class FeketeError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# candidate samplers
+# candidate samplers: each returns its points as the rule with weights 1/P
 
 
-@dataclass(frozen=True, eq=False)
-class CompactSetSampler:
-    points: np.ndarray  # (P, N) complex
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def torus_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
-    """Unit-circle grids in each x variable, lifted through the sheets."""
+def torus_sampler(pres: VarietyPresentation, nodes: int) -> QuadratureSpec:
+    """Unit-circle grids in each x variable, lifted through the sheets: the
+    rule `torus_quadrature(pres, nodes)`."""
     if nodes < 1:
         raise ValueError(f"need at least 1 node per x variable, got {nodes}")
-    pts = lift_grid(pres, _torus_line(nodes))
-    return CompactSetSampler(pts)
+    return torus_quadrature(pres, nodes)
 
 
-def segment_sampler(pres: VarietyPresentation, nodes: int) -> CompactSetSampler:
+def segment_sampler(pres: VarietyPresentation, nodes: int) -> QuadratureSpec:
     """Equispaced grids on [-1, 1] in each x variable, lifted through the sheets."""
     if nodes < 1:
         raise ValueError(f"need at least 1 node per x variable, got {nodes}")
-    pts = lift_grid(pres, np.linspace(-1.0, 1.0, nodes).astype(complex))
-    return CompactSetSampler(pts)
+    return _equal_weight(lift_grid(pres, np.linspace(-1.0, 1.0, nodes).astype(complex)))
 
 
-def points_sampler(pres: VarietyPresentation, points: np.ndarray) -> CompactSetSampler:
+def points_sampler(pres: VarietyPresentation, points: np.ndarray) -> QuadratureSpec:
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != pres.N:
         raise ValueError(f"points must have shape (P, {pres.N})")
@@ -79,10 +70,10 @@ def points_sampler(pres: VarietyPresentation, points: np.ndarray) -> CompactSetS
         # max propagates NaN, and NaN fails every comparison
         if res.size and not float(res.max()) <= 1e-8:
             raise ValueError(f"candidate points leave the variety: residual {float(res.max()):.3e}")
-    return CompactSetSampler(pts)
+    return _equal_weight(pts)
 
 
-def file_sampler(pres: VarietyPresentation, path) -> CompactSetSampler:
+def file_sampler(pres: VarietyPresentation, path) -> QuadratureSpec:
     """Points from a JSON file: a list of rows, each a list of numbers or
     [re, im] pairs."""
     doc = json.loads(Path(path).read_text())
@@ -105,7 +96,7 @@ def file_sampler(pres: VarietyPresentation, path) -> CompactSetSampler:
     return points_sampler(pres, np.array(rows, dtype=complex))
 
 
-def random_variety_points(pres: VarietyPresentation, count_: int, seed: int) -> CompactSetSampler:
+def random_variety_points(pres: VarietyPresentation, count_: int, seed: int) -> QuadratureSpec:
     """Generic points: random x in the annulus 0.6 <= |x_j| <= 1.4, one
     random sheet per point."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -117,8 +108,7 @@ def random_variety_points(pres: VarietyPresentation, count_: int, seed: int) -> 
         th = rng.uniform(0.0, 2.0 * np.pi, size=pres.M)
         xs[i] = r * np.exp(1j * th)
         picks[i] = rng.integers(sheets)
-    out = lift(pres, xs)[np.arange(count_) * sheets + picks]
-    return CompactSetSampler(out)
+    return _equal_weight(lift(pres, xs)[np.arange(count_) * sheets + picks])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +199,7 @@ class _KeptInverse:
     """An inverse X of the tuple matrix A = E[idx], inverted once per start,
     residual re-measured every sweep, and kept by rank-one
     (Sherman-Morrison) updates, with bounds `phi` on the column norms of the
-    residual F = I - A X.
+    residual F = A X - I.
 
     `phi` is set from a measured residual, after the inversion and at each
     `refresh`: the column norms of the computed F plus a `slack` term for
@@ -393,7 +383,8 @@ def _initial_tuples(E: np.ndarray, *, seed: int, starts: int, exhaustive: bool =
         raise FeketeError(f"need at least {N} candidates, got {P}")
     base_init = _greedy_init(E)
     if len(base_init) < N:
-        raise FeketeError("candidate set does not span the basis (rank-deficient)")
+        raise FeketeError("candidate set does not span the basis numerically: the greedy start found"
+                          f" {len(base_init)} of {N} rows above 1e-28 * max|E|^2")
     inits: list[list[int]] = []
     if exhaustive:
         for c in range(P):
@@ -446,7 +437,7 @@ def _scored(E: np.ndarray, runs: Sequence[tuple[list[int], float, int]]) -> Feke
 @_one_blas_thread
 def fekete_maximize(
     basis: GradedBasis,
-    sampler: CompactSetSampler,
+    sampler: QuadratureSpec,
     *,
     search: Optional[GradedBasis] = None,
     seed: int = 0,
@@ -472,7 +463,7 @@ def fekete_maximize(
     return _scored(E, _searched(E_search, inits))
 
 
-def brute_force_max(basis: GradedBasis, sampler: CompactSetSampler) -> VdmEvaluation:
+def brute_force_max(basis: GradedBasis, sampler: QuadratureSpec) -> VdmEvaluation:
     E = vdm_matrix(basis, sampler.points)
     P, N = E.shape
     best_log, best_idx = -math.inf, None
@@ -552,7 +543,7 @@ def diameter_sequence(
     pres: VarietyPresentation,
     kind: str,
     k_max: int,
-    sampler: CompactSetSampler,
+    sampler: QuadratureSpec,
     *,
     quad: Optional[QuadratureSpec] = None,
     seed: int = 0,
@@ -585,7 +576,7 @@ def compare_bases(
     pres: VarietyPresentation,
     kinds: Sequence[str],
     k_max: int,
-    sampler: CompactSetSampler,
+    sampler: QuadratureSpec,
     *,
     quad: Optional[QuadratureSpec] = None,
     seed: int = 0,

@@ -12,7 +12,6 @@ from conftest import split_family
 
 from vdiam import (
     CmConstructionError,
-    CmGenerators,
     Exact,
     QuadratureError,
     VarietyPresentation,
@@ -20,6 +19,7 @@ from vdiam import (
     bb_structured,
     cm_basis,
     cm_generators,
+    check_compliant,
     count,
     decompose_A,
     default_quadrature_n,
@@ -34,6 +34,7 @@ from vdiam import (
     parse_polynomial,
     Polynomial,
     QuadratureSpec,
+    row_scale_bound,
     torus_quadrature,
     verify_cm_products,
 )
@@ -99,10 +100,10 @@ def test_monomial_basis_counts_per_degree():
 
 def test_cm_generators_hyperbola_exact():
     gens = cm_generators(HYP)
-    assert gens.t == 1
-    assert len(gens.vs) == 2
+    assert type(gens) is tuple
+    assert [v.degree() for v in gens] == [1, 1]
     half_r2 = Exact(0, Fraction(1, 2))  # sqrt2/2 = 1/sqrt2
-    v1, v2 = gens.vs
+    v1, v2 = gens
     assert v1 == P("(y1 - x1)/sqrt2")
     assert v2 == P("(y1 + x1)/sqrt2")
     assert v1.coefficient((0, 1)) == half_r2
@@ -122,15 +123,18 @@ def test_cm_product_identities():
 
 
 def _ref_verify_cm_products(pres, gens):
-    """verify_cm_products as it stood with one star product per ordered pair."""
-    t = gens.t
+    """verify_cm_products as it stood with one star product per ordered pair,
+    t the degree of the first generator and mixed degrees listed first."""
+    t = gens[0].degree()
     xM = pres.M - 1
     top_mono = tuple(2 * t if j == xM else 0 for j in range(pres.N))
-    problems, coefs, products = [], [], {}
+    degs = sorted({v.degree() for v in gens})
+    problems = [f"sheet generators have mixed degrees {degs}"] if len(degs) > 1 else []
+    coefs, products = [], {}
     one, zero = Exact(1), Exact(0)
-    for i, vi in enumerate(gens.vs):
+    for i, vi in enumerate(gens):
         row = []
-        for j, vj in enumerate(gens.vs):
+        for j, vj in enumerate(gens):
             p = star(vi, vj, pres.generators)
             products[(i, j)] = p
             c = p.coefficient(top_mono)
@@ -153,7 +157,7 @@ PRODUCT_CASES = [
     (HYP, cm_generators(HYP), True),
     (CONE, cm_generators(CONE), True),
     # three generators with off-identity products and an x1-degree overflow
-    (HYP, CmGenerators(t=1, vs=(P("y1"), P("x1"), P("x1^2 + y1"))), False),
+    (HYP, (P("y1"), P("x1"), P("x1^2 + y1")), False),
 ]
 
 
@@ -167,7 +171,7 @@ def test_cm_products_star_once_per_unordered_pair(pres, gens, ok, monkeypatch):
 
     monkeypatch.setattr(bases, "star", counted)
     rep = verify_cm_products(pres, gens)
-    d = len(gens.vs)
+    d = len(gens)
     assert len(calls) == d * (d + 1) // 2
     ref_ok, problems, coefs, products = _ref_verify_cm_products(pres, gens)
     assert (rep.ok, rep.problems, rep.top_coefficients) == (ref_ok, problems, coefs)
@@ -178,9 +182,15 @@ def test_cm_products_star_once_per_unordered_pair(pres, gens, ok, monkeypatch):
 
 def test_cm_generators_from_file_polys():
     gens = cm_generators(CONE)
-    assert gens.t == 1
-    assert len(gens.vs) == 2
+    assert gens == CONE.v_polys
+    assert [v.degree() for v in gens] == [1, 1]
     assert verify_cm_products(CONE, gens).ok
+
+
+def test_cm_products_list_generators_of_mixed_degrees():
+    rep = verify_cm_products(HYP, (P("y1"), P("x1^2 + y1")))
+    assert not rep.ok
+    assert rep.problems[0] == "sheet generators have mixed degrees [1, 2]"
 
 
 def test_cm_generators_refuse_nondistinct():
@@ -228,6 +238,36 @@ def test_cm_generators_refuse_a_normalizer_outside_the_field():
         cm_generators(pres)
 
 
+# roots at infinity 2 and 1: (y - 2x)^2 has x^2 coefficient 2 in the quotient
+# and (y - x)^2 has -1, whose root i lies in the field
+IMAGINARY = load_variety({"M": 1, "N": 2, "generators": ["y1^2 - 3*x1*y1 + 2*x1^2 + x1 - 1"]})[0]
+
+
+def test_cm_generators_take_an_imaginary_normalizer():
+    assert distinct_infinity_check(IMAGINARY).exact_roots == (Exact(2), Exact(1))
+    gens = cm_generators(IMAGINARY)
+    assert gens == (P("(sqrt2/2)*y1 - sqrt2*x1"), P("-i*y1 + i*x1"))
+    assert verify_cm_products(IMAGINARY, gens).ok
+    monomial, cm = family_for(IMAGINARY, "monomial"), family_for(IMAGINARY, "cm")
+    assert check_compliant(monomial, cm).compliant
+    for k in range(1, 5):
+        basis = cm_basis(IMAGINARY, k)
+        assert len(basis) == count(IMAGINARY, k).N
+        rep = row_scale_bound(monomial_graded_basis(IMAGINARY, k), basis)
+        assert abs(rep.log_abs_det - k / 2 * math.log(2)) < 1e-12
+
+
+def test_cm_generators_refuse_a_non_real_normalizer_as_not_found(monkeypatch):
+    # roots at infinity 1 and i, which the exact root finder does not reach
+    # today: (y - x)^2 has x^2 coefficient 1 - i, whose roots exact_sqrt
+    # does not look for
+    pres, _ = load_variety({"M": 1, "N": 2, "generators": ["y1^2 - (1+i)*x1*y1 + i*x1^2 - 1"]})
+    report = replace(distinct_infinity_check(pres), exact_roots=(Exact(1), Exact(0, 0, 1)))
+    monkeypatch.setattr(bases, "distinct_infinity_check", lambda pres: report)
+    with pytest.raises(CmConstructionError, match=re.escape("normalizer sqrt of (1-i): root not found")):
+        cm_generators(pres)
+
+
 def test_cm_generator_file_count_mismatch():
     with pytest.raises(CmConstructionError):
         cm_generators(replace(HYP, v_polys=(P("y1"),)))
@@ -238,9 +278,8 @@ def test_cm_generator_file_count_mismatch():
 
 
 def test_cm_basis_hyperbola_k2():
-    gens = cm_generators(HYP)
+    v1, v2 = cm_generators(HYP)
     b = cm_basis(HYP, 2)
-    v1, v2 = gens.vs
     x = P("x1")
     assert list(b) == [P("1"), v1, v2, x * v1, x * v2]
     assert tuple(e.degree() for e in b) == (0, 1, 1, 2, 2)
@@ -258,7 +297,7 @@ def test_cm_basis_per_degree_counts():
 
 
 def _ref_cm_basis(pres, k, gens):
-    t = gens.t
+    t = gens[0].degree()
     A = decompose_A(pres)
     xM = pres.M - 1
     per_degree = {}
@@ -277,7 +316,7 @@ def _ref_cm_basis(pres, k, gens):
                 push(sum(mono), 0, grevlex_key(mono), Polynomial.monomial(mono, pres.M, pres.N, "exact"))
     for gmono in x_monomials(pres.M, pres.N, k - t):
         gpoly = Polynomial.monomial(gmono, pres.M, pres.N, "exact")
-        for i, v in enumerate(gens.vs):
+        for i, v in enumerate(gens):
             push(sum(gmono) + t, 1, (grevlex_key(gmono), i), gpoly * v)
     elements, degrees = [], []
     for deg in sorted(per_degree):

@@ -265,6 +265,14 @@ PRINTED_SHA256 = {
     # to 4.4408920985e-16 at k=3), and again when its Gram came from the sheet
     # symbols: |err| back to 8.68907650275e-08, max |G - I| 8.881784197e-16
     "reproduce-example --seed 0": "ed88ec899945bff2bbf7f1ef203387b042ac77d2e08d0711c4d1177d96cc92ea",
+    # the benchmark's compare-hyperbola commands at seed 0 and exact-hyperbola's
+    # cm compliance, recorded before candidate sets became quadrature rules
+    "compare --variety hyperbola --k-max 16 --sampler torus:256 --starts 4 --seed 0 --format csv":
+        "c096d67a9cf4f8f7851fe5dd584d595c45888bcaff875923d86550499e9fb24f",
+    "fekete --kind cm --k 16 --sampler torus:256 --starts 4 --seed 0 --format csv":
+        "59304f7abf3420bb9d0b46f6019c24141e69dc137d9ea09cd134f4f7b286faa2",
+    "compliance --variety hyperbola --left monomial --right cm --format csv":
+        "c28b00405eef442e0a5e6dddd98ca91e8517cf8a1aba1315b96efad91e0c957f",
 }
 
 

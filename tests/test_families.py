@@ -80,7 +80,7 @@ def test_hyperbola_monomial_cm_compliant():
     assert verdict.compliant
     assert mult_strs(split_family(verdict.diff_left)[0]) == {"x1", "y1"}
     assert split_family(verdict.diff_left)[1] == ()
-    v1, v2 = cm_generators(HYP).vs
+    v1, v2 = cm_generators(HYP)
     assert {str(c.multiplier) for c in split_family(verdict.diff_right)[0]} == {str(v1), str(v2)}
     assert split_family(verdict.diff_right)[1] == ()
     assert verdict.core_left.t == 1

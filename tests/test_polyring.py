@@ -12,14 +12,13 @@ from vdiam import (
     Polynomial,
     exact_sqrt,
     grevlex_key,
-    cmp_grevlex,
     normal_form,
     parse_polynomial,
     s_poly_check,
     star,
     top_homogeneous,
 )
-from vdiam.polyring import s_polynomial
+from vdiam.polyring import monomial_mul, s_polynomial
 
 
 def P(text, nx=1, nvars=2):
@@ -87,9 +86,7 @@ def test_grevlex_chain_two_x_one_y():
     ]
     assert sorted(chain, key=grevlex_key) == chain
     for lo, hi in zip(chain, chain[1:]):
-        assert cmp_grevlex(lo, hi) < 0
-        assert cmp_grevlex(hi, lo) > 0
-        assert cmp_grevlex(lo, lo) == 0
+        assert grevlex_key(lo) < grevlex_key(hi)
 
 
 def test_leading_term_prefers_pure_y_power():
@@ -239,9 +236,14 @@ def test_star_distributes_over_addition(p, q, r):
     assert star(p + q, r, HYP) == star(p, r, HYP) + star(q, r, HYP)
 
 
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=2, max_size=8))
+_MONOS = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@given(_MONOS, _MONOS, _MONOS)
 @settings(max_examples=60, deadline=None)
-def test_grevlex_key_consistent_with_cmp(monos):
-    ordered = sorted(monos, key=grevlex_key)
-    for a, b in zip(ordered, ordered[1:]):
-        assert cmp_grevlex(a, b) <= 0
+def test_grevlex_key_is_a_monomial_order(a, b, c):
+    # graded, total on distinct monomials, and kept by multiplying with c
+    assert (grevlex_key(a) == grevlex_key(b)) == (a == b)
+    if grevlex_key(a) <= grevlex_key(b):
+        assert sum(a) <= sum(b)
+        assert grevlex_key(monomial_mul(a, c)) <= grevlex_key(monomial_mul(b, c))

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vdiam import (
     FeketeError,
+    QuadratureSpec,
     VarietyPresentation,
     bb_basis,
     bb_structured,
@@ -118,6 +119,33 @@ def test_random_variety_points_seeded():
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
     assert on_variety(HYP, a.points)
+
+
+def test_every_sampler_is_an_equal_weight_rule(tmp_path):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps([[0.0, 1.0], [0.0, -1.0], [1.0, 2**0.5]]))
+    sets = [
+        torus_sampler(HYP, 8),
+        segment_sampler(CONE, 3),
+        points_sampler(HYP, torus_sampler(HYP, 4).points),
+        file_sampler(HYP, str(f)),
+        random_variety_points(HYP, 7, seed=1),
+    ]
+    for rule in sets:
+        assert type(rule) is QuadratureSpec
+        assert rule.weights.tobytes() == np.full(len(rule), 1.0 / len(rule)).tobytes()
+    # the candidate grid is the torus rule itself, bit for bit
+    for pres, n in ((HYP, 64), (CONE, 16)):
+        cand, quad = torus_sampler(pres, n), torus_quadrature(pres, n)
+        assert (cand.points.tobytes(), cand.weights.tobytes()) == (quad.points.tobytes(), quad.weights.tobytes())
+    # so the candidate set's own Gram (its discrete L2 measure) is the rule's
+    basis = monomial_graded_basis(HYP, 4)
+    assert gram(basis, torus_sampler(HYP, 64)).tobytes() == gram(basis, torus_quadrature(HYP, 64)).tobytes()
+    # no points: no weights, and the search refuses as before
+    empty = points_sampler(HYP, np.empty((0, 2)))
+    assert len(empty) == 0 and empty.weights.shape == (0,)
+    with pytest.raises(FeketeError, match="need at least 3 candidates, got 0"):
+        fekete_maximize(monomial_graded_basis(HYP, 1), empty)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +361,14 @@ REPEATED = points_sampler(HYP, np.repeat(torus_sampler(HYP, 1).points, 3, axis=0
 def test_fekete_refuses_a_rank_deficient_candidate_set():
     with pytest.raises(FeketeError, match="does not span"):
         fekete_maximize(monomial_graded_basis(HYP, 1), REPEATED)
+
+
+def test_fekete_refusal_names_the_rows_the_greedy_start_found():
+    # 80 distinct nodes span the 41 monomials in exact arithmetic; in floats
+    # the 41st residual falls below the greedy start's floor
+    with pytest.raises(FeketeError, match=r"does not span the basis numerically: the greedy start found"
+                       r" 40 of 41 rows above 1e-28 \* max\|E\|\^2"):
+        fekete_maximize(monomial_graded_basis(C1, 40), segment_sampler(C1, 80))
 
 
 def test_brute_force_refuses_when_every_tuple_is_singular():
