@@ -30,7 +30,7 @@ from .polyring import (
     s_poly_check,
     top_homogeneous,
 )
-from .scalars import Exact, ExactSqrtError, exact_sqrt
+from .scalars import IMAG, Exact, ExactSqrtError, exact_sqrt
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,9 @@ def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[
 
 
 def _exact_poly_roots(coeffs: list[Exact]) -> Optional[list[Exact]]:
-    """Roots of sum c_e mu^e inside Q(sqrt2), or None: closed forms up to
-    degree 2; above it every root rational, each a simple root of the exact
+    """Roots of sum c_e mu^e inside Q(sqrt2)(i), or None: closed forms up to
+    degree 2 (a negative real discriminant has the roots' imaginary square
+    root); above it every root rational, each a simple root of the exact
     square-free part that double precision resolves."""
     while coeffs and coeffs[-1].is_zero():
         coeffs = coeffs[:-1]
@@ -246,7 +247,7 @@ def _exact_poly_roots(coeffs: list[Exact]) -> Optional[list[Exact]]:
         a, b, c = coeffs[2], coeffs[1], coeffs[0]
         disc = b * b - 4 * a * c
         try:
-            r = exact_sqrt(disc)
+            r = IMAG * exact_sqrt(-disc) if disc.is_real() and disc.real_sign() < 0 else exact_sqrt(disc)
         except ExactSqrtError:
             return None
         return [(-b + r) / (2 * a), (-b - r) / (2 * a)]
@@ -255,10 +256,11 @@ def _exact_poly_roots(coeffs: list[Exact]) -> Optional[list[Exact]]:
     # q is monic, so q(nu/den) * den^deg is a monic integer polynomial in nu
     # and each rational root of q is nu/den with nu an integer.  The rational
     # roots are those of the square-free part s = q / gcd(q, q'), where each
-    # is simple, so den times the numeric roots of s round to the nu.  Each
-    # candidate that divides s exactly is divided out of q for its full
-    # multiplicity; the quotient of s gives the next round's candidates,
-    # until s is a constant or a round finds no root.
+    # is simple, so den times the numeric roots of s round to the nu, or do
+    # after one exact Newton step.  Each candidate that divides s exactly is
+    # divided out of q for its full multiplicity; the quotient of s gives
+    # the next round's candidates, until s is a constant or a round finds no
+    # root.
     q = [co.as_fraction() / coeffs[-1].as_fraction() for co in reversed(coeffs)]
     g, h = q, [co * (deg - i) for i, co in enumerate(q[:-1])]
     while h:
@@ -267,7 +269,18 @@ def _exact_poly_roots(coeffs: list[Exact]) -> Optional[list[Exact]]:
     roots: list[Exact] = []
     while len(s) > 1:
         den = math.lcm(*(co.denominator for co in s))
-        nus = {round(z.real * den) for z in np.roots([float(co) for co in s])}
+        nus = set()
+        for z in np.roots([float(co) for co in s]):
+            # one exact Newton step from the rounded value, with s'(x) the
+            # value at x of s's quotient by (mu - x), moves a simple root that
+            # double precision rounded to a neighbour onto its nu
+            nu = round(z.real * den)
+            x = Fraction(nu, den)
+            quotient, value = _divmod(s, [1, -x])
+            slope = _divmod(quotient, [1, -x])[1]
+            nus.add(nu)
+            if value and slope:
+                nus.add(round((x - value[0] / slope[0]) * den))
         found = len(roots)
         for nu in sorted(nus):
             root = Fraction(nu, den)

@@ -206,14 +206,26 @@ class _KeptInverse:
     the rounding of A X. Replacing row s of A right-multiplies F by
     I - e_s w^T / beta, which adds phi[s] |w_j / beta| to column j and
     divides column s by |beta|; the rounding of the update adds a `slack`
-    term to every column. `row2` holds the squared row norms of E."""
+    term to every column. `e_max` is the largest row norm of E, and
+    `a_norm` = sqrt(N) e_max bounds |A|_F for every tuple; it enters only
+    upper bounds.
 
-    def __init__(self, E: np.ndarray, idx: np.ndarray, row2: np.ndarray):
-        self.E, self.idx, self.row2 = E, idx, row2
-        self.a_row2 = row2[idx]  # row2 of A's rows, slot by slot
-        self.E_cols = np.asfortranarray(E)  # column-major: the ratios' product is faster
-        self.slack = _CERT_SLACK * len(idx) * np.finfo(float).eps
-        self.e_max = math.sqrt(float(row2.max()))
+    The slot ratios are read from `E32`, a column-major complex64 copy of
+    E, made only when e_max < 2^100 and N < 2^14: every entry of E is then
+    below 2^100 in modulus, so the copy is finite and its cast cannot
+    overflow, and N u stays below 2^-10 in `ratios`' bound."""
+
+    def __init__(self, E: np.ndarray, idx: np.ndarray):
+        N = len(idx)
+        self.E, self.idx = E, idx
+        self.e_max = math.sqrt(float(np.einsum("ij,ij->i", E, E.conj()).real.max()))
+        self.a_norm = math.sqrt(N) * self.e_max
+        self.slack = _CERT_SLACK * N * np.finfo(float).eps
+        self.read_err = (N + 6) * 2.0**-23
+        self.underflow = N * 2.0**-148
+        self.read_limit = 2.0**100 / N  # on e_max |x|
+        readable = self.e_max < 2.0**100 and N < 2**14
+        self.E32 = np.asfortranarray(E, dtype=np.complex64) if readable else None
         self._invert()
 
     def _invert(self) -> None:
@@ -224,13 +236,9 @@ class _KeptInverse:
         """`phi` from the residual of X as it is now."""
         F = self.E[self.idx] @ self.X
         F.flat[:: len(F) + 1] -= 1.0
-        self._norms()
+        self.x_norm = math.sqrt(np.vdot(self.X, self.X).real)
         self.phi = np.sqrt((F * F.conj()).real.sum(axis=0)) + self.slack * self.a_norm * self.x_norm
         self._bound()
-
-    def _norms(self) -> None:
-        self.a_norm = math.sqrt(float(self.a_row2.sum()))
-        self.x_norm = math.sqrt(np.vdot(self.X, self.X).real)
 
     def _bound(self) -> None:
         """|F| from `phi`, and the factors of `ratios`' eta that it fixes."""
@@ -251,22 +259,52 @@ class _KeptInverse:
         """The residual bound is below 1/2 (False for NaN)."""
         return self.f_norm < 0.5
 
-    def ratios(self, s: int) -> tuple[np.ndarray, float]:
-        """|E @ X[:, s]| and eta. eta bounds the ratios' distance from those
-        of a fresh LU solve for A^-1[:, s]: the error of X[:, s], at most
-        |A^-1| phi[s] with |A^-1| <= h = |X| / (1 - |F|), plus the solve's
-        forward error, `slack` cond(A) |A^-1[:, s]| with cond(A) <= |A| h,
-        both times the largest row norm of E."""
+    def ratios(self, s: int) -> tuple[Optional[np.ndarray], float]:
+        """The slot ratios read in single precision, |E32 @ complex64(x)|
+        with x = X[:, s], and eta, which bounds their distance from those of
+        a fresh LU solve for A^-1[:, s] (float32 values; compare them as
+        Python floats, since numpy compares a float32 with a Python float in
+        float32). (None, inf) when the read could overflow: when E32 was not
+        made, or |x| or N e_max |x| is not below 2^100 (NaN included); the
+        slot then takes the fresh solve.
+
+        Double-precision part: the error of x, at most |A^-1| phi[s] with
+        |A^-1| <= h = |X| / (1 - |F|), plus the solve's forward error,
+        `slack` cond(A) |A^-1[:, s]| with cond(A) <= |A| h, both times
+        e_max.
+
+        The read's own rounding, with u = 2^-24 the unit roundoff of
+        float32: rounding E and x to complex64 moves each entry by at most
+        u times its modulus (the real and imaginary parts are rounded
+        apart), so E[c] @ x moves by at most (2u + u^2) S, S = sum_j
+        |E[c, j]| |x_j| <= e_max |x| (Cauchy-Schwarz). A complex product
+        rounds its real and imaginary parts within gamma_2 of the sums of
+        their two terms' moduli, at most sqrt(2) gamma_2 |a| |b| in modulus,
+        and each part's sum of N terms adds gamma_(N-1) in any summation
+        order, FMA or not: sqrt(2) gamma_(N+1) S' in all, S' <= (1 + u)^2 S.
+        `abs` adds at most 2u of the result. With gamma_n = n u / (1 - n u),
+        the total is below (sqrt(2) (N + 1) + 5) u S for N u < 2^-10, so
+        below `read_err` e_max |x| = (N + 6) 2^-23 e_max |x|. Gradual
+        underflow adds an absolute error of at most 2^-150 to each cast and
+        each real product and none to a sum: sqrt(2N) 2^-150 (|x| + e_max)
+        from the casts, 2 sqrt(2) N 2^-150 from the products and 2^-150
+        from `abs`, together below `underflow` (|x| + e_max + 1) =
+        N 2^-148 (|x| + e_max + 1). Below 2^100 every product and partial
+        sum stays finite in float32."""
         x = self.X[:, s]
+        x_norm = math.sqrt(np.vdot(x, x).real)
+        ex = self.e_max * x_norm
+        if self.E32 is None or not (x_norm < 2.0**100 and ex < self.read_limit):
+            return None, math.inf
         err = self.h * float(self.phi[s])
-        eta = self.e_max * (err + self.solve_err * (math.sqrt(np.vdot(x, x).real) + err))
-        return np.abs(self.E_cols @ x), eta
+        eta = (self.e_max * (err + self.solve_err * (x_norm + err)) + self.read_err * ex
+               + self.underflow * (x_norm + self.e_max + 1.0))
+        return np.abs(self.E32 @ x.astype(np.complex64)), eta
 
     def swap(self, s: int, new: int) -> None:
         """Replace row s of A by E[new]."""
         w = (self.E[new] - self.E[self.idx[s]]) @ self.X
         self.idx[s] = new
-        self.a_row2[s] = self.row2[new]
         beta = 1.0 + w[s]
         if not abs(beta) > 0.0:
             self.f_norm = math.inf
@@ -278,16 +316,19 @@ class _KeptInverse:
         phi_s = self.phi[s]
         self.phi += (phi_s + t) * q + t
         self.phi[s] = phi_s / abs(beta) + t * (1.0 + q[s])
-        self._norms()
-        self._bound()
+        # `_bound`, written out: this runs once per swap
+        self.x_norm = math.sqrt(np.vdot(self.X, self.X).real)
+        self.f_norm = math.sqrt(float(self.phi @ self.phi))
+        self.h = self.x_norm / (1.0 - self.f_norm)
+        self.solve_err = self.slack * (self.a_norm * self.h + 1.0)
 
 
-def _usable(kept: Optional[_KeptInverse], E: np.ndarray, sel: list[int], row2: np.ndarray) -> Optional[_KeptInverse]:
+def _usable(kept: Optional[_KeptInverse], E: np.ndarray, sel: list[int]) -> Optional[_KeptInverse]:
     """`kept` refreshed, or for None a new inverse of E[sel]; None when its
     residual bound stays at 1/2 or more, or the inversion fails."""
     try:
         if kept is None:
-            kept = _KeptInverse(E, np.array(sel), row2)
+            kept = _KeptInverse(E, np.array(sel))
         else:
             kept.refresh()
     except np.linalg.LinAlgError:
@@ -305,12 +346,12 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int]) -> tuple[list[int], flo
 
     A fresh solve per slot decides this. Here the ratios come from an
     inverse, inverted once per start, residual re-measured every sweep, and
-    kept by rank-one updates; they decide a slot only when its certificate
-    shows the fresh solve would decide the same: from ratios within `eta` of
-    a fresh solve's, a slot is settled when no candidate outside the tuple
-    can reach 1 + 1e-14 (no swap), or when the argmax clears every other
-    ratio and 1 + 1e-11 by 2 eta (a swap whose log alone passes the 1e-12
-    stop test). The residual is measured again, too, where its running
+    kept by rank-one updates, and are read in single precision; they decide
+    a slot only when its certificate shows the fresh solve would decide the
+    same: from ratios within `eta` of a fresh solve's, a slot is settled
+    when no candidate outside the tuple can reach 1 + 1e-14 (no swap), or
+    when the argmax clears every other ratio and 1 + 1e-11 by 2 eta (a swap
+    whose log alone passes the 1e-12 stop test). The residual is measured again, too, where its running
     bound reaches 1/2, and A inverted again only where the measured bound
     does; an inverse that stays there, or fails, leaves the rest of the
     sweep to the solve. Every slot the certificate does not settle takes
@@ -321,24 +362,23 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int]) -> tuple[list[int], flo
         return sel, -math.inf, 0
     log_abs = float(log_abs)
     N = len(sel)
-    row2 = np.einsum("ij,ij->i", E, E.conj()).real
     sweeps, swapped, singular = 0, False, False
     kept: Optional[_KeptInverse] = None
     while sweeps < _MAX_SWEEPS:
         sweeps += 1
         gain = 0.0  # the fresh logs of this sweep's swaps
         certified_gain = False  # a certified swap alone exceeds 1e-12
-        kept = _usable(kept, E, sel, row2)
+        kept = _usable(kept, E, sel)
         for s in range(N):
             if kept is not None and not kept.usable:
-                kept = _usable(kept, E, sel, row2)
+                kept = _usable(kept, E, sel)
             certified = False
-            if kept is not None:
-                r, eta = kept.ratios(s)
+            r, eta = kept.ratios(s) if kept is not None else (None, math.inf)
+            if r is not None:
                 occupants = r[kept.idx]
                 r[kept.idx] = -np.inf
                 c = int(r.argmax())
-                top = r[c]
+                top = float(r[c])
                 if top < 1.0 + 1e-14 - eta:
                     continue
                 floor = top - 2.0 * eta
@@ -347,7 +387,7 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int]) -> tuple[list[int], flo
                 # argmax, which costs under half of max on these arrays
                 if floor > 1.0 + 1e-11:
                     r[c] = -np.inf
-                    certified = floor > r[r.argmax()] and floor > occupants[occupants.argmax()]
+                    certified = floor > float(r[r.argmax()]) and floor > float(occupants[occupants.argmax()])
             if certified:
                 certified_gain = True
             else:

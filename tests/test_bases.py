@@ -257,6 +257,23 @@ def test_cm_generators_take_an_imaginary_normalizer():
         assert abs(rep.log_abs_det - k / 2 * math.log(2)) < 1e-12
 
 
+# top forms y^2 + x^2 and y^2 + 2 x^2: roots at infinity +-i and +-i sqrt2,
+# from the quadratic's negative discriminant; each pair of sheet generators
+# spans what y1 and x1 span, with |det| 1 and sqrt2 per degree
+@pytest.mark.parametrize("generator, gens, log_det_per_k", [
+    ("y1^2 + x1^2 - 1", ("-(sqrt2/2)*i*y1 - (sqrt2/2)*x1", "-(sqrt2/2)*i*y1 + (sqrt2/2)*x1"), 0.0),
+    ("y1^2 + 2*x1^2 - 1", ("-(1/2)*i*y1 - (sqrt2/2)*x1", "-(1/2)*i*y1 + (sqrt2/2)*x1"), math.log(2) / 2),
+], ids=["circle", "ellipse"])
+def test_cm_generators_at_imaginary_roots_at_infinity(generator, gens, log_det_per_k):
+    pres, _ = load_variety({"M": 1, "N": 2, "generators": [generator]})
+    assert cm_generators(pres) == tuple(map(P, gens))
+    assert verify_cm_products(pres, cm_generators(pres)).ok
+    assert check_compliant(family_for(pres, "monomial"), family_for(pres, "cm")).compliant
+    for k in (1, 2, 3, 4, 8):
+        rep = row_scale_bound(monomial_graded_basis(pres, k), cm_basis(pres, k))
+        assert abs(rep.log_abs_det - k * log_det_per_k) < 1e-12
+
+
 def test_cm_generators_refuse_a_non_real_normalizer_as_not_found(monkeypatch):
     # roots at infinity 1 and i, which the exact root finder does not reach
     # today: (y - x)^2 has x^2 coefficient 1 - i, whose roots exact_sqrt

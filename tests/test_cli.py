@@ -106,6 +106,16 @@ def test_validate_of_higher_degree_files_is_byte_identical(name, tmp_path, capsy
     assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == digest
 
 
+def test_validate_prints_imaginary_points_at_infinity_exactly(tmp_path, capsys):
+    # y^2 + x^2 - 1: the points at infinity +-i come from the exact roots,
+    # where numpy's roots printed the second as 2.77555756156e-17-1j
+    f = tmp_path / "circle.var"
+    f.write_text(json.dumps({"M": 1, "N": 2, "generators": ["y1^2 + x1^2 - 1"]}))
+    assert run(["validate", "--variety", str(f), "--format", "csv"]) == 0
+    rows = dict(line.split(",", 1) for line in out_of(capsys).splitlines()[1:])
+    assert (rows["point_1"], rows["point_2"]) == ("[0 : 1+0j : 0+1j]", "[0 : 1+0j : 0-1j]")
+
+
 @pytest.mark.parametrize("power, code", [(18, 0), (30, 3)], ids=["10^18", "10^30"])
 def test_validate_with_a_large_constant_at_infinity(power, code, tmp_path, capsys):
     # mu^3 = 10^power has one rational root; the three points at infinity
@@ -273,6 +283,13 @@ PRINTED_SHA256 = {
         "59304f7abf3420bb9d0b46f6019c24141e69dc137d9ea09cd134f4f7b286faa2",
     "compliance --variety hyperbola --left monomial --right cm --format csv":
         "c28b00405eef442e0a5e6dddd98ca91e8517cf8a1aba1315b96efad91e0c957f",
+    # monomials on [-1, 1]: ill-conditioned tuples (cond(E) about 9e11 at
+    # k = 32), where the exchange's certificate leaves many slots to the
+    # solve; recorded before the slot ratios were read in single precision
+    "fekete --kind monomial --k 24 --sampler segment:120 --starts 3 --seed 0 --format csv":
+        "0f2b8a942ffa637b6a4c252400a9209890a2487fc5eda3a69b7cf0d25ba6e1d4",
+    "fekete --kind monomial --k 32 --sampler segment:120 --starts 3 --seed 0 --format csv":
+        "a82a221874fd62e376f4f179f8f53c989c68758175adc25df633569de10ab3f6",
 }
 
 

@@ -248,6 +248,16 @@ def test_cone2d_infinity():
     assert rep.exact_roots == (Exact(1), Exact(-1))
 
 
+def test_imaginary_roots_at_infinity():
+    # top forms y^2 + x^2 and y^2 + 2 x^2: a negative real discriminant,
+    # whose square root is i times an exact one
+    I = Exact(0, 0, 1)
+    assert distinct_infinity_check(mk(1, 2, "y1^2 + x1^2 - 1")).exact_roots == (I, -I)
+    assert distinct_infinity_check(mk(1, 2, "y1^2 + 2*x1^2 - 1")).exact_roots == (Exact(0, 0, 0, 1), Exact(0, 0, 0, -1))
+    # mu^2 - i: the discriminant 4i is not real, and its root is not looked for
+    assert _exact_poly_roots([-I, Exact(0), Exact(1)]) is None
+
+
 def test_skew_top_form_still_has_distinct_points():
     # top form y(y - x): roots mu = 0 and mu = 1, both over x_M = 1
     pres = mk(1, 2, "y1^2 - x1*y1 - 1")
@@ -333,6 +343,9 @@ def test_repeated_rational_roots_are_all_found(draws, lead):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-10**10, 10**10), st.integers(1, 7), st.just(1)), min_size=1, max_size=6), LEADS)
+# double precision rounded the two roots near -10^10, 35,774 apart, to
+# neighbours of their values; one exact Newton step resolves them
+@example([(0, 1, 1), (-9_999_958_881, 1, 1), (-9_999_994_655, 1, 1)], Fraction(1))
 def test_simple_rational_roots_are_all_found(draws, lead):
     assert _found(_expanded(_multiset(draws), lead)) == _multiset(draws)
 

@@ -878,6 +878,62 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+# (variety, candidates, k) for the single-precision read: the benchmark's
+# hyperbola set, monomials on a line at condition numbers near 1e9, and
+# cone2d's torus
+_READ_CASES = {
+    "hyperbola-torus": (HYP, lambda: torus_sampler(HYP, 256), 16),
+    "hyperbola-segment": (HYP, lambda: segment_sampler(HYP, 120), 24),
+    "cone2d-torus": (CONE, lambda: torus_sampler(CONE, 16), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READ_CASES))
+def test_single_precision_reads_lie_within_eta_of_fresh_solves(case):
+    # on the greedy tuple, three random ones and the tuples the exchange
+    # ends at from these four, then after each of three random swaps, every
+    # slot's read must lie within its eta of the ratios of a fresh solve, at
+    # every candidate row (random tuples on the line are numerically
+    # singular, and their kept inverses are not used)
+    pres, make, k = _READ_CASES[case]
+    E = vdm_matrix(monomial_graded_basis(pres, k), make().points)
+    P, N = E.shape
+    rng = np.random.default_rng(1)
+    inits = vdm._initial_tuples(E, seed=0, starts=4)
+    checked = 0
+    for init in inits + [_sweep_to_convergence(E, list(init))[0] for init in inits]:
+        kept = vdm._KeptInverse(E, np.array(init))
+        for _ in range(4):
+            if kept.usable:
+                A = E[kept.idx]
+                for s in range(N):
+                    r, eta = kept.ratios(s)
+                    assert r.dtype == np.float32
+                    rhs = np.zeros(N, dtype=complex)
+                    rhs[s] = 1.0
+                    fresh = np.abs(E @ np.linalg.solve(A, rhs))
+                    assert np.abs(r.astype(float) - fresh).max() <= eta
+                    checked += 1
+            outside = np.setdiff1d(np.arange(P), kept.idx)
+            kept.swap(int(rng.integers(N)), int(rng.choice(outside)))
+    assert checked >= 4 * N
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [2.0**130, 2.0**-130], ids=["2^130", "2^-130"])
+def test_a_matrix_beyond_single_precision_takes_the_solve_at_every_slot(monkeypatch, scale):
+    # E's entries past float32's range (or x's, for the small scale): no
+    # read is made, no overflow warning escapes, and the exchange is still
+    # the fresh-solve loop's
+    E = scale * vdm_matrix(monomial_graded_basis(HYP, 4), torus_sampler(HYP, 128).points)
+    inits = vdm._initial_tuples(E, seed=0, starts=4)
+    with monkeypatch.context() as m:
+        solves = _counting(m, np.linalg, "solve")
+        runs = [_sweep_to_convergence(E, list(init)) for init in inits]
+    assert len(solves) == sum(len(sel) * sweeps for sel, _, sweeps in runs) > 0
+    assert runs == [_fresh_solve_sweep(E, list(init)) for init in inits]
+
+
 def test_compare_inverts_each_tuple_once_per_exchange(monkeypatch):
     # the kept inverse is re-measured every sweep and inverted again only
     # where the measured residual bound reaches 1/2, which these well
