@@ -304,6 +304,26 @@ def exact_sqrt(v: Exact) -> Exact:
     raise ExactSqrtError(f"sqrt({v!r}) is not in Q(sqrt2)")
 
 
+def _log_sum(a: int, b: int) -> float:
+    """log(a + b*sqrt2) for integers a, b >= 0, not both zero."""
+    if a >= b:
+        return math.log(a) + math.log1p(b / a * _SQRT2)
+    return math.log(b) + math.log(_SQRT2) + math.log1p(a / b / _SQRT2)
+
+
+def log_positive(v: Exact) -> float:
+    """log v for a positive real scalar v = (a + b*sqrt2) / q, at any size
+    and without cancellation: where a and b differ in sign, a + b*sqrt2 is
+    the norm a^2 - 2b^2 over a - b*sqrt2, whose terms have one sign. So
+    log 1 is exactly 0."""
+    a, b, c, d, q = v._t
+    if c or d or v.real_sign() <= 0:
+        raise ValueError(f"log of a scalar that is not positive: {v!r}")
+    if a >= 0 and b >= 0:
+        return _log_sum(a, b) - math.log(q)
+    return math.log(abs(a * a - 2 * b * b)) - _log_sum(abs(a), abs(b)) - math.log(q)
+
+
 def _real_part_str(a: Fraction, b: Fraction) -> str:
     """Render a + b*sqrt2 (assumed not both zero) without outer parens."""
     pieces = []

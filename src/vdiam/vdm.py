@@ -33,7 +33,7 @@ from .bases import (
     torus_quadrature,
 )
 from .polyring import grevlex_key
-from .scalars import ONE, Exact
+from .scalars import ONE, Exact, log_positive
 from .variety import CountRecord, VarietyPresentation, count
 
 
@@ -195,29 +195,21 @@ _CERT_SLACK = 64.0
 _MAX_SWEEPS = 200
 
 
-class _KeptInverse:
-    """An inverse X of the tuple matrix A = E[idx], inverted once per start,
-    residual re-measured every sweep, and kept by rank-one
-    (Sherman-Morrison) updates, with bounds `phi` on the column norms of the
-    residual F = A X - I.
+class _ReadConstants:
+    """What every kept inverse of one candidate matrix E shares, so a search
+    builds it once per matrix (`_searched`) and not once per start: `e_max`,
+    the largest row norm of E; `a_norm` = sqrt(N) e_max, which bounds |A|_F
+    for every tuple and enters only upper bounds; the certificate's `slack`;
+    the read's relative rounding `read_err` = (N + 6) 2^-23, its `underflow`
+    term and its `read_limit` on e_max |x|; and `E32`.
 
-    `phi` is set from a measured residual, after the inversion and at each
-    `refresh`: the column norms of the computed F plus a `slack` term for
-    the rounding of A X. Replacing row s of A right-multiplies F by
-    I - e_s w^T / beta, which adds phi[s] |w_j / beta| to column j and
-    divides column s by |beta|; the rounding of the update adds a `slack`
-    term to every column. `e_max` is the largest row norm of E, and
-    `a_norm` = sqrt(N) e_max bounds |A|_F for every tuple; it enters only
-    upper bounds.
+    `E32` is a column-major complex64 copy of E, made only when e_max < 2^100
+    and N < 2^14: every entry of E is then below 2^100 in modulus, so the
+    copy is finite and its cast cannot overflow, and N u stays below 2^-10
+    in `_KeptInverse.ratios`' bound."""
 
-    The slot ratios are read from `E32`, a column-major complex64 copy of
-    E, made only when e_max < 2^100 and N < 2^14: every entry of E is then
-    below 2^100 in modulus, so the copy is finite and its cast cannot
-    overflow, and N u stays below 2^-10 in `ratios`' bound."""
-
-    def __init__(self, E: np.ndarray, idx: np.ndarray):
-        N = len(idx)
-        self.E, self.idx = E, idx
+    def __init__(self, E: np.ndarray):
+        N = E.shape[1]
         self.e_max = math.sqrt(float(np.einsum("ij,ij->i", E, E.conj()).real.max()))
         self.a_norm = math.sqrt(N) * self.e_max
         self.slack = _CERT_SLACK * N * np.finfo(float).eps
@@ -226,6 +218,28 @@ class _KeptInverse:
         self.read_limit = 2.0**100 / N  # on e_max |x|
         readable = self.e_max < 2.0**100 and N < 2**14
         self.E32 = np.asfortranarray(E, dtype=np.complex64) if readable else None
+
+
+class _KeptInverse:
+    """An inverse X of the tuple matrix A = E[idx], inverted once per start
+    and kept by rank-one (Sherman-Morrison) updates, with bounds `phi` on
+    the column norms of the residual F = A X - I, and E's `_ReadConstants`
+    in `read` (built here when not given).
+
+    `phi` is set from a measured residual, after the inversion and at each
+    `refresh`: the column norms of the computed F plus a `slack` term for
+    the rounding of A X. Replacing row s of A right-multiplies F by
+    I - e_s w^T / beta, which adds phi[s] |w_j / beta| to column j and
+    divides column s by |beta|; the rounding of the update adds a `slack`
+    term to every column. So `phi` bounds F through every update, and the
+    residual needs measuring again only where that bound has grown: at a
+    sweep start where |F| <= |phi| has reached `read_err`, the read's own
+    rounding, below which the bound adds less to `ratios`' eta than the
+    read does, and mid-sweep where it has reached 1/2."""
+
+    def __init__(self, E: np.ndarray, idx: np.ndarray, read: Optional[_ReadConstants] = None):
+        self.E, self.idx = E, idx
+        self.read = _ReadConstants(E) if read is None else read
         self._invert()
 
     def _invert(self) -> None:
@@ -237,19 +251,21 @@ class _KeptInverse:
         F = self.E[self.idx] @ self.X
         F.flat[:: len(F) + 1] -= 1.0
         self.x_norm = math.sqrt(np.vdot(self.X, self.X).real)
-        self.phi = np.sqrt((F * F.conj()).real.sum(axis=0)) + self.slack * self.a_norm * self.x_norm
+        self.phi = np.sqrt((F * F.conj()).real.sum(axis=0)) + self.read.slack * self.read.a_norm * self.x_norm
         self._bound()
 
     def _bound(self) -> None:
         """|F| from `phi`, and the factors of `ratios`' eta that it fixes."""
         self.f_norm = math.sqrt(float(self.phi @ self.phi))
         self.h = self.x_norm / (1.0 - self.f_norm)
-        self.solve_err = self.slack * (self.a_norm * self.h + 1.0)
+        self.solve_err = self.read.slack * (self.read.a_norm * self.h + 1.0)
 
     def refresh(self) -> None:
         """Measure the residual again, and invert A afresh only when that
-        bound is not below 1/2. After a swap that met beta = 0, X still
-        inverts the old A, so F[s, s] is about -1 and A is inverted again."""
+        bound is not below 1/2. The exchange calls it at a sweep start where
+        the running bound has reached `read_err`, and mid-sweep where it has
+        reached 1/2. After a swap that met beta = 0, X still inverts the old
+        A, so F[s, s] is about -1 and A is inverted again."""
         self._measure()
         if not self.usable:
             self._invert()
@@ -291,15 +307,16 @@ class _KeptInverse:
         from `abs`, together below `underflow` (|x| + e_max + 1) =
         N 2^-148 (|x| + e_max + 1). Below 2^100 every product and partial
         sum stays finite in float32."""
+        r = self.read
         x = self.X[:, s]
         x_norm = math.sqrt(np.vdot(x, x).real)
-        ex = self.e_max * x_norm
-        if self.E32 is None or not (x_norm < 2.0**100 and ex < self.read_limit):
+        ex = r.e_max * x_norm
+        if r.E32 is None or not (x_norm < 2.0**100 and ex < r.read_limit):
             return None, math.inf
         err = self.h * float(self.phi[s])
-        eta = (self.e_max * (err + self.solve_err * (x_norm + err)) + self.read_err * ex
-               + self.underflow * (x_norm + self.e_max + 1.0))
-        return np.abs(self.E32 @ x.astype(np.complex64)), eta
+        eta = (r.e_max * (err + self.solve_err * (x_norm + err)) + r.read_err * ex
+               + r.underflow * (x_norm + r.e_max + 1.0))
+        return np.abs(r.E32 @ x.astype(np.complex64)), eta
 
     def swap(self, s: int, new: int) -> None:
         """Replace row s of A by E[new]."""
@@ -312,7 +329,8 @@ class _KeptInverse:
         w /= beta
         self.X -= self.X[:, s, None] * w
         q = np.abs(w)
-        t = self.slack * (self.a_norm + 2.0 * self.e_max) * self.x_norm
+        r = self.read
+        t = r.slack * (r.a_norm + 2.0 * r.e_max) * self.x_norm
         phi_s = self.phi[s]
         self.phi += (phi_s + t) * q + t
         self.phi[s] = phi_s / abs(beta) + t * (1.0 + q[s])
@@ -320,15 +338,18 @@ class _KeptInverse:
         self.x_norm = math.sqrt(np.vdot(self.X, self.X).real)
         self.f_norm = math.sqrt(float(self.phi @ self.phi))
         self.h = self.x_norm / (1.0 - self.f_norm)
-        self.solve_err = self.slack * (self.a_norm * self.h + 1.0)
+        self.solve_err = r.slack * (r.a_norm * self.h + 1.0)
 
 
-def _usable(kept: Optional[_KeptInverse], E: np.ndarray, sel: list[int]) -> Optional[_KeptInverse]:
-    """`kept` refreshed, or for None a new inverse of E[sel]; None when its
-    residual bound stays at 1/2 or more, or the inversion fails."""
+def _usable(
+    kept: Optional[_KeptInverse], E: np.ndarray, sel: list[int], read: _ReadConstants
+) -> Optional[_KeptInverse]:
+    """`kept` refreshed, or for None a new inverse of E[sel] with E's
+    `read`; None when its residual bound stays at 1/2 or more, or the
+    inversion fails."""
     try:
         if kept is None:
-            kept = _KeptInverse(E, np.array(sel))
+            kept = _KeptInverse(E, np.array(sel), read)
         else:
             kept.refresh()
     except np.linalg.LinAlgError:
@@ -336,7 +357,9 @@ def _usable(kept: Optional[_KeptInverse], E: np.ndarray, sel: list[int]) -> Opti
     return kept if kept.usable else None
 
 
-def _sweep_to_convergence(E: np.ndarray, sel: list[int]) -> tuple[list[int], float, int]:
+def _sweep_to_convergence(
+    E: np.ndarray, sel: list[int], read: Optional[_ReadConstants] = None
+) -> tuple[list[int], float, int]:
     """Coordinate exchange from the tuple `sel`: (tuple, log|det|, sweeps);
     no sweep when E[sel] is singular. Slot s takes the candidate c with the
     largest ratio |E[c] @ A^-1[:, s]| = |det| after / |det| before
@@ -345,33 +368,39 @@ def _sweep_to_convergence(E: np.ndarray, sel: list[int]) -> tuple[list[int], flo
     the slot where a fresh solve finds A singular.
 
     A fresh solve per slot decides this. Here the ratios come from an
-    inverse, inverted once per start, residual re-measured every sweep, and
-    kept by rank-one updates, and are read in single precision; they decide
-    a slot only when its certificate shows the fresh solve would decide the
-    same: from ratios within `eta` of a fresh solve's, a slot is settled
-    when no candidate outside the tuple can reach 1 + 1e-14 (no swap), or
-    when the argmax clears every other ratio and 1 + 1e-11 by 2 eta (a swap
-    whose log alone passes the 1e-12 stop test). The residual is measured again, too, where its running
-    bound reaches 1/2, and A inverted again only where the measured bound
-    does; an inverse that stays there, or fails, leaves the rest of the
-    sweep to the solve. Every slot the certificate does not settle takes
-    the fresh solve. So the tuple, sweep count and log|det| equal the
-    fresh-solve loop's, which tests/test_vdm.py keeps as the reference."""
+    inverse, inverted once per start and kept by rank-one updates, and are
+    read in single precision with E's `read` constants (built here when not
+    given); they decide a slot only when its certificate shows the fresh
+    solve would decide the same: from ratios within `eta` of a fresh
+    solve's, a slot is settled when no candidate outside the tuple can reach
+    1 + 1e-14 (no swap), or when the argmax clears every other ratio and
+    1 + 1e-11 by 2 eta (a swap whose log alone passes the 1e-12 stop test).
+    The residual is measured again at a sweep start only where its running
+    bound has reached `read_err`, the read's own rounding, and mid-sweep
+    where it has reached 1/2; A is inverted again only where the measured
+    bound does. An inverse that stays there, or fails, leaves the rest of
+    the sweep to the solve, and the next sweep start tries a new one. Every
+    slot the certificate does not settle takes the fresh solve. So the
+    tuple, sweep count and log|det| equal the fresh-solve loop's, which
+    tests/test_vdm.py keeps as the reference."""
     sign, log_abs = np.linalg.slogdet(E[sel])
     if sign == 0:
         return sel, -math.inf, 0
     log_abs = float(log_abs)
     N = len(sel)
+    if read is None:
+        read = _ReadConstants(E)
     sweeps, swapped, singular = 0, False, False
     kept: Optional[_KeptInverse] = None
     while sweeps < _MAX_SWEEPS:
         sweeps += 1
         gain = 0.0  # the fresh logs of this sweep's swaps
         certified_gain = False  # a certified swap alone exceeds 1e-12
-        kept = _usable(kept, E, sel)
+        if kept is None or kept.f_norm >= kept.read.read_err:
+            kept = _usable(kept, E, sel, read)
         for s in range(N):
             if kept is not None and not kept.usable:
-                kept = _usable(kept, E, sel)
+                kept = _usable(kept, E, sel, read)
             certified = False
             r, eta = kept.ratios(s) if kept is not None else (None, math.inf)
             if r is not None:
@@ -451,12 +480,13 @@ def _initial_tuples(E: np.ndarray, *, seed: int, starts: int, exhaustive: bool =
 
 
 def _searched(E_search: np.ndarray, inits: Sequence[list[int]]) -> list[tuple[list[int], float, int]]:
-    """The exchange in E_search from each start; a repeated start reuses
-    its first run."""
+    """The exchange in E_search from each start, all with one set of
+    E_search's read constants; a repeated start reuses its first run."""
+    read = _ReadConstants(E_search)
     runs: dict[tuple[int, ...], tuple[list[int], float, int]] = {}
     for init in inits:
         if tuple(init) not in runs:
-            runs[tuple(init)] = _sweep_to_convergence(E_search, list(init))
+            runs[tuple(init)] = _sweep_to_convergence(E_search, list(init), read)
     return [runs[tuple(init)] for init in inits]
 
 
@@ -779,9 +809,11 @@ def row_scale_bound(
     n = len(basis_b)
     if any(e.mode != "exact" for e in basis_b + basis_c):
         raise ValueError("row-scale bounds need exact bases")
-    piv_abs = [abs(p.to_complex()) for p in _change_of_basis_pivots(basis_b, basis_c)]
+    pivots = _change_of_basis_pivots(basis_b, basis_c)
+    piv_abs = [abs(p.to_complex()) for p in pivots]
     m, mx = min(piv_abs), max(piv_abs)
-    log_det = sum(math.log(p) for p in piv_abs)
+    # one log of the exact |det T|^2, so a |det T| of exactly 1 reads 0
+    log_det = 0.5 * log_positive(math.prod((p.modulus_squared() for p in pivots), start=ONE))
     triples: list[tuple[float, float, float]] = []
     id_errs: list[float] = []
     sandwich = True

@@ -273,8 +273,12 @@ PRINTED_SHA256 = {
     # factor ("CHECK normalized_y" |err| 8.68907650275e-08 to
     # 8.68907652496e-08, "CHECK orthonormality" max |G - I| 2.8778116143e-16
     # to 4.4408920985e-16 at k=3), and again when its Gram came from the sheet
-    # symbols: |err| back to 8.68907650275e-08, max |G - I| 8.881784197e-16
-    "reproduce-example --seed 0": "ed88ec899945bff2bbf7f1ef203387b042ac77d2e08d0711c4d1177d96cc92ea",
+    # symbols: |err| back to 8.68907650275e-08, max |G - I| 8.881784197e-16;
+    # re-recorded when row_scale_bound took one log of the exact pivot
+    # product: "CHECK determinant_ratio" log|VDM_cm| - log|VDM_mono| =
+    # 6.66133814775e-16 (rel err <= 1.65800706498e-12) became 0 (rel err <=
+    # 1.65734093116e-12)
+    "reproduce-example --seed 0": "2b40ef386ed70f33944f1ca2b1f107a588aae0b5423a23f35b9ecf850e05daf4",
     # the benchmark's compare-hyperbola commands at seed 0 and exact-hyperbola's
     # cm compliance, recorded before candidate sets became quadrature rules
     "compare --variety hyperbola --k-max 16 --sampler torus:256 --starts 4 --seed 0 --format csv":

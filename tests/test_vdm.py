@@ -446,8 +446,16 @@ def test_scale_bound_cm_vs_monomial():
     assert rep.sandwich_ok
     assert rep.identity_ok
     assert max(rep.identity_rel_errors) < 1e-10
-    # the pivot product for this pair multiplies out to exactly 1
-    assert abs(rep.log_abs_det) < 1e-12
+    # the pivot product for this pair multiplies out to exactly 1, and its
+    # log is taken once, of the exact product: 0, not 1.1e-16 per degree
+    assert rep.log_abs_det == 0.0
+    for pres in (HYP, CONE):
+        assert row_scale_bound(cm_basis(pres, 12), monomial_graded_basis(pres, 12)).log_abs_det == 0.0
+    # roots at infinity +-sqrt2: |det| 2^(k/2) from monomials to cm
+    sqrt2_hyp, _ = load_variety({"M": 1, "N": 2, "generators": ["y1^2 - 2*x1^2 - 1"]})
+    for k in (1, 2, 4, 64):
+        rep = row_scale_bound(monomial_graded_basis(sqrt2_hyp, k), cm_basis(sqrt2_hyp, k))
+        assert abs(rep.log_abs_det - k / 2 * math.log(2)) < 1e-12
 
 
 def test_scale_bound_reports_the_worst_tuple_s_condition():
@@ -716,9 +724,10 @@ def test_scale_bound_exact_errors(b, c, message):
 # the certified rank-one exchange against the fresh-solve loop
 
 
-def _fresh_solve_sweep(E, sel):
+def _fresh_solve_sweep(E, sel, read=None):
     """The exchange loop that `_sweep_to_convergence` must match bit for
-    bit: a fresh LU solve at every slot and a slogdet after every swap."""
+    bit: a fresh LU solve at every slot and a slogdet after every swap (the
+    read constants a search hands the exchange go unused)."""
     N = len(sel)
     sign, log_abs = np.linalg.slogdet(E[sel])
     if sign == 0:
@@ -753,8 +762,8 @@ def _with_sweep(monkeypatch, kernel, run):
     each loop's (sel, log_abs, sweeps)."""
     calls = []
 
-    def recorded(E, sel):
-        out = kernel(E, sel)
+    def recorded(E, sel, read=None):
+        out = kernel(E, sel, read)
         calls.append((list(out[0]), out[1], out[2]))
         return out
 
@@ -935,25 +944,95 @@ def test_a_matrix_beyond_single_precision_takes_the_solve_at_every_slot(monkeypa
 
 
 def test_compare_inverts_each_tuple_once_per_exchange(monkeypatch):
-    # the kept inverse is re-measured every sweep and inverted again only
-    # where the measured residual bound reaches 1/2, which these well
-    # conditioned tuples never do (783 inversions per compare at seed 0
-    # when every sweep inverted, 87 since, one per exchange)
+    # the kept inverse is inverted again only where the measured residual
+    # bound reaches 1/2, which these well conditioned tuples never do (783
+    # inversions per compare at seed 0 when every sweep inverted, 87 since,
+    # one per exchange). A sweep start measures the residual only where the
+    # running bound has reached the read's rounding `read_err`: 812
+    # measurements at seed 0 while every sweep start measured, 140 since,
+    # with 454 fresh solves both times, and one set of read constants for
+    # each k's matrix
     samp = torus_sampler(HYP, 256)
     for seed in range(4):
         with monkeypatch.context() as m:
+            measures = _counting(m, vdm._KeptInverse, "_measure")
             inversions = _counting(m, np.linalg, "inv")
+            solves = _counting(m, np.linalg, "solve")
+            reads = _counting(m, vdm._ReadConstants, "__init__")
             exchanges = _counting(m, vdm, "_sweep_to_convergence")
             compare_bases(HYP, ["monomial", "cm", "bb"], 16, samp, seed=seed, starts=4)
         assert 0 < len(inversions) <= len(exchanges)
+        assert len(reads) == 16
+        if seed == 0:
+            assert len(exchanges) == len(inversions) == 87
+            assert len(measures) <= 150
+            assert len(solves) <= 454
+
+
+def test_an_ill_conditioned_search_measures_its_residual_at_every_sweep_start(monkeypatch):
+    # monomials on segment:120 at k = 24: every measured residual bound
+    # lies above the read's rounding (by a factor near 4,000 at least), so
+    # every sweep start measures again; a read of slot 0, which opens a
+    # sweep, always follows a measurement made since the previous read
+    E = vdm_matrix(monomial_graded_basis(HYP, 24), segment_sampler(HYP, 120).points)
+    events = []
+    measure, ratios = vdm._KeptInverse._measure, vdm._KeptInverse.ratios
+
+    def measured(self):
+        measure(self)
+        events.append(("measure", self.f_norm >= self.read.read_err))
+
+    def read(self, s):
+        events.append(("read", s))
+        return ratios(self, s)
+
+    monkeypatch.setattr(vdm._KeptInverse, "_measure", measured)
+    monkeypatch.setattr(vdm._KeptInverse, "ratios", read)
+    sweeps = sum(_sweep_to_convergence(E, list(init))[2] for init in vdm._initial_tuples(E, seed=0, starts=3))
+    opened, measured = 0, False
+    for kind, value in events:
+        if kind == "measure":
+            assert value  # the measured bound is above read_err
+            measured = True
+        else:
+            if value == 0:
+                assert measured
+                opened += 1
+            measured = False
+    assert opened >= sweeps // 2 > 0
+
+
+def test_a_search_shares_one_set_of_read_constants_bitwise_those_of_a_lone_inverse(monkeypatch):
+    E = vdm_matrix(monomial_graded_basis(HYP, 16), torus_sampler(HYP, 256).points)
+    inits = vdm._initial_tuples(E, seed=0, starts=4)
+    kept = _counting(monkeypatch, vdm._KeptInverse, "__init__")
+    vdm._searched(E, inits)
+    shared = {id(args[3]): args[3] for args in kept}  # (self, E, idx, read)
+    assert len(kept) >= 4 and len(shared) == 1
+    (shared,) = shared.values()
+    lone = vdm._KeptInverse(E, np.array(inits[0])).read
+    assert lone is not shared
+    assert shared.E32.dtype == np.complex64 and shared.E32.flags.f_contiguous
+    assert shared.E32.tobytes(order="F") == lone.E32.tobytes(order="F")
+    assert shared.E32.tobytes(order="F") == np.asfortranarray(E, dtype=np.complex64).tobytes(order="F")
+    for name in ("e_max", "a_norm", "slack", "read_err", "underflow", "read_limit"):
+        assert getattr(shared, name) == getattr(lone, name)
 
 
 class _CorruptedKeptInverse(vdm._KeptInverse):
-    """A kept inverse whose X is tripled before each re-measurement, so the
-    residual F = 3 A X - I, about 2 I, puts the bound far above 1/2 and A
-    must be inverted again; with `failing`, that inversion fails."""
+    """A kept inverse that gives up its bound after each swap, so the next
+    slot (or sweep start) measures it again, and whose X is tripled before
+    each re-measurement, so the residual F = 3 A X - I, about 2 I, puts the
+    bound far above 1/2 and A must be inverted again; with `failing`, that
+    inversion fails. (A well-conditioned search keeps its bound below the
+    read's rounding and would not measure again on its own.)"""
 
     failing = False
+
+    def swap(self, s, new):
+        super().swap(s, new)
+        self.phi[:] = math.inf
+        self.f_norm = math.inf
 
     def refresh(self):
         self.X *= 3.0
