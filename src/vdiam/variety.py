@@ -231,11 +231,59 @@ def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[
     return quotient, rest
 
 
+def _isolated_nus(s: list[Fraction], den: int) -> set[int]:
+    """Every numerator nu with nu/den in an exactly isolated interval of
+    width below 1/den around a real root of the monic square-free s, so
+    every rational root of s, however close to another, is among them. The
+    Sturm chain of s counts its distinct roots in (a, b] as V(a) - V(b)
+    sign changes, and the bisection starts from (-B, B] with B a power of
+    two above Fujiwara's bound 2 max |s_i|^(1/i)."""
+    chain = [s, [co * (len(s) - 1 - i) for i, co in enumerate(s[:-1])]]
+    while True:
+        rest = _divmod(chain[-2], chain[-1])[1]
+        if not rest:
+            break
+        chain.append([-co for co in rest])
+
+    # each member scaled to integers by a positive factor, which keeps its signs
+    chain = [[int(co * math.lcm(*(c.denominator for c in p))) for co in p] for p in chain]
+
+    def changes(x: Fraction) -> int:
+        """Sign changes along the chain at x, zeros dropped: the sign of p at
+        x = u/w is that of sum p_j u^(n-j) w^j, evaluated by Horner in ints."""
+        u, w = x.numerator, x.denominator
+        signs = []
+        for p in chain:
+            v, wj = 0, 1
+            for co in p:
+                v, wj = v * u + co * wj, wj * w
+            if v:
+                signs.append(v > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # |s_i| < 2^L with L = bits(numerator) - bits(denominator) + 1
+    exps = [-(-(abs(co.numerator).bit_length() - co.denominator.bit_length() + 1) // i)
+            for i, co in enumerate(s[1:], 1) if co]
+    bound = Fraction(2) ** (max(exps, default=0) + 1)
+    nus, stack = set(), [(-bound, changes(-bound), bound, changes(bound))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a < Fraction(1, den):
+            nus.update(range(math.floor(a * den) + 1, math.floor(b * den) + 1))
+            continue
+        m = (a + b) / 2
+        vm = changes(m)
+        stack += [(a, va, m, vm), (m, vm, b, vb)]
+    return nus
+
+
 def _exact_poly_roots(coeffs: list[Exact]) -> Optional[list[Exact]]:
     """Roots of sum c_e mu^e inside Q(sqrt2)(i), or None: closed forms up to
     degree 2 (a negative real discriminant has the roots' imaginary square
     root); above it every root rational, each a simple root of the exact
-    square-free part that double precision resolves."""
+    square-free part, found by exact root isolation."""
     while coeffs and coeffs[-1].is_zero():
         coeffs = coeffs[:-1]
     if len(coeffs) <= 1:
@@ -255,47 +303,31 @@ def _exact_poly_roots(coeffs: list[Exact]) -> Optional[list[Exact]]:
         return None
     # q is monic, so q(nu/den) * den^deg is a monic integer polynomial in nu
     # and each rational root of q is nu/den with nu an integer.  The rational
-    # roots are those of the square-free part s = q / gcd(q, q'), where each
-    # is simple, so den times the numeric roots of s round to the nu, or do
-    # after one exact Newton step.  Each candidate that divides s exactly is
-    # divided out of q for its full multiplicity; the quotient of s gives
-    # the next round's candidates, until s is a constant or a round finds no
-    # root.
+    # roots are those of the square-free part s = q / gcd(q, q'), each among
+    # the nu of s's isolated real roots, however close two of them lie.  Each
+    # candidate that divides s exactly is divided out of q for its full
+    # multiplicity; what is left of s after them has no rational root.
     q = [co.as_fraction() / coeffs[-1].as_fraction() for co in reversed(coeffs)]
     g, h = q, [co * (deg - i) for i, co in enumerate(q[:-1])]
     while h:
         g, h = h, _divmod(g, h)[1]
     s = _divmod(q, [co / g[0] for co in g])[0]
+    den = math.lcm(*(co.denominator for co in s))
     roots: list[Exact] = []
-    while len(s) > 1:
-        den = math.lcm(*(co.denominator for co in s))
-        nus = set()
-        for z in np.roots([float(co) for co in s]):
-            # one exact Newton step from the rounded value, with s'(x) the
-            # value at x of s's quotient by (mu - x), moves a simple root that
-            # double precision rounded to a neighbour onto its nu
-            nu = round(z.real * den)
-            x = Fraction(nu, den)
-            quotient, value = _divmod(s, [1, -x])
-            slope = _divmod(quotient, [1, -x])[1]
-            nus.add(nu)
-            if value and slope:
-                nus.add(round((x - value[0] / slope[0]) * den))
-        found = len(roots)
-        for nu in sorted(nus):
-            root = Fraction(nu, den)
-            quotient, remainder = _divmod(s, [1, -root])
+    for nu in sorted(_isolated_nus(s, den)):
+        root = Fraction(nu, den)
+        quotient, remainder = _divmod(s, [1, -root])
+        if remainder:
+            continue
+        s = quotient
+        while True:
+            quotient, remainder = _divmod(q, [1, -root])
             if remainder:
-                continue
-            s = quotient
-            while True:
-                quotient, remainder = _divmod(q, [1, -root])
-                if remainder:
-                    break
-                q = quotient
-                roots.append(Exact(root))
-        if len(roots) == found:
-            return None
+                break
+            q = quotient
+            roots.append(Exact(root))
+    if len(s) > 1:
+        return None
     return roots
 
 

@@ -224,26 +224,23 @@ class _KeptInverse:
     """An inverse X of the tuple matrix A = E[idx], inverted once per start
     and kept by rank-one (Sherman-Morrison) updates, with bounds `phi` on
     the column norms of the residual F = A X - I, and E's `_ReadConstants`
-    in `read` (built here when not given).
+    in `read`. `idx` is the exchange's own tuple array, which the exchange
+    writes after each `swap`.
 
     `phi` is set from a measured residual, after the inversion and at each
-    `refresh`: the column norms of the computed F plus a `slack` term for
-    the rounding of A X. Replacing row s of A right-multiplies F by
-    I - e_s w^T / beta, which adds phi[s] |w_j / beta| to column j and
-    divides column s by |beta|; the rounding of the update adds a `slack`
-    term to every column. So `phi` bounds F through every update, and the
-    residual needs measuring again only where that bound has grown: at a
-    sweep start where |F| <= |phi| has reached `read_err`, the read's own
-    rounding, below which the bound adds less to `ratios`' eta than the
-    read does, and mid-sweep where it has reached 1/2."""
+    re-measurement (`_usable`): the column norms of the computed F plus a
+    `slack` term for the rounding of A X. Replacing row s of A
+    right-multiplies F by I - e_s w^T / beta, which adds phi[s] |w_j / beta|
+    to column j and divides column s by |beta|; the rounding of the update
+    adds a `slack` term to every column. So `phi` bounds F through every
+    update, and the residual needs measuring again only where that bound
+    has grown: at a sweep start where |F| <= |phi| has reached `read_err`,
+    the read's own rounding, below which the bound adds less to `ratios`'
+    eta than the read does, and mid-sweep where it has reached 1/2."""
 
-    def __init__(self, E: np.ndarray, idx: np.ndarray, read: Optional[_ReadConstants] = None):
-        self.E, self.idx = E, idx
-        self.read = _ReadConstants(E) if read is None else read
-        self._invert()
-
-    def _invert(self) -> None:
-        self.X = np.linalg.inv(self.E[self.idx])
+    def __init__(self, E: np.ndarray, idx: np.ndarray, read: _ReadConstants):
+        self.E, self.idx, self.read = E, idx, read
+        self.X = np.linalg.inv(E[idx])
         self._measure()
 
     def _measure(self) -> None:
@@ -259,21 +256,6 @@ class _KeptInverse:
         self.f_norm = math.sqrt(float(self.phi @ self.phi))
         self.h = self.x_norm / (1.0 - self.f_norm)
         self.solve_err = self.read.slack * (self.read.a_norm * self.h + 1.0)
-
-    def refresh(self) -> None:
-        """Measure the residual again, and invert A afresh only when that
-        bound is not below 1/2. The exchange calls it at a sweep start where
-        the running bound has reached `read_err`, and mid-sweep where it has
-        reached 1/2. After a swap that met beta = 0, X still inverts the old
-        A, so F[s, s] is about -1 and A is inverted again."""
-        self._measure()
-        if not self.usable:
-            self._invert()
-
-    @property
-    def usable(self) -> bool:
-        """The residual bound is below 1/2 (False for NaN)."""
-        return self.f_norm < 0.5
 
     def ratios(self, s: int) -> tuple[Optional[np.ndarray], float]:
         """The slot ratios read in single precision, |E32 @ complex64(x)|
@@ -319,9 +301,9 @@ class _KeptInverse:
         return np.abs(r.E32 @ x.astype(np.complex64)), eta
 
     def swap(self, s: int, new: int) -> None:
-        """Replace row s of A by E[new]."""
+        """Replace row s of A, E[idx[s]], by E[new]; the caller then writes
+        `new` into idx[s]."""
         w = (self.E[new] - self.E[self.idx[s]]) @ self.X
-        self.idx[s] = new
         beta = 1.0 + w[s]
         if not abs(beta) > 0.0:
             self.f_norm = math.inf
@@ -334,32 +316,28 @@ class _KeptInverse:
         phi_s = self.phi[s]
         self.phi += (phi_s + t) * q + t
         self.phi[s] = phi_s / abs(beta) + t * (1.0 + q[s])
-        # `_bound`, written out: this runs once per swap
         self.x_norm = math.sqrt(np.vdot(self.X, self.X).real)
-        self.f_norm = math.sqrt(float(self.phi @ self.phi))
-        self.h = self.x_norm / (1.0 - self.f_norm)
-        self.solve_err = r.slack * (r.a_norm * self.h + 1.0)
+        self._bound()
 
 
 def _usable(
-    kept: Optional[_KeptInverse], E: np.ndarray, sel: list[int], read: _ReadConstants
+    kept: Optional[_KeptInverse], E: np.ndarray, idx: np.ndarray, read: _ReadConstants
 ) -> Optional[_KeptInverse]:
-    """`kept` refreshed, or for None a new inverse of E[sel] with E's
-    `read`; None when its residual bound stays at 1/2 or more, or the
-    inversion fails."""
+    """`kept` with its residual measured again, or a new inverse of E[idx]
+    where there is none or that bound is not below 1/2 (after a swap that
+    met beta = 0, X still inverts the old A, so F[s, s] is about -1); None
+    when the inversion fails or its bound stays at 1/2 or more (or NaN)."""
     try:
-        if kept is None:
-            kept = _KeptInverse(E, np.array(sel), read)
-        else:
-            kept.refresh()
+        if kept is not None:
+            kept._measure()
+        if kept is None or not kept.f_norm < 0.5:
+            kept = _KeptInverse(E, idx, read)
     except np.linalg.LinAlgError:
         return None
-    return kept if kept.usable else None
+    return kept if kept.f_norm < 0.5 else None
 
 
-def _sweep_to_convergence(
-    E: np.ndarray, sel: list[int], read: Optional[_ReadConstants] = None
-) -> tuple[list[int], float, int]:
+def _sweep_to_convergence(E: np.ndarray, sel: list[int], read: _ReadConstants) -> tuple[list[int], float, int]:
     """Coordinate exchange from the tuple `sel`: (tuple, log|det|, sweeps);
     no sweep when E[sel] is singular. Slot s takes the candidate c with the
     largest ratio |E[c] @ A^-1[:, s]| = |det| after / |det| before
@@ -369,12 +347,12 @@ def _sweep_to_convergence(
 
     A fresh solve per slot decides this. Here the ratios come from an
     inverse, inverted once per start and kept by rank-one updates, and are
-    read in single precision with E's `read` constants (built here when not
-    given); they decide a slot only when its certificate shows the fresh
-    solve would decide the same: from ratios within `eta` of a fresh
-    solve's, a slot is settled when no candidate outside the tuple can reach
-    1 + 1e-14 (no swap), or when the argmax clears every other ratio and
-    1 + 1e-11 by 2 eta (a swap whose log alone passes the 1e-12 stop test).
+    read in single precision with E's `read` constants; they decide a slot
+    only when its certificate shows the fresh solve would decide the same:
+    from ratios within `eta` of a fresh solve's, a slot is settled when no
+    candidate outside the tuple can reach 1 + 1e-14 (no swap), or when the
+    argmax clears every other ratio and 1 + 1e-11 by 2 eta (a swap whose
+    log alone passes the 1e-12 stop test).
     The residual is measured again at a sweep start only where its running
     bound has reached `read_err`, the read's own rounding, and mid-sweep
     where it has reached 1/2; A is inverted again only where the measured
@@ -383,29 +361,28 @@ def _sweep_to_convergence(
     slot the certificate does not settle takes the fresh solve. So the
     tuple, sweep count and log|det| equal the fresh-solve loop's, which
     tests/test_vdm.py keeps as the reference."""
+    sel = np.array(sel)  # the one copy of the tuple, shared with the kept inverse
     sign, log_abs = np.linalg.slogdet(E[sel])
     if sign == 0:
-        return sel, -math.inf, 0
+        return sel.tolist(), -math.inf, 0
     log_abs = float(log_abs)
     N = len(sel)
-    if read is None:
-        read = _ReadConstants(E)
     sweeps, swapped, singular = 0, False, False
     kept: Optional[_KeptInverse] = None
     while sweeps < _MAX_SWEEPS:
         sweeps += 1
         gain = 0.0  # the fresh logs of this sweep's swaps
         certified_gain = False  # a certified swap alone exceeds 1e-12
-        if kept is None or kept.f_norm >= kept.read.read_err:
+        if kept is None or kept.f_norm >= read.read_err:
             kept = _usable(kept, E, sel, read)
         for s in range(N):
-            if kept is not None and not kept.usable:
+            if kept is not None and not kept.f_norm < 0.5:
                 kept = _usable(kept, E, sel, read)
             certified = False
             r, eta = kept.ratios(s) if kept is not None else (None, math.inf)
             if r is not None:
-                occupants = r[kept.idx]
-                r[kept.idx] = -np.inf
+                occupants = r[sel]
+                r[sel] = -np.inf
                 c = int(r.argmax())
                 top = float(r[c])
                 if top < 1.0 + 1e-14 - eta:
@@ -440,7 +417,7 @@ def _sweep_to_convergence(
             break
     if swapped:
         log_abs = _slogabs(E[sel])
-    return sel, log_abs, sweeps
+    return sel.tolist(), log_abs, sweeps
 
 
 def _initial_tuples(E: np.ndarray, *, seed: int, starts: int, exhaustive: bool = False) -> list[list[int]]:
@@ -486,7 +463,7 @@ def _searched(E_search: np.ndarray, inits: Sequence[list[int]]) -> list[tuple[li
     runs: dict[tuple[int, ...], tuple[list[int], float, int]] = {}
     for init in inits:
         if tuple(init) not in runs:
-            runs[tuple(init)] = _sweep_to_convergence(E_search, list(init), read)
+            runs[tuple(init)] = _sweep_to_convergence(E_search, init, read)
     return [runs[tuple(init)] for init in inits]
 
 

@@ -47,6 +47,12 @@ def test_bundled_varieties_load():
     ct, _ = load_variety("cross-terms")
     assert (ct.M, ct.N) == (1, 3)
 
+    circle, extras = load_variety("circle")
+    assert (circle.M, circle.N, circle.d) == (1, 2, 2)
+    assert extras["name"] == "circle"
+    assert validate_noether(circle).valid
+    assert distinct_infinity_check(circle).distinct
+
 
 def test_load_variety_from_dict_and_path(tmp_path):
     doc = {"M": 1, "N": 2, "generators": ["y1^2 - x1^2 - 1"]}
@@ -191,7 +197,7 @@ def test_pure_x_count_identity():
 
 
 def test_sandwich_holds_on_bundled():
-    for name in ("hyperbola", "cone2d", "nondistinct"):
+    for name in ("hyperbola", "cone2d", "nondistinct", "circle"):
         pres, _ = load_variety(name)
         assert all(sandwich_check(pres, k) for k in range(1, 31))
 
@@ -336,16 +342,20 @@ def test_repeated_integer_roots_are_all_found(draws, lead):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-1000, 1000), st.integers(1, 7), st.integers(1, 3)), min_size=1, max_size=6), LEADS)
 def test_repeated_rational_roots_are_all_found(draws, lead):
-    # only the simple roots of the square-free part are rounded, so the
+    # only the simple roots of the square-free part are isolated, so the
     # denominators' powers in a repeated root do not blur it
     assert _found(_expanded(_multiset(draws), lead)) == _multiset(draws)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-10**10, 10**10), st.integers(1, 7), st.just(1)), min_size=1, max_size=6), LEADS)
-# double precision rounded the two roots near -10^10, 35,774 apart, to
-# neighbours of their values; one exact Newton step resolves them
+# double precision rounds the two roots near -10^10, 35,774 apart, to
+# neighbours of their values; exact isolation finds both
 @example([(0, 1, 1), (-9_999_958_881, 1, 1), (-9_999_994_655, 1, 1)], Fraction(1))
+# np.roots returns these close pairs (13.5 and 43.6 apart) as one complex
+# pair; exact isolation of the real roots finds both
+@example([(0, 1, 1), (-2_499_988_183, 1, 1), (-4_999_976_339, 2, 1)], Fraction(2, 7))
+@example([(0, 1, 1), (-6_845_489_189, 3, 1), (-9_999_948_309, 7, 1), (-9_999_948_004, 7, 1), (891_246_004, 1, 1)], Fraction(1))
 def test_simple_rational_roots_are_all_found(draws, lead):
     assert _found(_expanded(_multiset(draws), lead)) == _multiset(draws)
 

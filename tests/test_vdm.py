@@ -295,6 +295,14 @@ def test_multistart_bookkeeping():
     # reported value is the winning start re-evaluated on sorted rows
     assert abs(res.log_abs - max(res.start_logs)) < 1e-12
     assert res.indices == tuple(sorted(res.indices))
+    # the exchange works on an index array, and random starts are drawn as
+    # numpy integers: the tuples it returns and every result hold Python ints
+    E = vdm_matrix(b, samp.points)
+    for init in vdm._initial_tuples(E, seed=5, starts=4):
+        assert all(type(i) is int for i in _exchange(E, init)[0])
+    assert all(type(i) is int for i in res.indices)
+    for est in diameter_sequence(HYP, "monomial", 2, samp, seed=5, starts=4):
+        assert all(type(i) is int for i in est.indices)
 
 
 @pytest.mark.parametrize("power", [-50, 50])
@@ -424,6 +432,58 @@ def test_build_basis_unknown_kind():
 def test_build_basis_default_quadrature(kind, k):
     quad = torus_quadrature(HYP, default_quadrature_n(k))
     assert build_basis(HYP, kind, k) == build_basis(HYP, kind, k, quad=quad)
+
+
+# ---------------------------------------------------------------------------
+# the real circle x1^2 + y1^2 = 1: a two-sheet variety with its Fekete values
+# in closed form. x1^a y1^b spans e^{ijt} for |j| <= a + b, degree j's new
+# pair has |det| 2^(1-2j) against the Laurent basis, whose Fekete tuples are
+# the regular (2k + 1)-gons, so max log|VDM_mono| = (2k+1)/2 ln(2k+1) - k^2 ln 2
+# over l_k = k(k + 1)
+
+CIRCLE, _ = load_variety("circle")
+
+
+def _circle_points(m):
+    """m equispaced angles on the circle, as candidates."""
+    t = 2 * np.pi * np.arange(m) / m
+    return points_sampler(CIRCLE, np.stack([np.cos(t), np.sin(t)], axis=1))
+
+
+def _circle_estimates(sampler, k):
+    """(est_monomial, est_cm) at k from one compare over `sampler`."""
+    rep = compare_bases(CIRCLE, ["monomial", "cm"], k, sampler, starts=4, seed=0)
+    return rep.estimates["monomial"][-1].est_lk, rep.estimates["cm"][-1].est_lk
+
+
+def _circle_closed_form(k):
+    return (0.5 * (2 * k + 1) * math.log(2 * k + 1) - k * k * math.log(2)) / (k * (k + 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+def test_circle_search_meets_the_closed_form_on_equispaced_angles(k):
+    # 6(2k + 1) angles hold the regular (2k + 1)-gons (errors 0 up to k = 4,
+    # 4.6e-14 at k = 16); cm's change of basis has |det| 1, so est_cm agrees
+    # (7.3e-15 at k = 16)
+    mono, cm = _circle_estimates(_circle_points(6 * (2 * k + 1)), k)
+    assert abs(mono - _circle_closed_form(k)) <= 1e-12
+    assert abs(cm - mono) <= 1e-12
+
+
+def test_circle_segment_samplers_stay_below_the_closed_form_and_rise():
+    # segment:n lifts n x-nodes, which are not equispaced in angle
+    ests = [_circle_estimates(segment_sampler(CIRCLE, n), 4)[0] for n in (9, 15, 27)]
+    assert [round(e, 4) for e in ests] == [-0.0816, -0.0720, -0.0618]
+    assert ests[0] < ests[1] < ests[2] < _circle_closed_form(4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_circle_gram_on_equispaced_angles_has_the_closed_form_determinant(k):
+    # log det G_k = -2 k^2 ln 2 on the circle's equal-weight measure (1.6e-12
+    # off at k = 8; at k = 16 conditioning moves it by 5.3e-6)
+    sign, logdet = np.linalg.slogdet(gram(monomial_graded_basis(CIRCLE, k), _circle_points(6 * (2 * k + 1))))
+    assert abs(sign - 1) < 1e-12
+    assert abs(logdet + 2 * k * k * math.log(2)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -757,12 +817,17 @@ def _fresh_solve_sweep(E, sel, read=None):
     return sel, log_abs, sweeps
 
 
+def _exchange(E, init):
+    """`_sweep_to_convergence` from `init`, with E's own read constants."""
+    return _sweep_to_convergence(E, list(init), vdm._ReadConstants(E))
+
+
 def _with_sweep(monkeypatch, kernel, run):
     """`run()` with `kernel` as the exchange loop; returns its result and
     each loop's (sel, log_abs, sweeps)."""
     calls = []
 
-    def recorded(E, sel, read=None):
+    def recorded(E, sel, read):
         out = kernel(E, sel, read)
         calls.append((list(out[0]), out[1], out[2]))
         return out
@@ -868,7 +933,7 @@ def test_the_kept_inverse_decides_most_slots(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted)
     visits = 0
     for init in inits:
-        sel, _, sweeps = _sweep_to_convergence(E, list(init))
+        sel, _, sweeps = _exchange(E, init)
         visits += len(sel) * sweeps
     assert visits > 0
     assert len(solves) < visits / 4
@@ -910,10 +975,10 @@ def test_single_precision_reads_lie_within_eta_of_fresh_solves(case):
     rng = np.random.default_rng(1)
     inits = vdm._initial_tuples(E, seed=0, starts=4)
     checked = 0
-    for init in inits + [_sweep_to_convergence(E, list(init))[0] for init in inits]:
-        kept = vdm._KeptInverse(E, np.array(init))
+    for init in inits + [_exchange(E, init)[0] for init in inits]:
+        kept = vdm._KeptInverse(E, np.array(init), vdm._ReadConstants(E))
         for _ in range(4):
-            if kept.usable:
+            if kept.f_norm < 0.5:
                 A = E[kept.idx]
                 for s in range(N):
                     r, eta = kept.ratios(s)
@@ -924,7 +989,9 @@ def test_single_precision_reads_lie_within_eta_of_fresh_solves(case):
                     assert np.abs(r.astype(float) - fresh).max() <= eta
                     checked += 1
             outside = np.setdiff1d(np.arange(P), kept.idx)
-            kept.swap(int(rng.integers(N)), int(rng.choice(outside)))
+            s, new = int(rng.integers(N)), int(rng.choice(outside))
+            kept.swap(s, new)
+            kept.idx[s] = new  # as the exchange writes its tuple
     assert checked >= 4 * N
 
 
@@ -938,7 +1005,7 @@ def test_a_matrix_beyond_single_precision_takes_the_solve_at_every_slot(monkeypa
     inits = vdm._initial_tuples(E, seed=0, starts=4)
     with monkeypatch.context() as m:
         solves = _counting(m, np.linalg, "solve")
-        runs = [_sweep_to_convergence(E, list(init)) for init in inits]
+        runs = [_exchange(E, init) for init in inits]
     assert len(solves) == sum(len(sel) * sweeps for sel, _, sweeps in runs) > 0
     assert runs == [_fresh_solve_sweep(E, list(init)) for init in inits]
 
@@ -988,7 +1055,7 @@ def test_an_ill_conditioned_search_measures_its_residual_at_every_sweep_start(mo
 
     monkeypatch.setattr(vdm._KeptInverse, "_measure", measured)
     monkeypatch.setattr(vdm._KeptInverse, "ratios", read)
-    sweeps = sum(_sweep_to_convergence(E, list(init))[2] for init in vdm._initial_tuples(E, seed=0, starts=3))
+    sweeps = sum(_exchange(E, init)[2] for init in vdm._initial_tuples(E, seed=0, starts=3))
     opened, measured = 0, False
     for kind, value in events:
         if kind == "measure":
@@ -1010,7 +1077,7 @@ def test_a_search_shares_one_set_of_read_constants_bitwise_those_of_a_lone_inver
     shared = {id(args[3]): args[3] for args in kept}  # (self, E, idx, read)
     assert len(kept) >= 4 and len(shared) == 1
     (shared,) = shared.values()
-    lone = vdm._KeptInverse(E, np.array(inits[0])).read
+    lone = vdm._ReadConstants(E)
     assert lone is not shared
     assert shared.E32.dtype == np.complex64 and shared.E32.flags.f_contiguous
     assert shared.E32.tobytes(order="F") == lone.E32.tobytes(order="F")
@@ -1022,10 +1089,11 @@ def test_a_search_shares_one_set_of_read_constants_bitwise_those_of_a_lone_inver
 class _CorruptedKeptInverse(vdm._KeptInverse):
     """A kept inverse that gives up its bound after each swap, so the next
     slot (or sweep start) measures it again, and whose X is tripled before
-    each re-measurement, so the residual F = 3 A X - I, about 2 I, puts the
-    bound far above 1/2 and A must be inverted again; with `failing`, that
-    inversion fails. (A well-conditioned search keeps its bound below the
-    read's rounding and would not measure again on its own.)"""
+    each re-measurement (each `_measure` but the one after its inversion),
+    so the residual F = 3 A X - I, about 2 I, puts the bound far above 1/2
+    and A must be inverted again; with `failing`, the re-measurement fails
+    as that inversion would. (A well-conditioned search keeps its bound
+    below the read's rounding and would not measure again on its own.)"""
 
     failing = False
 
@@ -1034,11 +1102,12 @@ class _CorruptedKeptInverse(vdm._KeptInverse):
         self.phi[:] = math.inf
         self.f_norm = math.inf
 
-    def refresh(self):
-        self.X *= 3.0
-        if self.failing:
-            raise np.linalg.LinAlgError("singular matrix")
-        super().refresh()
+    def _measure(self):
+        if hasattr(self, "phi"):
+            self.X *= 3.0
+            if self.failing:
+                raise np.linalg.LinAlgError("singular matrix")
+        super()._measure()
 
 
 @pytest.mark.parametrize("failing", [False, True], ids=["reinverted", "solved"])
@@ -1052,19 +1121,26 @@ def test_a_kept_inverse_measured_off_is_reinverted_or_left_to_the_solve(monkeypa
         assert_matches_fresh_solves(monkeypatch, lambda: fekete_maximize(basis, samp, seed=seed, starts=4))
     # the exchange alone, counted
     E = vdm_matrix(basis, samp.points)
+    starts = vdm._initial_tuples(E, seed=0, starts=4)
     inits = _counting(monkeypatch, _CorruptedKeptInverse, "__init__")
-    refreshes = _counting(monkeypatch, _CorruptedKeptInverse, "refresh")
+    measures = _counting(monkeypatch, _CorruptedKeptInverse, "_measure")
     inversions = _counting(monkeypatch, np.linalg, "inv")
     solves = _counting(monkeypatch, np.linalg, "solve")
-    for init in vdm._initial_tuples(E, seed=0, starts=4):
-        _sweep_to_convergence(E, list(init))
-    assert refreshes
+    sweeps = sum(_exchange(E, init)[2] for init in starts)
+    # each inversion measures once; the other measurements are the
+    # re-measurements
+    remeasures = len(measures) - len(inits)
+    assert remeasures > 0
+    assert len(inversions) == len(inits)
     if failing:
-        # a failed refresh hands at least its own slot to the solve
-        assert len(inversions) == len(inits)
-        assert len(solves) >= len(refreshes)
+        # a failed re-measurement hands at least its own slot to the solve,
+        # and A is inverted again only at the next sweep start: at most once
+        # per sweep, and at most once per failure after each start's first
+        assert len(solves) >= remeasures
+        assert len(inits) <= sweeps
+        assert len(inits) <= len(starts) + remeasures
     else:
-        assert len(inversions) == len(inits) + len(refreshes)
+        assert len(inversions) == len(starts) + remeasures
 
 
 class _NoKeptInverse:
@@ -1083,7 +1159,7 @@ def test_a_singular_fresh_solve_ends_the_exchange(monkeypatch, at):
     E = vdm_matrix(monomial_graded_basis(HYP, 2), torus_sampler(HYP, 16).points)
     start = [0, 16, 1, 17, 24]
     monkeypatch.setattr(vdm, "_KeptInverse", _NoKeptInverse)
-    assert _sweep_to_convergence(E, list(start))[2] == 3
+    assert _exchange(E, start)[2] == 3
     solve, calls = np.linalg.solve, []
 
     def failing(*args):
@@ -1093,7 +1169,7 @@ def test_a_singular_fresh_solve_ends_the_exchange(monkeypatch, at):
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "solve", failing)
-    sel, log_abs, sweeps = _sweep_to_convergence(E, list(start))
+    sel, log_abs, sweeps = _exchange(E, start)
     assert len(calls) == at
     assert sweeps == (at - 1) // len(start) + 1
     assert log_abs == vdm._slogabs(E[sel])
@@ -1137,7 +1213,7 @@ def test_a_graded_change_of_basis_keeps_the_exchange_fixed_point(case, seed):
     E_mono = vdm_matrix(mb, points)
     E_b = E_mono @ T.T
     start = vdm._initial_tuples(E_mono, seed=seed, starts=2)[1]
-    sel, log_mono, _ = _sweep_to_convergence(E_mono, list(start))
+    sel, log_mono, _ = _exchange(E_mono, start)
     N = len(sel)
     A = E_b[sel]
     outside = np.ones(len(points), dtype=bool)
